@@ -32,10 +32,6 @@ from .dynamics import (
     GaussianHamiltonian1M,
     ZeroTrajectory,
     closed_form_trajectory,
-    direct_apply_D,
-    direct_apply_P,
-    direct_apply_R,
-    direct_apply_S,
     evolve_displacement,
     evolve_phaseshift,
     evolve_shearing,

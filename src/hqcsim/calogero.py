@@ -1,5 +1,6 @@
 """Classical Calogero-Moser dynamics: eigenvalue solutions, Lax diagnostics,
-scattering fits, and an RK4 reference integrator.
+scattering fits, and an RK4 reference integrator whose fixed-step loop also
+drives the single-mode oracle ``dynamics.ode_evolve``.
 
 Complex positions, momenta, coupling and frequency are supported throughout.
 The regime is read off the sign of omega^2: positive (harmonic), negative
@@ -39,8 +40,7 @@ class CMSystem:
             raise ValueError("positions and momenta must have equal length")
         if q0.size < 1:
             raise ValueError("at least one particle required")
-        if _min_separation(q0) < DELTA_COLLIDE:
-            raise CollisionError("initial positions closer than DELTA_COLLIDE")
+        _require_distinct(q0, "initial positions closer than DELTA_COLLIDE")
         q0.setflags(write=False)
         p0.setflags(write=False)
         return CMSystem(q0, p0, complex(g), complex(omega))
@@ -89,12 +89,17 @@ def _min_separation(q):
     return float(np.min(d))
 
 
+def _require_distinct(q, message):
+    """Raise CollisionError(message) if two of the positions q are within DELTA_COLLIDE."""
+    if _min_separation(q) < DELTA_COLLIDE:
+        raise CollisionError(message)
+
+
 def lax_matrices(q, p, g):
     """Lax pair (L, M) at a phase-space point; distinct positions required."""
     q = np.asarray(q, dtype=complex).reshape(-1)
     p = np.asarray(p, dtype=complex).reshape(-1)
-    if _min_separation(q) < DELTA_COLLIDE:
-        raise CollisionError("coincident positions in lax_matrices")
+    _require_distinct(q, "coincident positions in lax_matrices")
     n = q.size
     L = np.diag(p.astype(complex))
     M = np.zeros((n, n), dtype=complex)
@@ -200,33 +205,43 @@ def _cm_derivative(system, y):
     return np.concatenate([dq, dp])
 
 
+def _rk4_path(deriv, y0, h, steps, positions, admissible=None):
+    """Fixed-step RK4 states y(0), y(h), ..., y(steps h); shape (steps + 1, y0.size).
+
+    Every step must stay finite (and pass ``admissible(y)`` when given), else
+    RuntimeError; particles at ``y[positions]`` closer than DELTA_COLLIDE
+    raise CollisionError.
+    """
+    ys = np.empty((steps + 1, y0.size), dtype=complex)
+    ys[0] = y = y0
+    for i in range(1, steps + 1):
+        k1 = deriv(y)
+        k2 = deriv(y + 0.5 * h * k1)
+        k3 = deriv(y + 0.5 * h * k2)
+        k4 = deriv(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.all(np.isfinite(y)) or (admissible and not admissible(y)):
+            raise RuntimeError(f"integration unstable at t={i * h:.6g}; reduce dt")
+        sep = _min_separation(y[positions])
+        if sep < DELTA_COLLIDE:
+            raise CollisionError(
+                f"particles collided at t={i * h:.6g} (min separation {sep:.3e})"
+            )
+        ys[i] = y
+    return ys
+
+
 def cm_ode_path(system, t, dt):
     """RK4 reference integration; returns (times, q path, p path)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     steps = max(1, int(round(abs(t) / dt)))
-    h = t / steps if t != 0 else 0.0
     n = system.n
-    y = np.concatenate([system.q0, system.p0]).astype(complex)
-    times = np.linspace(0.0, t, steps + 1)
-    qs = np.empty((n, steps + 1), dtype=complex)
-    ps = np.empty((n, steps + 1), dtype=complex)
-    qs[:, 0], ps[:, 0] = system.q0, system.p0
-    for i in range(steps):
-        k1 = _cm_derivative(system, y)
-        k2 = _cm_derivative(system, y + 0.5 * h * k1)
-        k3 = _cm_derivative(system, y + 0.5 * h * k2)
-        k4 = _cm_derivative(system, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise RuntimeError(f"integration unstable at t={times[i + 1]:.6g}; reduce dt")
-        if _min_separation(y[:n]) < DELTA_COLLIDE:
-            raise CollisionError(
-                f"particles collided at t={times[i + 1]:.6g} "
-                f"(min separation {_min_separation(y[:n]):.3e})"
-            )
-        qs[:, i + 1], ps[:, i + 1] = y[:n], y[n:]
-    return times, qs, ps
+    y0 = np.concatenate([system.q0, system.p0]).astype(complex)
+    ys = _rk4_path(
+        lambda y: _cm_derivative(system, y), y0, t / steps, steps, slice(0, n)
+    )
+    return np.linspace(0.0, t, steps + 1), ys[:, :n].T, ys[:, n:].T
 
 
 def cm_ode(system, t, dt):

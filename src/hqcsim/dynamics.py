@@ -2,12 +2,15 @@
 
 Three independent routes are provided for every primitive gate:
 
-* closed-form evolution of the Gaussian exponents plus an eigenvalue matrix
-  for the zero motion (``evolve_*``),
-* direct action on the stellar function by substitution and operator
-  algebra (``direct_apply_*``),
-* brute-force integration of the coupled dynamical system (``ode_evolve``),
-  which serves as the cross-check oracle for the other two.
+* the closed form (``evolve_*``, ``closed_form_trajectory``): the Gaussian
+  exponents follow the gate's exponent formulas in ``multimode``, and the
+  zeros translate (D), rotate (R) or move as Calogero-Moser particles solved
+  by ``calogero.cm_solve_path`` (S, P),
+* the section engine ``multimode.apply_gate`` on mode 0, which conjugates the
+  polynomial through the gate; the closed forms of S and P fall back to it
+  when zeros collide,
+* fixed-step RK4 integration of the coupled dynamical system
+  (``ode_evolve``), which serves as the cross-check oracle for the other two.
 
 Gate/drive convention: the Hamiltonian drives (alpha, xi, phi, s) acting for
 time t induce the gates D(alpha*t), S(xi*t), R(phi*t), P(s*t). The shear
@@ -18,23 +21,15 @@ exp(-i*s*t/2); the closed forms below give the gate itself.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from . import calogero as cm
+from . import multimode as mm
+from .gates import Shear, Squeeze
 from .states import GaussPart, PolyPart, StellarState, poly_coeffs_1m
-
-# Below this pairwise zero separation the eigenvalue matrix and the initial
-# velocities are ill-conditioned; closed-form callers fall back to the direct
-# route and ode_evolve refuses to integrate.
-DELTA_COLLIDE = 1e-6
-
-
-class ZeroCollisionError(RuntimeError):
-    """Zeros closer than DELTA_COLLIDE where the route requires simple zeros."""
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,11 @@ class GaussianHamiltonian1M:
     """Generic single-mode Gaussian Hamiltonian drives (identity part dropped).
 
     alpha is the displacement drive, xi the squeezing drive, phi the
-    phase-shift drive.
+    phase-shift drive. The zeros of the stellar function move as
+    Calogero-Moser particles with coupling g = -i conj(xi) (g^2 = -conj(xi)^2),
+    frequency omega^2 = phi^2 - |xi|^2 and the constant force
+    conj(xi) alpha - i phi conj(alpha). The classification is the sign of
+    omega^2: elliptic (positive), hyperbolic (negative), parabolic (zero).
     """
 
     alpha: complex = 0j
@@ -105,6 +104,13 @@ def _factor_poly(state):
     return lead, np.roots(coeffs[::-1] / lead)
 
 
+def _monic_form(state):
+    """Zeros, a, b and c_eff = c + log(lead) of a single-mode state."""
+    lead, zeros = _factor_poly(state)
+    g = state.gauss
+    return zeros, complex(g.A[0, 0]), complex(g.B[0]), complex(g.C) + np.log(lead)
+
+
 def _state_from_monic(zeros, a, b, c_eff):
     """State with monic polynomial over the zeros and exp(c_eff) absorbed."""
     poly = np.array([1.0 + 0j])
@@ -116,53 +122,10 @@ def _state_from_monic(zeros, a, b, c_eff):
     )
 
 
-def _gauss_abc(state):
-    g = state.gauss
-    return complex(g.A[0, 0]), complex(g.B[0]), complex(g.C)
-
-
-def _min_separation(zeros):
-    n = len(zeros)
-    if n < 2:
-        return np.inf
-    d = np.abs(zeros[:, None] - zeros[None, :]) + np.diag([np.inf] * n)
-    return float(np.min(d))
-
-
-def _log_along(values):
-    """Continuous logarithm along a sequence of nonzero values.
-
-    The first entry takes its principal log; later entries accumulate the
-    principal log of successive ratios, which is the analytic continuation as
-    long as consecutive ratios stay off the negative real axis.
-    """
-    values = np.asarray(values, dtype=complex)
-    out = np.empty(values.shape, dtype=complex)
-    out[0] = np.log(values[0])
-    ratios = values[1:] / values[:-1]
-    out[1:] = out[0] + np.cumsum(np.log(ratios))
-    return out
-
-
-def _continued_log(fn, t, min_points=64):
-    """log fn(t) continued from the principal branch at fn(0)."""
-    k = min_points
-    while True:
-        ts = np.linspace(0.0, t, k + 1)
-        vals = np.array([fn(tau) for tau in ts])
-        if np.any(vals == 0):
-            raise ZeroCollisionError("logarithm argument vanished along the path")
-        ratios = vals[1:] / vals[:-1]
-        if np.max(np.abs(ratios - 1.0)) < 0.5 or k > 1 << 16:
-            return complex(_log_along(vals)[-1])
-        k *= 2
-
-
 def initial_velocities(zeros, a, b, hamiltonian):
     """d(lambda_k)/dt at t=0 for the coupled dynamical system."""
     zeros = np.asarray(zeros, dtype=complex)
-    if _min_separation(zeros) < DELTA_COLLIDE:
-        raise ZeroCollisionError("initial velocities require simple zeros")
+    cm._require_distinct(zeros, "initial velocities require simple zeros")
     al, xi, phi = hamiltonian.alpha, hamiltonian.xi, hamiltonian.phi
     xis = np.conj(xi)
     out = np.empty(zeros.shape, dtype=complex)
@@ -174,56 +137,87 @@ def initial_velocities(zeros, a, b, hamiltonian):
     return out
 
 
-def _interaction_matrix(zeros, a, b, hamiltonian):
-    """Diag(initial velocities) + off-diagonal xi*/(lambda_k - lambda_j)."""
-    v = initial_velocities(zeros, a, b, hamiltonian)
-    xis = np.conj(hamiltonian.xi)
-    n = zeros.size
-    L0 = np.diag(v)
-    for k in range(n):
-        for j in range(n):
-            if j != k:
-                L0[k, j] = xis / (zeros[k] - zeros[j])
-    return L0
-
-
-def _match_order(reference, values):
-    """Order ``values`` to minimize total distance to ``reference``."""
-    cost = np.abs(reference[:, None] - values[None, :]) ** 2
-    _, cols = linear_sum_assignment(cost)
-    return values[cols]
-
-
 # ---------------------------------------------------------------------------
-# closed-form gate evolution (Gaussian exponents + eigenvalue zero motion)
+# closed-form gate evolution (Gaussian exponents + labelled zero motion)
 # ---------------------------------------------------------------------------
+#
+# Each flow maps the monic form (zeros, a, b, c_eff), a drive and a grid of
+# times to the zero paths, shape (n, len(times)), and the (a, b, c) rows,
+# shape (len(times), 3).
+
+def _displacement_flow(zeros, a, b, c, alpha, times):
+    beta = complex(alpha) * times
+    bc = np.conj(beta)
+    gauss = np.column_stack((
+        np.full(times.shape, a),
+        b + beta + a * bc,
+        c - b * bc - 0.5 * a * bc**2 - 0.5 * np.abs(beta) ** 2,
+    ))
+    return zeros[:, None] + bc, gauss
+
+
+def _rotation_flow(zeros, a, b, c, phi, times):
+    th = float(phi) * times
+    gauss = np.column_stack((
+        np.exp(2j * th) * a, np.exp(1j * th) * b, c + 1j * zeros.size * th
+    ))
+    return np.exp(-1j * th) * zeros[:, None], gauss
+
+
+def _cm_flow(zeros, a, b, c, hamiltonian, exponents, gate_params, times):
+    """Zeros as Calogero-Moser particles; (a, b, c) from ``exponents``.
+
+    The coupling is g = -i conj(xi) and the frequency omega = sqrt(phi^2 - |xi|^2);
+    the constant force vanishes without a displacement drive. ``exponents``
+    is a multimode exponent formula and ``gate_params`` its gate parameter at
+    each time. Raises calogero.CollisionError on coincident zeros.
+    """
+    if zeros.size:
+        xi, phi = hamiltonian.xi, hamiltonian.phi
+        system = cm.CMSystem.make(
+            zeros,
+            initial_velocities(zeros, a, b, hamiltonian),
+            -1j * np.conj(xi),
+            np.sqrt(complex(phi**2 - abs(xi) ** 2)),
+        )
+        zeros_path = cm.cm_solve_path(system, times)
+    else:
+        zeros_path = np.zeros((0, times.size), dtype=complex)
+    gauss = np.empty((times.size, 3), dtype=complex)
+    for i, param in enumerate(gate_params):
+        a_new, b_scale, kappa, c_const = exponents(a, param)
+        gauss[i] = a_new, b_scale * b, c + (2 * zeros.size + 1) * c_const + kappa * b**2
+    return zeros_path, gauss
+
+
+def _squeeze_flow(zeros, a, b, c, xi, times):
+    xi = complex(xi)
+    ham = GaussianHamiltonian1M.squeezing(xi)
+    return _cm_flow(zeros, a, b, c, ham, mm._squeeze_exponents, xi * times, times)
+
+
+def _shear_flow(zeros, a, b, c, s, times):
+    s = float(s)
+    ham = GaussianHamiltonian1M.shearing(s)
+    return _cm_flow(zeros, a, b, c, ham, mm._shear_exponents, s * times, times)
+
+
+_FLOWS = {"D": _displacement_flow, "R": _rotation_flow, "S": _squeeze_flow, "P": _shear_flow}
+
+
+def _evolve(state, flow, drive, t):
+    zeros, gauss = flow(*_monic_form(state), drive, np.array([float(t)]))
+    return _state_from_monic(zeros[:, 0], *gauss[0])
+
 
 def evolve_displacement(state, alpha, t):
     """Evolution under the displacement drive alpha for time t: gate D(alpha*t)."""
-    beta = complex(alpha) * t
-    lead, zeros = _factor_poly(state)
-    a, b, c = _gauss_abc(state)
-    c_eff = c + np.log(lead)
-    bc = np.conj(beta)
-    a2 = a
-    b2 = b + beta + a * bc
-    c2 = c_eff - b * bc - 0.5 * a * bc**2 - 0.5 * abs(beta) ** 2
-    return _state_from_monic(zeros + bc, a2, b2, c2)
+    return _evolve(state, _displacement_flow, alpha, t)
 
 
 def evolve_phaseshift(state, phi, t):
     """Evolution under the phase-shift drive phi for time t: gate R(phi*t)."""
-    th = float(phi) * t
-    lead, zeros = _factor_poly(state)
-    n = zeros.size
-    a, b, c = _gauss_abc(state)
-    c_eff = c + np.log(lead)
-    return _state_from_monic(
-        np.exp(-1j * th) * zeros,
-        np.exp(2j * th) * a,
-        np.exp(1j * th) * b,
-        c_eff + 1j * n * th,
-    )
+    return _evolve(state, _rotation_flow, phi, t)
 
 
 def evolve_squeezing(state, xi, t):
@@ -231,36 +225,14 @@ def evolve_squeezing(state, xi, t):
     xi = complex(xi)
     if xi == 0 or t == 0:
         return state
-    r, th = abs(xi), np.angle(xi)
-    lead, zeros = _factor_poly(state)
-    if _min_separation(zeros) < DELTA_COLLIDE:
+    try:
+        return _evolve(state, _squeeze_flow, xi, t)
+    except cm.CollisionError:
         warnings.warn(
-            "zero collision in closed-form squeezing; using the direct route",
+            "zero collision in closed-form squeezing; using the section engine",
             stacklevel=2,
         )
-        return direct_apply_S(state, xi * t)
-    n = zeros.size
-    a, b, c = _gauss_abc(state)
-    c_eff = c + np.log(lead)
-    A = np.arctanh(-np.exp(-1j * th) * a)
-    a2 = -np.exp(1j * th) * np.tanh(r * t + A)
-    b2 = b * np.cosh(A) / np.cosh(r * t + A)
-    log_ratio = _continued_log(lambda tau: np.cosh(r * tau + A) / np.cosh(A), t)
-    c2 = (
-        c_eff
-        - (n + 0.5) * log_ratio
-        - 0.5
-        * np.exp(-1j * th)
-        * b**2
-        * np.cosh(A) ** 2
-        * (np.tanh(r * t + A) - np.tanh(A))
-    )
-    if n == 0:
-        return _state_from_monic(zeros, a2, b2, c2)
-    ham = GaussianHamiltonian1M.squeezing(xi)
-    L0 = _interaction_matrix(zeros, a, b, ham)
-    lam = np.diag(zeros) * np.cosh(r * t) + L0 * np.sinh(r * t) / r
-    return _state_from_monic(np.linalg.eigvals(lam), a2, b2, c2)
+        return mm.apply_gate(state, Squeeze(0, xi * t))
 
 
 def evolve_shearing(state, s, t):
@@ -268,206 +240,27 @@ def evolve_shearing(state, s, t):
     sigma = float(s) * t
     if sigma == 0:
         return state
-    lead, zeros = _factor_poly(state)
-    if _min_separation(zeros) < DELTA_COLLIDE:
+    try:
+        return _evolve(state, _shear_flow, s, t)
+    except cm.CollisionError:
         warnings.warn(
-            "zero collision in closed-form shearing; using the direct route",
+            "zero collision in closed-form shearing; using the section engine",
             stacklevel=2,
         )
-        return direct_apply_P(state, sigma)
-    n = zeros.size
-    a, b, c = _gauss_abc(state)
-    c_eff = c + np.log(lead)
-    u = 1.0 - a
-    D = 1.0 - 1j * sigma * u
-    a2 = (a - 1j * sigma * u) / D
-    b2 = b / D
-    log_D = _continued_log(lambda tau: 1.0 - 1j * s * tau * u, t)
-    c2 = c_eff - (n + 0.5) * log_D + 1j * sigma * b**2 / (2.0 * D)
-    if n == 0:
-        return _state_from_monic(zeros, a2, b2, c2)
-    ham = GaussianHamiltonian1M.shearing(s)
-    L0 = _interaction_matrix(zeros, a, b, ham)
-    lam = np.diag(zeros) + L0 * t
-    return _state_from_monic(np.linalg.eigvals(lam), a2, b2, c2)
+        return mm.apply_gate(state, Shear(0, sigma))
 
 
 def closed_form_trajectory(state, kind, drive, times):
     """Zero/Gaussian paths from the closed forms on a grid of times.
 
-    ``kind`` is one of 'D', 'R', 'S', 'P'; eigenvalues are matched between
-    consecutive grid points to produce continuous trajectories.
+    ``kind`` is one of 'D', 'R', 'S', 'P'. Zeros keep their labels: D and R
+    carry each zero along its translation or rotation, S and P along its
+    Calogero-Moser trajectory. S and P raise calogero.CollisionError when the
+    state has a repeated zero, where the labels are undefined.
     """
     times = np.asarray(times, dtype=float)
-    evolv = {
-        "D": evolve_displacement,
-        "R": evolve_phaseshift,
-        "S": evolve_squeezing,
-        "P": evolve_shearing,
-    }[kind]
-    _, zeros0 = _factor_poly(state)
-    n = zeros0.size
-    zeros_path = np.zeros((n, times.size), dtype=complex)
-    gauss_path = np.zeros((times.size, 3), dtype=complex)
-    prev = zeros0
-    for i, t in enumerate(times):
-        st = evolv(state, drive, t)
-        a, b, c = _gauss_abc(st)
-        if n:
-            lam = _match_order(prev, zeros_of_state(st))
-            zeros_path[:, i] = lam
-            prev = lam
-        gauss_path[i] = (a, b, c)
-    return ZeroTrajectory(times, zeros_path, gauss_path)
-
-
-def zeros_of_state(state):
-    lead, zeros = _factor_poly(state)
-    return zeros
-
-
-# ---------------------------------------------------------------------------
-# direct action on the stellar function
-# ---------------------------------------------------------------------------
-
-def _poly_shift(coeffs, shift):
-    """Coefficients of P(z + shift) from ascending coefficients of P."""
-    n = coeffs.size
-    out = np.zeros(n, dtype=complex)
-    for k in range(n):
-        ck = coeffs[k]
-        if ck == 0:
-            continue
-        pw = 1.0 + 0j
-        for j in range(k, -1, -1):
-            out[j] += ck * math.comb(k, j) * pw
-            pw *= shift
-    return out
-
-
-def _state_from_coeffs(coeffs, a, b, c):
-    poly = PolyPart.make({(k,): coeffs[k] for k in range(len(coeffs))})
-    return StellarState.make(1, poly, GaussPart.make([[a]], [b], c, check=False))
-
-
-def direct_apply_D(state, alpha):
-    """D(alpha) on the stellar function: F -> e^{alpha z - |alpha|^2/2} F(z - alpha*)."""
-    alpha = complex(alpha)
-    ac = np.conj(alpha)
-    coeffs = poly_coeffs_1m(state)
-    a, b, c = _gauss_abc(state)
-    new_coeffs = _poly_shift(coeffs, -ac)
-    b2 = b + alpha + a * ac
-    c2 = c - b * ac - 0.5 * a * ac**2 - 0.5 * abs(alpha) ** 2
-    return _state_from_coeffs(new_coeffs, a, b2, c2)
-
-
-def direct_apply_R(state, phi):
-    """R(phi) on the stellar function: F(z) -> F(e^{i phi} z)."""
-    phi = float(phi)
-    coeffs = poly_coeffs_1m(state)
-    ks = np.arange(coeffs.size)
-    a, b, c = _gauss_abc(state)
-    return _state_from_coeffs(
-        coeffs * np.exp(1j * phi * ks), np.exp(2j * phi) * a, np.exp(1j * phi) * b, c
-    )
-
-
-def _t_of_xi(xi):
-    if xi == 0:
-        return 0j
-    r, th = abs(xi), np.angle(xi)
-    return -np.exp(1j * th) * np.tanh(r)
-
-
-def _xi_of_t(t):
-    if t == 0:
-        return 0j
-    return np.arctanh(abs(t)) * np.exp(1j * np.angle(-t))
-
-
-def direct_apply_S(state, xi):
-    """S(xi) on the stellar function via the squeeze product algebra.
-
-    The Gaussian part is composed through S(lam)S(mu) = e^{i chi/2} S(nu) R(chi)
-    acting on the S(mu)D(beta)|0> form of the Gaussian factor; the polynomial
-    is conjugated to P(cosh(r) z - e^{-i theta} sinh(r) d/dz) and normal
-    ordered against the new Gaussian.
-    """
-    xi = complex(xi)
-    if xi == 0:
-        return state
-    r, th = abs(xi), np.angle(xi)
-    a, b, c = _gauss_abc(state)
-    # Gaussian factor as S(mu) D(beta0) |0> times exp(delta)
-    t_mu = a
-    r0 = np.arctanh(abs(a)) if a != 0 else 0.0
-    beta0 = b * np.cosh(r0)
-    c_ref = (
-        0.5 * np.conj(a) * beta0**2
-        - 0.5 * abs(beta0) ** 2
-        + 0.25 * np.log1p(-abs(a) ** 2)
-    )
-    delta = c - c_ref
-    # compose the squeezes
-    t_lam = _t_of_xi(xi)
-    t_nu = (t_lam + t_mu) / (1.0 + np.conj(t_lam) * t_mu)
-    chi = np.angle(1.0 + t_lam * np.conj(t_mu))
-    beta1 = np.exp(1j * chi) * beta0
-    a2 = t_nu
-    b2 = beta1 * np.sqrt(1.0 - abs(t_nu) ** 2)
-    c2 = (
-        0.5 * np.conj(t_nu) * beta1**2
-        - 0.5 * abs(beta1) ** 2
-        + 0.25 * np.log1p(-abs(t_nu) ** 2)
-        + 0.5j * chi
-        + delta
-    )
-    # conjugated polynomial applied to the new Gaussian
-    coeffs = poly_coeffs_1m(state)
-    mu_c = np.cosh(r)
-    nu_c = -np.exp(-1j * th) * np.sinh(r)
-    powers = [np.array([1.0 + 0j])]
-    for _ in range(coeffs.size - 1):
-        powers.append(_ladder_step(powers[-1], mu_c, nu_c, a2, b2))
-    out = np.zeros(coeffs.size, dtype=complex)
-    for k, ck in enumerate(coeffs):
-        if ck != 0:
-            term = powers[k]
-            out[: term.size] += ck * term
-    return _state_from_coeffs(out, a2, b2, c2)
-
-
-def _ladder_step(q, mu_c, nu_c, a2, b2):
-    """Apply (mu_c z + nu_c d/dz) to Q(z) G(z), returning the new polynomial.
-
-    d/dz G = (-a2 z + b2) G, so the polynomial quotient is
-    mu_c z Q + nu_c Q' + nu_c Q (b2 - a2 z).
-    """
-    n = q.size
-    out = np.zeros(n + 1, dtype=complex)
-    out[1:] += (mu_c - nu_c * a2) * q
-    out[:n] += nu_c * b2 * q
-    ks = np.arange(1, n)
-    out[: n - 1] += nu_c * q[1:] * ks
-    return out
-
-
-def direct_apply_P(state, s):
-    """P(s) on the stellar function via P(s) = e^{i phi/2} R(phi) S(xi).
-
-    phi = arg(1 + i s), r = asinh(s), theta = pi/2 - phi; the half-angle
-    global phase matches the gate convention P(s) = exp(i s q^2).
-    """
-    s = float(s)
-    if s == 0:
-        return state
-    phi = np.angle(1.0 + 1j * s)
-    r = np.arcsinh(s)
-    th = np.pi / 2.0 - phi
-    out = direct_apply_S(state, r * np.exp(1j * th))
-    out = direct_apply_R(out, phi)
-    return out.scaled(0.5j * phi)
+    zeros, gauss = _FLOWS[kind](*_monic_form(state), drive, times)
+    return ZeroTrajectory(times, zeros, gauss)
 
 
 # ---------------------------------------------------------------------------
@@ -501,58 +294,24 @@ def ode_evolve(state, hamiltonian, t, dt=None):
     with the identity part dropped (see the module docstring for the shear
     phase offset). Aborts if zeros collide or the step goes unstable.
     """
-    if state.modes != 1:
-        raise ValueError("single-mode states only")
+    zeros0, a, b, c = _monic_form(state)
     if t == 0:
-        lead, zeros0 = _factor_poly(state)
-        a, b, c = _gauss_abc(state)
-        g = np.array([[a, b, c + np.log(lead)]])
+        g = np.array([[a, b, c]])
         return ZeroTrajectory(np.array([0.0]), zeros0.reshape(-1, 1), g)
     if dt is None:
         dt = 1e-4 * abs(t)
     if dt <= 0:
         raise ValueError("dt must be positive")
-    lead, zeros0 = _factor_poly(state)
     n = zeros0.size
-    if _min_separation(zeros0) < DELTA_COLLIDE:
-        raise ZeroCollisionError("ode_evolve requires simple zeros at t=0")
-    a, b, c = _gauss_abc(state)
-    c_eff = c + np.log(lead)
-    vel0 = (
-        initial_velocities(zeros0, a, b, hamiltonian) if n else np.zeros(0, complex)
-    )
+    y0 = np.concatenate(([a, b, c], zeros0, initial_velocities(zeros0, a, b, hamiltonian)))
     steps = max(1, int(round(abs(t) / dt)))
     h = t / steps
-    y = np.concatenate(([a, b, c_eff], zeros0, vel0))
-    times = np.empty(steps + 1)
-    zeros_path = np.empty((n, steps + 1), dtype=complex)
-    gauss_path = np.empty((steps + 1, 3), dtype=complex)
-    times[0] = 0.0
-    zeros_path[:, 0] = zeros0
-    gauss_path[0] = (a, b, c_eff)
-    for i in range(steps):
-        k1 = _system_derivative(y, n, hamiltonian)
-        k2 = _system_derivative(y + 0.5 * h * k1, n, hamiltonian)
-        k3 = _system_derivative(y + 0.5 * h * k2, n, hamiltonian)
-        k4 = _system_derivative(y + h * k3, n, hamiltonian)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        lam = y[3 : 3 + n]
-        if n > 1 and _min_separation(lam) < DELTA_COLLIDE:
-            raise ZeroCollisionError(
-                f"zeros collided at t={times[i] + h:.6g} "
-                f"(min separation {_min_separation(lam):.3e})"
-            )
-        if not np.all(np.isfinite(y)) or abs(y[0]) >= 1.0:
-            raise RuntimeError(
-                f"integration unstable at t={times[i] + h:.6g}: "
-                f"|a|={abs(y[0]):.6f}; reduce dt"
-            )
-        times[i + 1] = (i + 1) * h
-        zeros_path[:, i + 1] = lam
-        gauss_path[i + 1] = y[:3]
-    return ZeroTrajectory(times, zeros_path, gauss_path)
-
-
-def ode_final_state(state, hamiltonian, t, dt=None):
-    traj = ode_evolve(state, hamiltonian, t, dt)
-    return traj.state_at(-1)
+    ys = cm._rk4_path(
+        lambda y: _system_derivative(y, n, hamiltonian),
+        y0,
+        h,
+        steps,
+        slice(3, 3 + n),
+        admissible=lambda y: abs(y[0]) < 1.0,
+    )
+    return ZeroTrajectory(np.arange(steps + 1) * h, ys[:, 3 : 3 + n].T, ys[:, :3])

@@ -7,6 +7,10 @@ the Gaussian exponents follow the single-mode closed forms (the linear
 coefficient of the section is a linear form in the spectator variables, so the
 quadratic term of the update populates cross entries of A), and the polynomial
 is conjugated through the gate and normal ordered against the new Gaussian.
+
+This module owns the exponent formulas of the single-mode squeeze and shear
+gates (``_squeeze_exponents``, ``_shear_exponents``); the single-mode closed
+forms in ``dynamics`` read them from here.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag, sqrtm
 
-from .dynamics import _continued_log
 from .gates import (
     Create,
     Displace,
@@ -234,13 +237,38 @@ def _section_gate(state, mode, a_new, b_scale, kappa, c_const, mu, nu):
     return _assert_rank_preserved(state, out, "section gate")
 
 
-def apply_squeeze_mode(state, mode, xi):
-    """Single-mode squeezing S(xi) on one mode; rank is exactly preserved."""
-    xi = complex(xi)
-    if xi == 0:
-        return state
+def _log_along(values):
+    """Continuous logarithm along a sequence of nonzero values.
+
+    The first entry takes its principal log; later entries accumulate the
+    principal log of successive ratios, which is the analytic continuation as
+    long as consecutive ratios stay off the negative real axis.
+    """
+    values = np.asarray(values, dtype=complex)
+    out = np.empty(values.shape, dtype=complex)
+    out[0] = np.log(values[0])
+    ratios = values[1:] / values[:-1]
+    out[1:] = out[0] + np.cumsum(np.log(ratios))
+    return out
+
+
+def _continued_log(fn, t, min_points=64):
+    """log fn(t) continued from the principal branch at fn(0)."""
+    k = min_points
+    while True:
+        ts = np.linspace(0.0, t, k + 1)
+        vals = np.array([fn(tau) for tau in ts])
+        if np.any(vals == 0):
+            raise RuntimeError("logarithm argument vanished along the path")
+        ratios = vals[1:] / vals[:-1]
+        if np.max(np.abs(ratios - 1.0)) < 0.5 or k > 1 << 16:
+            return complex(_log_along(vals)[-1])
+        k *= 2
+
+
+def _squeeze_exponents(a, xi):
+    """(a_new, b_scale, kappa, c_const) of S(xi) on a mode with diagonal exponent a."""
     r, th = abs(xi), np.angle(xi)
-    a = complex(state.gauss.A[mode, mode])
     Abar = np.arctanh(-np.exp(-1j * th) * a)
     a_new = -np.exp(1j * th) * np.tanh(r + Abar)
     b_scale = np.cosh(Abar) / np.cosh(r + Abar)
@@ -253,9 +281,30 @@ def apply_squeeze_mode(state, mode, xi):
     c_const = -0.5 * _continued_log(
         lambda tau: np.cosh(r * tau + Abar) / np.cosh(Abar), 1.0
     )
+    return a_new, b_scale, kappa, c_const
+
+
+def _shear_exponents(a, s):
+    """(a_new, b_scale, kappa, c_const) of P(s) on a mode with diagonal exponent a."""
+    u = 1.0 - a
+    D = 1.0 - 1j * s * u
+    a_new = (a - 1j * s * u) / D
+    b_scale = 1.0 / D
+    kappa = 1j * s / (2.0 * D)
+    c_const = -0.5 * _continued_log(lambda tau: 1.0 - 1j * s * tau * u, 1.0)
+    return a_new, b_scale, kappa, c_const
+
+
+def apply_squeeze_mode(state, mode, xi):
+    """Single-mode squeezing S(xi) on one mode; rank is exactly preserved."""
+    xi = complex(xi)
+    if xi == 0:
+        return state
+    r, th = abs(xi), np.angle(xi)
+    a = complex(state.gauss.A[mode, mode])
     mu = np.cosh(r)
     nu = -np.exp(-1j * th) * np.sinh(r)
-    return _section_gate(state, mode, a_new, b_scale, kappa, c_const, mu, nu)
+    return _section_gate(state, mode, *_squeeze_exponents(a, xi), mu, nu)
 
 
 def apply_shear_mode(state, mode, s):
@@ -264,15 +313,9 @@ def apply_shear_mode(state, mode, s):
     if s == 0:
         return state
     a = complex(state.gauss.A[mode, mode])
-    u = 1.0 - a
-    D = 1.0 - 1j * s * u
-    a_new = (a - 1j * s * u) / D
-    b_scale = 1.0 / D
-    kappa = 1j * s / (2.0 * D)
-    c_const = -0.5 * _continued_log(lambda tau: 1.0 - 1j * s * tau * u, 1.0)
     mu = 1.0 + 1j * s
     nu = 1j * s
-    return _section_gate(state, mode, a_new, b_scale, kappa, c_const, mu, nu)
+    return _section_gate(state, mode, *_shear_exponents(a, s), mu, nu)
 
 
 def apply_phase_mode(state, mode, phi):
@@ -417,11 +460,6 @@ def core_state_of(state, residual_tol=1e-8):
     if stellar_rank(out) != stellar_rank(state):
         raise RuntimeError("core-state reduction changed the stellar rank")
     return out
-
-
-def gaussian_program_of(state):
-    """The program of decompose_normal, for callers that only need the gates."""
-    return decompose_normal(state)[1]
 
 
 # ---------------------------------------------------------------------------

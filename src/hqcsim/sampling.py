@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fockspace import fock_oracle_apply  # noqa: F401  (oracle lives here too)
 from .states import (
     NORM_TOL,
     GaussPart,

@@ -1,10 +1,15 @@
-"""Single-mode Gaussian evolution: closed forms, direct action, ODE oracle."""
+"""Single-mode Gaussian evolution: closed forms, section engine, ODE oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
 
+from hqcsim import calogero as cm
 from hqcsim import dynamics as dy
+from hqcsim import multimode as mm
 from hqcsim import states as st
+from hqcsim.gates import Displace, Phase, Shear, Squeeze
 from conftest import fock_vector, random_single_mode_state, vectors_overlap
 
 ROUTE_TOL = 1e-8
@@ -37,26 +42,26 @@ class TestDisplacement:
     def test_direct_matches_evolve(self, rng):
         s = random_single_mode_state(rng, 3)
         e1 = dy.evolve_displacement(s, 0.4 + 0.3j, 1.0)
-        e2 = dy.direct_apply_D(s, 0.4 + 0.3j)
+        e2 = mm.apply_gate(s, Displace.make([0.4 + 0.3j]))
         assert vectors_overlap(fock_vector(e1, 35), fock_vector(e2, 35)) > 1 - 1e-12
 
     def test_direct_on_vacuum(self):
-        out = dy.direct_apply_D(st.StellarState.vacuum(1), 1.0)
+        out = mm.apply_gate(st.StellarState.vacuum(1), Displace.make([1.0]))
         a, b, c = gauss_abc(out)
         assert (a, b, c) == pytest.approx((0.0, 1.0, -0.5))
 
     def test_direct_moves_fock1_zero(self):
         # F = z maps to e^{z - 1/2} (z - 1): the zero sits at +1 = alpha*
         f1 = st.from_fock_superposition({(1,): 1.0}, 1)
-        out = dy.direct_apply_D(f1, 1.0)
+        out = mm.apply_gate(f1, Displace.make([1.0]))
         assert st.zeros_of(out)[0] == pytest.approx(1.0)
 
     def test_product_formula_phase(self, rng):
         # D(a) D(b) = exp((a b* - a* b)/2) D(a+b), including the phase
         s = random_single_mode_state(rng, 2)
         al, be = 0.5 - 0.2j, -0.1 + 0.7j
-        lhs = dy.direct_apply_D(dy.direct_apply_D(s, be), al)
-        rhs = dy.direct_apply_D(s, al + be).scaled(
+        lhs = mm.apply_gate(mm.apply_gate(s, Displace.make([be])), Displace.make([al]))
+        rhs = mm.apply_gate(s, Displace.make([al + be])).scaled(
             0.5 * (al * np.conj(be) - np.conj(al) * be)
         )
         u, v = fock_vector(lhs, 35), fock_vector(rhs, 35)
@@ -84,22 +89,22 @@ class TestPhaseShift:
 
     def test_direct_square(self):
         s = st.from_fock_superposition({(2,): 1.0}, 1)
-        out = dy.direct_apply_R(s, np.pi / 2)
+        out = mm.apply_gate(s, Phase(0, np.pi / 2))
         # (iz)^2 = -z^2
         assert out.poly.coeffs[(2,)] == pytest.approx(-1.0 / np.sqrt(2))
 
     def test_direct_matches_evolve(self, rng):
         s = random_single_mode_state(rng, 3)
         e1 = dy.evolve_phaseshift(s, 0.9, 1.0)
-        e2 = dy.direct_apply_R(s, 0.9)
+        e2 = mm.apply_gate(s, Phase(0, 0.9))
         u, v = fock_vector(e1, 35), fock_vector(e2, 35)
         assert np.max(np.abs(u - v)) < 1e-10
 
 
 class TestSqueezing:
     def test_vacuum_sign_convention(self):
-        # S(r)|0> carries a = -tanh(r); fixed against the Fock oracle, see the
-        # direct-action test below
+        # S(r)|0> carries a = -tanh(r); the Fock-oracle test below fixes the
+        # drive sign
         out = dy.evolve_squeezing(st.StellarState.vacuum(1), 0.5, 1.0)
         a, b, _ = gauss_abc(out)
         assert a == pytest.approx(-np.tanh(0.5))
@@ -108,12 +113,11 @@ class TestSqueezing:
     def test_identity(self, rng):
         s = random_single_mode_state(rng, 2)
         assert dy.evolve_squeezing(s, 0.4, 0.0) is s
-        assert dy.direct_apply_S(s, 0) is s
+        assert mm.apply_gate(s, Squeeze(0, 0)) is s
 
     def test_fock_oracle_direction(self):
         # truncated-Fock matrix exponential fixes the drive sign convention
         from hqcsim.fockspace import fock_oracle_apply
-        from hqcsim.gates import Squeeze
 
         xi = 0.4 * np.exp(0.7j)
         arr = st.to_fock_array(st.StellarState.vacuum(1), 40)
@@ -130,12 +134,12 @@ class TestSqueezing:
         # squeezed Fock |1>: sqrt-of-factorial-weighted Hermite coefficients
         r = 0.5
         f1 = st.from_fock_superposition({(1,): 1.0}, 1)
-        out = dy.direct_apply_S(f1, r)
+        out = mm.apply_gate(f1, Squeeze(0, r))
         # He_1(x) = x; closed form: tanh/cosh prefactors on z * e^{-tanh(r) z^2/2}
         coeffs = st.poly_coeffs_1m(out)
         a, _, c = gauss_abc(out)
         assert a == pytest.approx(-np.tanh(r))
-        expect_c1 = np.exp(c) * coeffs[1] if False else coeffs[1] * np.exp(c)
+        expect_c1 = coeffs[1] * np.exp(c)
         # the full prefactor: 1/cosh(r)^{3/2} on the z coefficient
         assert abs(expect_c1) == pytest.approx(np.cosh(r) ** -1.5, rel=1e-10)
 
@@ -143,7 +147,7 @@ class TestSqueezing:
         s = random_single_mode_state(rng, 3)
         xi, t = 0.5 * np.exp(1.1j), 0.9
         e1 = dy.evolve_squeezing(s, xi, t)
-        e2 = dy.direct_apply_S(s, xi * t)
+        e2 = mm.apply_gate(s, Squeeze(0, xi * t))
         e3 = dy.ode_evolve(s, dy.GaussianHamiltonian1M.squeezing(xi), t, dt=5e-4).state_at(-1)
         u1, u2, u3 = (fock_vector(e, 45) for e in (e1, e2, e3))
         assert vectors_overlap(u1, u2) > 1 - ROUTE_TOL
@@ -167,8 +171,6 @@ class TestShearing:
         # odd and the shear generator preserves parity, so the central zero is
         # pinned at the origin for all times; the two moving trajectories
         # exchange their asymptotic lines cyclically between input and output.
-        from hqcsim import calogero as cm
-
         zeros = np.array([0.0, 0.5j, -0.5j])
         ham = dy.GaussianHamiltonian1M.shearing(1.0)
         v0 = dy.initial_velocities(zeros, 0, 0, ham)
@@ -191,7 +193,7 @@ class TestShearing:
         s = random_single_mode_state(rng, 3)
         sh, t = 0.8, 1.1
         e1 = dy.evolve_shearing(s, sh, t)
-        e2 = dy.direct_apply_P(s, sh * t)
+        e2 = mm.apply_gate(s, Shear(0, sh * t))
         # generic Hamiltonian evolution misses the -s/2 identity term of the
         # shear Hamiltonian: add the phase back
         e3 = dy.ode_evolve(s, dy.GaussianHamiltonian1M.shearing(sh), t, dt=5e-4)
@@ -208,18 +210,64 @@ class TestShearing:
         sh = 1.3
         phi = np.angle(1 + 1j * sh)
         xi = np.arcsinh(sh) * np.exp(1j * (np.pi / 2 - phi))
-        lhs = dy.direct_apply_P(s, sh)
-        rhs = dy.direct_apply_R(dy.direct_apply_S(s, xi), phi).scaled(0.5j * phi)
+        lhs = mm.apply_gate(s, Shear(0, sh))
+        rhs = mm.apply_gate(mm.apply_gate(s, Squeeze(0, xi)), Phase(0, phi)).scaled(0.5j * phi)
         u, v = fock_vector(lhs, 45), fock_vector(rhs, 45)
         assert np.max(np.abs(u - v)) < 1e-8
 
     def test_collision_fallback(self):
-        # double zero: the eigenvalue route is refused, the direct route used
+        # double zero: the eigenvalue route is refused, the section engine used
         s = st.from_fock_superposition({(2,): 1.0}, 1)
         with pytest.warns(UserWarning, match="collision"):
             out = dy.evolve_shearing(s, 0.5, 1.0)
-        ref = dy.direct_apply_P(s, 0.5)
+        ref = mm.apply_gate(s, Shear(0, 0.5))
         assert vectors_overlap(fock_vector(out, 35), fock_vector(ref, 35)) > 1 - 1e-12
+        # the fallback is itself checked against the truncated-Fock oracle
+        from hqcsim.fockspace import FockBasis, fock_oracle_apply
+
+        arr = st.to_fock_array(s, 35, warn_tail=False)
+        oracle = fock_oracle_apply(arr, Shear(0, 0.5), loss_tol=1.0)
+        assert vectors_overlap(fock_vector(out, 35), FockBasis(1, 35).vector(oracle)) > 1 - 1e-8
+
+
+
+class TestClosedFormTrajectory:
+    @pytest.mark.parametrize("kind, drive", [("S", 0.5j), ("P", 0.5)])
+    def test_repeated_zero_raises(self, kind, drive):
+        # |2> has a double zero at the origin: eigenvalue labels are undefined
+        s = st.from_fock_superposition({(2,): 1.0}, 1)
+        with pytest.raises(cm.CollisionError):
+            dy.closed_form_trajectory(s, kind, drive, np.linspace(0.0, 1.0, 11))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        zeros=hst.lists(
+            hst.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False),
+            max_size=5,
+        ),
+        gauss=hst.tuples(
+            hst.complex_numbers(max_magnitude=0.4, allow_nan=False, allow_infinity=False),
+            hst.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+        ),
+        xi=hst.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False),
+        shear=hst.floats(-1.0, 1.0),
+        t=hst.floats(-1.0, 1.0),
+    )
+    def test_closed_form_matches_section_engine(self, zeros, gauss, xi, shear, t):
+        zeros = np.array(zeros, dtype=complex)
+        gaps = np.abs(zeros[:, None] - zeros[None, :]) + 9.0 * np.eye(zeros.size)
+        assume(zeros.size < 2 or np.min(gaps) >= 0.2)
+        s = st.normalized(st.from_zeros(zeros, gauss[0], gauss[1], 0.0))
+        times = np.linspace(0.0, t, 41)
+        for kind, evolve, drive, gate in (
+            ("S", dy.evolve_squeezing, xi, Squeeze(0, xi * t)),
+            ("P", dy.evolve_shearing, shear, Shear(0, shear * t)),
+        ):
+            closed = evolve(s, drive, t)
+            u = fock_vector(closed, 40)
+            assert np.max(np.abs(u - fock_vector(mm.apply_gate(s, gate), 40))) < 1e-9
+            traj = dy.closed_form_trajectory(s, kind, drive, times)
+            assert np.max(np.abs(u - fock_vector(traj.state_at(-1), 40))) < 1e-9
 
 
 class TestInitialVelocities:
@@ -251,7 +299,7 @@ class TestInitialVelocities:
         assert v_fd == pytest.approx(v, abs=1e-5)
 
     def test_collision_rejected(self):
-        with pytest.raises(dy.ZeroCollisionError):
+        with pytest.raises(cm.CollisionError):
             dy.initial_velocities([0.5, 0.5], 0, 0, dy.GaussianHamiltonian1M.squeezing(1))
 
 
@@ -288,7 +336,7 @@ class TestOdeEvolve:
 
     def test_rejects_bad_input(self, rng):
         s = st.from_fock_superposition({(2,): 1.0}, 1)  # double zero at 0
-        with pytest.raises(dy.ZeroCollisionError):
+        with pytest.raises(cm.CollisionError):
             dy.ode_evolve(s, dy.GaussianHamiltonian1M.shearing(1.0), 1.0, dt=1e-3)
         with pytest.raises(ValueError):
             dy.ode_evolve(random_single_mode_state(rng, 1),

@@ -257,7 +257,7 @@ class TestDecompositions:
         s = mm.apply_squeeze_mode(f1, 0, 0.5)
         core = mm.core_state_of(s)
         assert st.stellar_rank(core) == 1
-        rebuilt = mm.apply_gaussian(core, mm.gaussian_program_of(s))
+        rebuilt = mm.apply_gaussian(core, mm.decompose_normal(s)[1])
         assert states_overlap_via_fock(rebuilt, s, 35) > 1 - 1e-10
 
     def test_roundtrip_random(self, rng):
@@ -265,7 +265,7 @@ class TestDecompositions:
             s = st.normalized(random_state(rng, 2, 2, amax=0.4))
             core = mm.core_state_of(s)
             assert st.stellar_rank(core) == st.stellar_rank(s)
-            rebuilt = mm.apply_gaussian(core, mm.gaussian_program_of(s))
+            rebuilt = mm.apply_gaussian(core, mm.decompose_normal(s)[1])
             assert states_overlap_via_fock(rebuilt, s, 32) > 1 - 1e-9
 
 
