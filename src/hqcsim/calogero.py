@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 DELTA_COLLIDE = 1e-6
 
@@ -173,6 +172,8 @@ def cm_solve_path(system, times):
 
 
 def _match_order(reference, values):
+    # imported on use: scipy.optimize adds about 17 MB to every hqcsim process
+    from scipy.optimize import linear_sum_assignment
     cost = np.abs(reference[:, None] - values[None, :]) ** 2
     _, cols = linear_sum_assignment(cost)
     return values[cols]
@@ -288,6 +289,7 @@ def scattering_permutation(system, T, max_doublings=12):
             f"asymptotic fit residual {residual:.3e} above tolerance {tol:.3e}; "
             "increase T"
         )
+    from scipy.optimize import linear_sum_assignment
     cost = (
         np.abs(p_out[:, None] - p_in[None, :]) ** 2
         + np.abs(q_out[:, None] - q_in[None, :]) ** 2 / max(T, 1.0) ** 2

@@ -12,6 +12,7 @@ shots are scheduled across workers.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -372,12 +373,22 @@ def _instantiate(decl, record):
     raise CircuitError(f"cannot instantiate {decl.kind!r}")
 
 
+def _normalized_by(proj, mass):
+    """``proj`` scaled to unit norm, given its norm^2 ``mass``; amplitudes pass."""
+    if isinstance(proj, complex):
+        return proj
+    if mass <= 0:
+        raise ValueError("cannot normalize a zero-norm state")
+    return proj.scaled(-0.5 * math.log(mass))
+
+
 class _ShotEngine:
     """Executes shots of one circuit; caches reusable per-position data."""
 
-    def __init__(self, spec, cfg):
+    def __init__(self, spec, cfg, final_summary=False):
         self.spec = spec
         self.cfg = cfg
+        self.final_summary = final_summary
         self.input_state = prepare_input(spec.prep, spec.modes)
         self.discrete_cache = {}
         self.plan_cache = {}
@@ -423,10 +434,10 @@ class _ShotEngine:
                         masses.append(norm_squared(proj))
                     states.append(proj)
                 total = float(np.sum(masses))
-                dist = (np.cumsum(masses), states, total)
+                dist = (np.cumsum(masses), masses, states, total)
                 if key:
                     self.discrete_cache[key] = dist
-            cdf, states, total = dist
+            cdf, masses, states, total = dist
             if total < 1.0 - 1e-6:
                 raise RuntimeError(
                     f"discrete cutoff {nmax} captures only {total:.9f} "
@@ -435,10 +446,8 @@ class _ShotEngine:
             u = rng.random()
             n = min(int(np.searchsorted(cdf, u * total)), nmax)
             values.append(n)
-            state = states[n]
+            state = _normalized_by(states[n], masses[n])
             active = [m for m in active if m != mode]
-            if not isinstance(state, complex):
-                state = normalized(state)
         return state, active, tuple(values)
 
     def _measure_continuous(self, state, active, decl, rng, cache_key):
@@ -451,12 +460,12 @@ class _ShotEngine:
                 plan = _RejectionPlan(state, [local], self.cfg.rejection_safety)
                 if key:
                     self.plan_cache[key] = plan
-            y, _, _ = plan.draw(rng)
+            # with modes left, the drawn density is the norm^2 of the projection
+            y, mass, _ = plan.draw(rng)
             w = complex(y[0], y[1])
             alpha = np.conj(w)
             values.append(alpha)
-            proj = project_coherent(state, [local], [alpha])
-            state = proj if isinstance(proj, complex) else normalized(proj)
+            state = _normalized_by(project_coherent(state, [local], [alpha]), mass)
             active = [m for m in active if m != mode]
         return state, active, tuple(values)
 
@@ -490,7 +499,7 @@ class _ShotEngine:
             record[item.name] = values
             records.append((item.name, item.kind, item.modes, values))
         summary = None
-        if not isinstance(state, complex):
+        if self.final_summary and not isinstance(state, complex):
             summary = (stellar_rank(state), norm_squared(state))
         return records, summary
 
@@ -501,7 +510,7 @@ def run_circuit(spec, cfg, workers=1, final_summary=False):
     ``workers`` only controls scheduling; results are identical for any value.
     """
     t0 = time.perf_counter()
-    engine = _ShotEngine(spec, cfg)
+    engine = _ShotEngine(spec, cfg, final_summary)
     shots = range(cfg.shots)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

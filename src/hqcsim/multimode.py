@@ -34,7 +34,6 @@ from .states import (
     GaussPart,
     PolyPart,
     StellarState,
-    norm_squared,
     stellar_rank,
 )
 
@@ -237,35 +236,6 @@ def _section_gate(state, mode, a_new, b_scale, kappa, c_const, mu, nu):
     return _assert_rank_preserved(state, out, "section gate")
 
 
-def _log_along(values):
-    """Continuous logarithm along a sequence of nonzero values.
-
-    The first entry takes its principal log; later entries accumulate the
-    principal log of successive ratios, which is the analytic continuation as
-    long as consecutive ratios stay off the negative real axis.
-    """
-    values = np.asarray(values, dtype=complex)
-    out = np.empty(values.shape, dtype=complex)
-    out[0] = np.log(values[0])
-    ratios = values[1:] / values[:-1]
-    out[1:] = out[0] + np.cumsum(np.log(ratios))
-    return out
-
-
-def _continued_log(fn, t, min_points=64):
-    """log fn(t) continued from the principal branch at fn(0)."""
-    k = min_points
-    while True:
-        ts = np.linspace(0.0, t, k + 1)
-        vals = np.array([fn(tau) for tau in ts])
-        if np.any(vals == 0):
-            raise RuntimeError("logarithm argument vanished along the path")
-        ratios = vals[1:] / vals[:-1]
-        if np.max(np.abs(ratios - 1.0)) < 0.5 or k > 1 << 16:
-            return complex(_log_along(vals)[-1])
-        k *= 2
-
-
 def _squeeze_exponents(a, xi):
     """(a_new, b_scale, kappa, c_const) of S(xi) on a mode with diagonal exponent a."""
     r, th = abs(xi), np.angle(xi)
@@ -278,9 +248,9 @@ def _squeeze_exponents(a, xi):
         * np.cosh(Abar) ** 2
         * (np.tanh(r + Abar) - np.tanh(Abar))
     )
-    c_const = -0.5 * _continued_log(
-        lambda tau: np.cosh(r * tau + Abar) / np.cosh(Abar), 1.0
-    )
+    # |Im Abar| < pi/4, so cosh(r tau + Abar) stays in the right half-plane
+    # along the gate path and the principal logs are its continuation
+    c_const = -0.5 * (np.log(np.cosh(r + Abar)) - np.log(np.cosh(Abar)))
     return a_new, b_scale, kappa, c_const
 
 
@@ -291,7 +261,9 @@ def _shear_exponents(a, s):
     a_new = (a - 1j * s * u) / D
     b_scale = 1.0 / D
     kappa = 1j * s / (2.0 * D)
-    c_const = -0.5 * _continued_log(lambda tau: 1.0 - 1j * s * tau * u, 1.0)
+    # Im(1 - i s tau u) = -s tau Re(u) keeps one sign along the gate path
+    # (Re u = 1 - Re a > 0), so the principal log is its continuation
+    c_const = -0.5 * np.log(D)
     return a_new, b_scale, kappa, c_const
 
 

@@ -60,14 +60,7 @@ def shot_rng(seed, shot):
 
 
 def require_normalized(state):
-    if state.modes == 1:
-        # closed form stays exact near the admissibility boundary where the
-        # Fock expansion converges too slowly (e.g. homodyne pre-squeezing)
-        from .states import norm_squared_closed
-
-        ns = norm_squared_closed(state)
-    else:
-        ns = norm_squared(state)
+    ns = norm_squared(state)
     if abs(ns - 1.0) > NORM_TOL:
         raise ValueError(f"operation requires a normalized state; norm^2 = {ns!r}")
     return state

@@ -4,10 +4,22 @@ A state is stored as a sparse multivariate polynomial ``P`` (map from exponent
 tuples to complex coefficients) together with Gaussian exponent data
 ``(A, B, C)`` representing ``F(z) = P(z) * exp(-z^T A z / 2 + B^T z + C)``.
 States are unnormalized; ``C`` absorbs normalization and global phase.
+
+The inner product <F1|F2> = int conj(F1(z)) F2(z) exp(-|z|^2) d^2m z / pi^m
+has a closed form. With u = conj(z), w = z as independent variables v = (u, w),
+M = [[conj(A1), I], [I, A2]], K = M^-1 and L = (conj(B1), B2):
+
+    <F1|F2> = exp(conj(C1) + C2 + L^T K L / 2) / prod_i sqrt(1 - lambda_i)
+              * sum_{a,b} conj(p1_a) p2_b T[a, b],
+
+with lambda_i the eigenvalues of conj(A1) A2, p1, p2 the polynomial coefficients
+and T[a, b] = E[u^a w^b] the Wick moments of mean K L and covariance K. The
+square root is taken per eigenvalue (see ``inner_product``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -19,9 +31,6 @@ import numpy as np
 EPS_ADMISSIBLE = 1e-6
 # Coefficients below PRUNE_REL * max|coeff| are dropped after arithmetic.
 PRUNE_REL = 1e-14
-# Fock-expansion shell threshold and hard ceiling on the total-degree cutoff.
-TAIL_EPS = 1e-12
-CUTOFF_CEILING = 60
 # Tolerance on |norm^2 - 1| for operations that require normalized input.
 NORM_TOL = 1e-8
 
@@ -39,13 +48,9 @@ def check_multi_index(index, modes):
     return index
 
 
-def _log_factorial(n):
-    return math.lgamma(n + 1)
-
-
 def sqrt_factorial(index):
     """sqrt(n!) for a multi-index n."""
-    return math.exp(0.5 * sum(_log_factorial(k) for k in index))
+    return math.exp(0.5 * sum(math.lgamma(k + 1) for k in index))
 
 
 @dataclass(frozen=True)
@@ -384,7 +389,7 @@ def to_fock_array(state, cutoff, warn_tail=True, track_loss=None):
     """Expand to Fock amplitudes psi_n = sqrt(n!) [z^n] F for |n| <= cutoff.
 
     The truncation-loss estimate is 1 - captured/total where total is the
-    adaptive-cutoff norm of the state; pass ``track_loss=False`` to skip the
+    exact closed-form norm of the state; pass ``track_loss=False`` to skip the
     extra norm evaluation (the recorded loss is then 0).
     """
     state.gauss.check_admissible()
@@ -412,163 +417,102 @@ def to_fock_array(state, cutoff, warn_tail=True, track_loss=None):
     return FockArray(state.modes, cutoff, amps, captured, loss)
 
 
-def norm_squared(state, tail_eps=TAIL_EPS, ceiling=CUTOFF_CEILING):
-    """Bargmann-space squared norm via adaptive Fock-coefficient expansion."""
-    return _norm_and_cutoff(state, tail_eps, ceiling)[0]
+def norm_squared(state):
+    """Bargmann-space squared norm <state|state>, in closed form."""
+    return inner_product(state, state).real
 
 
-def _norm_and_cutoff(state, tail_eps=TAIL_EPS, ceiling=CUTOFF_CEILING):
-    """Squared norm plus the total-degree cutoff where the expansion converged.
+class _MomentIndex:
+    """Multi-indices n with |n| <= ``degree``, in shells of rising degree.
 
-    Shells of total degree are accumulated until two consecutive shell masses
-    fall below ``tail_eps`` relative to the running total (two shells guard
-    against parity-zero shells, e.g. squeezed vacuum).
+    ``down[j, i]`` is the position of n_i - e_j, or ``size`` (a zero pad) when
+    n_i has no j-th component. A shell holds its positions, the first nonzero
+    component k of each index and the position of n - e_k.
     """
-    state.gauss.check_admissible()
-    g = state.gauss
-    m = state.modes
-    pdeg = max(state.poly.degree(), 0)
-    total = 0.0
-    small_streak = 0
-    # reuse the recurrence incrementally: regenerate coefficients shell by shell
-    coeffs = {(0,) * m: np.exp(g.C)}
-    prev_shell = [(0,) * m]
-    d = 0
-    poly_items = list(state.poly.coeffs.items())
-    while True:
-        # shell mass of F at degree d: combine gaussian shells [d - pdeg, d]
-        shell_psi = {}
-        for pidx, pc in poly_items:
-            pd = sum(pidx)
-            if pd > d:
-                continue
-            for gidx in _shell_indices(m, d - pd):
-                gc = coeffs.get(gidx)
-                if gc is None or gc == 0:
-                    continue
-                tgt = tuple(a + b for a, b in zip(pidx, gidx))
-                shell_psi[tgt] = shell_psi.get(tgt, 0) + pc * gc
-        mass = sum(abs(c) ** 2 * math.exp(sum(_log_factorial(k) for k in idx))
-                   for idx, c in shell_psi.items())
-        total += mass
-        if total > 0 and mass <= tail_eps * total and d >= pdeg:
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-        if d >= ceiling:
-            if total > 0 and mass > tail_eps * total:
-                warnings.warn(
-                    f"norm_squared hit cutoff ceiling {ceiling} with shell mass "
-                    f"{mass:.3e} (total {total:.6e})",
-                    stacklevel=2,
-                )
-            break
-        # extend gaussian series one shell
-        new_shell = {}
-        for idx in prev_shell:
-            e_n = coeffs[idx]
-            for k in range(m):
-                tgt = list(idx)
-                tgt[k] += 1
-                tgt = tuple(tgt)
-                if tgt in new_shell:
-                    continue
-                val = g.B[k] * e_n
-                for j in range(m):
-                    if idx[j] > 0 and g.A[k, j] != 0:
-                        src = list(idx)
-                        src[j] -= 1
-                        val = val - g.A[k, j] * coeffs[tuple(src)]
-                new_shell[tgt] = val / tgt[k]
-        coeffs.update(new_shell)
-        prev_shell = sorted(new_shell)
-        d += 1
-    return float(total), d
+
+    def __init__(self, modes, degree):
+        idx = all_indices_upto(modes, degree)
+        self.pos = {n: i for i, n in enumerate(idx)}
+        self.size = len(idx)
+        self.n = np.array(idx, dtype=float)
+        self.down = np.full((modes, self.size), self.size, dtype=np.intp)
+        for i, n in enumerate(idx):
+            for j in np.flatnonzero(n):
+                self.down[j, i] = self.pos[n[:j] + (n[j] - 1,) + n[j + 1:]]
+        self.shells = []
+        lo = 1
+        for d in range(1, degree + 1):
+            hi = lo + math.comb(d + modes - 1, modes - 1)
+            k = np.argmax(self.n[lo:hi] > 0, axis=1)
+            self.shells.append((slice(lo, hi), k, self.down[k, np.arange(lo, hi)]))
+            lo = hi
 
 
-def inner_product(s1, s2, tail_eps=TAIL_EPS, ceiling=CUTOFF_CEILING):
-    """Bargmann inner product <s1|s2>, conjugate-linear in the first argument."""
+_moment_index = functools.lru_cache(maxsize=64)(_MomentIndex)
+
+
+def _wick_moments(mu, K, rows, cols):
+    """T[a, b] = E[u^a w^b], a in ``rows``, b in ``cols``, for the formal
+    Gaussian over v = (u, w) of mean ``mu`` and covariance ``K``.
+
+    Filled shell by shell from E[v_k f] = mu_k E[f] + sum_l K_kl E[df/dv_l]:
+    the row a = 0 in b, then the rows in a, vectorised over b.
+    """
+    m = mu.size // 2
+    nc = cols.size
+    T = np.zeros((rows.size + 1, nc + 1), dtype=complex)  # last row/column: zero pads
+    first = T[0]
+    first[0] = 1.0
+    for S, k, p in cols.shells:
+        first[S] = mu[m + k] * first[p] + np.sum(
+            K[m + k, m:] * cols.n[p] * first[cols.down[:, p]].T, axis=1
+        )
+    b = cols.n.T
+    for S, k, p in rows.shells:
+        prev = T[p]
+        T[S, :nc] = (
+            mu[k][:, None] * prev[:, :nc]
+            + np.einsum("sj,jsc->sc", K[k, :m] * rows.n[p], T[rows.down[:, p], :nc])
+            + np.einsum("sj,sjc->sc", K[k, m:], b * prev[:, cols.down])
+        )
+    return T[:-1, :-1]
+
+
+def inner_product(s1, s2):
+    """Bargmann inner product <s1|s2>, conjugate-linear in the first argument.
+
+    Closed form for any mode count (see the module docstring): a Gaussian core
+    exp(conj(C1) + C2 + L^T K L / 2) / prod_i sqrt(1 - lambda_i) times the sum
+    over conj(p1_a) p2_b E[u^a w^b]. Each 1 - lambda_i has a positive real
+    part, so the principal roots continue the branch from A = 0; the root of
+    the determinant, sqrt(det(I - conj(A1) A2)), can take the wrong sign from
+    three modes on. A zero polynomial gives exactly 0.
+    """
     if s1.modes != s2.modes:
         raise ValueError(f"mode counts differ: {s1.modes} vs {s2.modes}")
-    _, d1 = _norm_and_cutoff(s1, tail_eps, ceiling)
-    _, d2 = _norm_and_cutoff(s2, tail_eps, ceiling)
-    d = min(max(d1, d2) + 2, ceiling)
-    c1 = stellar_coefficients(s1, d)
-    c2 = stellar_coefficients(s2, d)
-    acc = 0j
-    for idx in sorted(set(c1) & set(c2)):
-        acc += np.conj(c1[idx]) * c2[idx] * math.exp(sum(_log_factorial(k) for k in idx))
-    return complex(acc)
-
-
-def inner_product_closed(s1, s2):
-    """Single-mode Bargmann inner product in closed form.
-
-    Exact for any admissible pair of P x G states, including squeezing
-    close to the admissibility boundary where the Fock-expansion route
-    converges too slowly. The Gaussian core reduces to a 2x2 real-Gaussian
-    integral with determinant 4(1 - conj(a1) a2); polynomial moments follow
-    from the derivative recurrence ofits generating function.
-    """
-    if s1.modes != 1 or s2.modes != 1:
-        raise ValueError("inner_product_closed supports single-mode states only")
-    a1 = np.conj(s1.gauss.A[0, 0])
-    b1 = np.conj(s1.gauss.B[0])
-    c1 = np.conj(s1.gauss.C)
-    a2 = complex(s2.gauss.A[0, 0])
-    b2 = complex(s2.gauss.B[0])
-    c2 = complex(s2.gauss.C)
-    det_core = 1.0 - a1 * a2
-    Q = np.array(
-        [[2.0 + a1 + a2, -1j * (a1 - a2)], [-1j * (a1 - a2), 2.0 - a1 - a2]],
-        dtype=complex,
-    )
-    K = np.linalg.inv(Q)
-    e1 = np.array([1.0, -1j])
-    e2 = np.array([1.0, 1j])
-    L0 = np.array([b1 + b2, -1j * b1 + 1j * b2])
-    q_uu = e1 @ K @ e1
-    q_vv = e2 @ K @ e2
-    q_uv = e1 @ K @ e2
-    l_u = e1 @ K @ L0
-    l_v = e2 @ K @ L0
-    const = 0.5 * L0 @ K @ L0
-    p1 = poly_coeffs_1m(s1)
-    p2 = poly_coeffs_1m(s2)
-    n1, n2 = p1.size, p2.size
-    T = np.zeros((n1, n2), dtype=complex)
-    T[0, 0] = 1.0
-    for j in range(n1):
-        for k in range(n2):
-            if j == 0 and k == 0:
-                continue
-            if j > 0:
-                val = l_u * T[j - 1, k]
-                if j > 1:
-                    val += q_uu * (j - 1) * T[j - 2, k]
-                if k > 0:
-                    val += q_uv * k * T[j - 1, k - 1]
-            else:
-                val = l_v * T[j, k - 1]
-                if k > 1:
-                    val += q_vv * (k - 1) * T[j, k - 2]
-            T[j, k] = val
-    acc = np.conj(p1)[:, None] * p2[None, :] * T
-    prefactor = np.exp(c1 + c2 + const) / np.sqrt(det_core)
-    return complex(prefactor * np.sum(acc))
-
-
-def norm_squared_closed(state):
-    """Single-mode squared norm via the closed-form inner product."""
-    return inner_product_closed(state, state).real
-
-
-def overlap_sq_closed(s1, s2):
-    """Single-mode normalized overlap via the closed-form inner product."""
-    ip = inner_product_closed(s1, s2)
-    return abs(ip) ** 2 / (norm_squared_closed(s1) * norm_squared_closed(s2))
+    g1, g2 = s1.gauss, s2.gauss
+    g1.check_admissible()
+    if g2 is not g1:
+        g2.check_admissible()
+    if s1.poly.is_zero() or s2.poly.is_zero():
+        return 0j
+    m = s1.modes
+    A1 = np.conj(g1.A)
+    M = np.zeros((2 * m, 2 * m), dtype=complex)
+    M[:m, :m], M[m:, m:] = A1, g2.A
+    M[:m, m:] = M[m:, :m] = np.eye(m)
+    K = np.linalg.inv(M)
+    L = np.concatenate([np.conj(g1.B), g2.B])
+    mu = K @ L
+    lam = np.linalg.eigvals(A1 @ g2.A)
+    core = np.exp(np.conj(g1.C) + g2.C + 0.5 * L @ mu) / np.prod(np.sqrt(1.0 - lam))
+    rows = _moment_index(m, s1.poly.degree())
+    cols = _moment_index(m, s2.poly.degree())
+    c1, c2 = s1.poly.coeffs, s2.poly.coeffs
+    T = _wick_moments(mu, K, rows, cols)
+    T = T[np.ix_([rows.pos[n] for n in c1], [cols.pos[n] for n in c2])]
+    p1, p2 = np.conj(list(c1.values())), np.array(list(c2.values()))
+    return complex(core * np.sum(p1[:, None] * T * p2))
 
 
 def normalized(state):

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from scipy.stats import unitary_group
 
 from hqcsim import fockspace as fs
 from hqcsim import states as st
+
+# property tests are reproducible: fixed examples, no example database
+settings.register_profile("hqcsim", derandomize=True, database=None, deadline=None)
+settings.load_profile("hqcsim")
 
 
 def random_unitary(rng, modes):

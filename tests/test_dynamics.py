@@ -239,7 +239,7 @@ class TestClosedFormTrajectory:
         with pytest.raises(cm.CollisionError):
             dy.closed_form_trajectory(s, kind, drive, np.linspace(0.0, 1.0, 11))
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=30)
     @given(
         zeros=hst.lists(
             hst.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False),
@@ -351,17 +351,16 @@ class TestOdeEvolve:
 class TestNormPreservation:
     @pytest.mark.parametrize("gate", ["D", "R", "S", "P"])
     def test_unitary_preserves_norm(self, rng, gate):
-        # the closed-form norm stays exact even when the evolved squeezing
-        # slows the Fock expansion down
+        # the closed-form norm stays exact however strong the evolved squeezing
         s = random_single_mode_state(rng, 3)
-        s = s.scaled(-0.5 * np.log(st.norm_squared_closed(s)))
+        s = s.scaled(-0.5 * np.log(st.norm_squared(s)))
         evolv = {
             "D": lambda q: dy.evolve_displacement(q, 0.6 - 0.1j, 1.2),
             "R": lambda q: dy.evolve_phaseshift(q, 0.8, 1.2),
             "S": lambda q: dy.evolve_squeezing(q, 0.5j, 1.2),
             "P": lambda q: dy.evolve_shearing(q, 0.7, 1.2),
         }[gate]
-        assert st.norm_squared_closed(evolv(s)) == pytest.approx(1.0, abs=1e-9)
+        assert st.norm_squared(evolv(s)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestTrajectoryExport:

@@ -116,6 +116,40 @@ class TestSqueezeMode:
             assert gate_overlap_vs_oracle(s, Squeeze(mode, xi), 46) > 1 - ORACLE_TOL
 
 
+def _log_continued_along(values):
+    """log of the last entry, continued along a finely sampled path (axis 1)."""
+    return np.log(np.abs(values[:, -1])) + 1j * np.unwrap(np.angle(values), axis=1)[:, -1]
+
+
+class TestGateLogConstant:
+    """c_const = -log(...)/2 of S and P is the log continued along the gate path."""
+
+    N, POINTS = 1000, 2001
+
+    def _disk(self, rng, radius):
+        r = radius * np.sqrt(rng.uniform(size=self.N))
+        return r * np.exp(2j * np.pi * rng.uniform(size=self.N))
+
+    def test_squeeze(self, rng):
+        a = self._disk(rng, 0.999)
+        xi = rng.uniform(0, 4, self.N) * np.exp(2j * np.pi * rng.uniform(size=self.N))
+        Abar = np.arctanh(-np.exp(-1j * np.angle(xi)) * a)
+        tau = np.linspace(0.0, 1.0, self.POINTS)
+        path = np.cosh(np.abs(xi)[:, None] * tau + Abar[:, None]) / np.cosh(Abar)[:, None]
+        expect = -0.5 * _log_continued_along(path)
+        got = np.array([mm._squeeze_exponents(ai, xii)[3] for ai, xii in zip(a, xi)])
+        assert np.max(np.abs(got - expect)) < 1e-12
+
+    def test_shear(self, rng):
+        a = self._disk(rng, 0.999)
+        s = rng.uniform(-100, 100, self.N)
+        tau = np.linspace(0.0, 1.0, self.POINTS)
+        path = 1.0 - 1j * (s * (1.0 - a))[:, None] * tau
+        expect = -0.5 * _log_continued_along(path)
+        got = np.array([mm._shear_exponents(ai, si)[3] for ai, si in zip(a, s)])
+        assert np.max(np.abs(got - expect)) < 1e-12
+
+
 class TestShearPhaseMode:
     def test_shear_vs_oracle(self, rng):
         s = st.normalized(random_state(rng, 2, 2, amax=0.3))

@@ -1,10 +1,16 @@
 """Core stellar-state model: construction, norms, zeros, tensor, expansion."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from hqcsim import multimode as mm
 from hqcsim import states as st
-from conftest import coherent_state, random_state
+from hqcsim.gates import Passive
+from conftest import coherent_state, random_state, random_unitary
 
 TOL_ROOT = 1e-9
 
@@ -143,6 +149,65 @@ class TestInnerProduct:
     def test_mode_mismatch(self):
         with pytest.raises(ValueError):
             st.inner_product(st.StellarState.vacuum(1), st.StellarState.vacuum(2))
+
+    @settings(max_examples=30)
+    @given(hst.integers(1, 3), hst.integers(0, 4), hst.integers(0, 4),
+           hst.integers(0, 2**32 - 1))
+    def test_matches_truncated_fock_sum(self, modes, rank1, rank2, seed):
+        # with |A| <= 0.25 the Fock tail beyond these cutoffs is below 1e-12
+        cutoff = {1: 60, 2: 44, 3: 40}[modes]
+        rng = np.random.default_rng(seed)
+        s1 = random_state(rng, modes, rank1, amax=0.25)
+        s2 = random_state(rng, modes, rank2, amax=0.25)
+        c1 = st.stellar_coefficients(s1, cutoff)
+        c2 = st.stellar_coefficients(s2, cutoff)
+        expect = sum(
+            np.conj(c1[n]) * c2[n] * math.prod(math.factorial(k) for k in n)
+            for n in c1.keys() & c2.keys()
+        )
+        ip = st.inner_product(s1, s2)
+        assert abs(ip - expect) <= 1e-10 * abs(expect)
+        assert st.inner_product(s2, s1) == pytest.approx(np.conj(ip), rel=1e-12)
+
+    def test_eigenvalue_square_roots_across_branch_cut(self):
+        # three squeezed modes with |a|^2 = 0.95 against phases 0.3 apart: the
+        # square root of det(I - conj(A1) A2) has the wrong sign here
+        def squeezed(a, b, c):
+            gauss = st.GaussPart.make([[a]], [b], c)
+            return st.StellarState.make(1, st.PolyPart.one(1), gauss)
+
+        amp = np.sqrt(0.95)
+        xs = [squeezed(amp, 0.2, 0.1) for _ in range(3)]
+        xs[1] = xs[1].with_poly(st.PolyPart.make({(1,): 1.0, (0,): -0.3}))
+        ys = [squeezed(amp * np.exp(0.3j * (k + 1)), 0.1j, 0.0) for k in range(3)]
+        x = st.tensor(st.tensor(xs[0], xs[1]), xs[2])
+        y = st.tensor(st.tensor(ys[0], ys[1]), ys[2])
+        M = np.eye(3) - np.conj(x.gauss.A) @ y.gauss.A
+        roots = np.prod(np.sqrt(np.linalg.eigvals(M)))
+        assert np.sqrt(np.linalg.det(M)) == pytest.approx(-roots, rel=1e-12)
+        expect = np.prod([st.inner_product(a, b) for a, b in zip(xs, ys)])
+        assert st.inner_product(x, y) == pytest.approx(expect, rel=1e-10)
+
+    def test_five_modes_rank_two(self, rng):
+        parts = [random_state(rng, 2, 1), random_state(rng, 3, 1),
+                 random_state(rng, 2, 1), random_state(rng, 3, 1)]
+        x = st.tensor(parts[0], parts[1])
+        y = st.tensor(parts[2], parts[3])
+        assert st.stellar_rank(x) == st.stellar_rank(y) == 2
+        expect = st.inner_product(parts[0], parts[2]) * st.inner_product(parts[1], parts[3])
+        ip = st.inner_product(x, y)
+        assert ip == pytest.approx(expect, rel=1e-10)
+        U = Passive.make(random_unitary(rng, 5))
+        assert st.inner_product(mm.apply_gate(x, U), mm.apply_gate(y, U)) == pytest.approx(
+            ip, rel=1e-10
+        )
+
+    def test_zero_polynomial_is_exactly_zero(self, rng):
+        zero = st.StellarState.make(2, st.PolyPart.make({}), st.GaussPart.vacuum(2))
+        s = random_state(rng, 2, 3)
+        assert st.inner_product(zero, s) == 0
+        assert st.inner_product(s, zero) == 0
+        assert st.norm_squared(zero) == 0
 
 
 class TestZeros:
