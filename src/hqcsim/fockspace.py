@@ -3,7 +3,8 @@
 This is the brute-force ground truth the stellar routes are checked against.
 States live in the total-photon-number-truncated space |n| <= cutoff; gates are
 matrix exponentials of the truncated quadratic generators, applied with
-``expm_multiply``.
+``expm_multiply``. scipy is imported where it is used, so importing hqcsim
+does not load it.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import logm
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import expm_multiply
 
 from .gates import Create, Displace, Passive, Phase, Shear, Squeeze, validate_gate
 from .states import FockArray, all_indices_upto, sqrt_factorial
@@ -43,6 +41,8 @@ class FockBasis:
     def annihilation(self, mode):
         key = ("a", mode)
         if key not in self._ops:
+            from scipy.sparse import csr_matrix
+
             rows, cols, vals = [], [], []
             for i, idx in enumerate(self.indices):
                 n = idx[mode]
@@ -79,6 +79,9 @@ class FockBasis:
 
 def gate_generator(basis, gate):
     """Anti-Hermitian generator G with U = exp(G) for a primitive gate."""
+    from scipy.linalg import logm
+    from scipy.sparse import csr_matrix
+
     validate_gate(gate, basis.modes)
     if isinstance(gate, Displace):
         G = csr_matrix((basis.dim, basis.dim), dtype=complex)
@@ -113,6 +116,8 @@ def gate_generator(basis, gate):
 
 
 def apply_gate_vector(basis, v, gate):
+    from scipy.sparse.linalg import expm_multiply
+
     if isinstance(gate, Create):
         return basis.creation(gate.mode) @ v
     G = gate_generator(basis, gate)
@@ -141,12 +146,6 @@ def fock_oracle_apply(arr, gate, cutoff=None, loss_tol=1e-6):
                 stacklevel=2,
             )
     return basis.to_fock_array(v1, truncation_loss=loss)
-
-
-def evolve_vector(basis, v, gate_list):
-    for gate in gate_list:
-        v = apply_gate_vector(basis, v, gate)
-    return v
 
 
 def state_vector_overlap(u, v):

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, sqrtm
 
 from .gates import (
     Create,
@@ -353,6 +352,10 @@ def takagi(A, rounding=13):
     Degenerate singular values are handled subspace by subspace; an exactly
     singular/degenerate failure falls back to a tiny symmetric perturbation.
     """
+    # imported on use: loading scipy at import more than doubles the time and
+    # resident memory of `import hqcsim` (0.27 -> 0.67 s, 30 -> 61 MB, 2 cores)
+    from scipy.linalg import block_diag, sqrtm
+
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     if np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, np.max(np.abs(A))):

@@ -7,7 +7,11 @@ exp(-|alpha|^2) |F(alpha*)|^2 / pi^m and the post-measurement state fixes the
 measured variables at the conjugated outcomes. Sampling is by rejection from
 an inflated Gaussian fitted to the Gaussian part of the state, with per-shot
 counter-based substreams so results are reproducible under any parallel
-schedule.
+schedule. The target density of a partial measurement is the Bargmann norm of
+the coherent projection, evaluated in closed form for a whole batch of
+outcomes at once; every target is computed in the log domain and
+exponentiated once. A target that is NaN or exceeds the envelope raises
+RuntimeError instead of biasing the sample.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from .states import (
     GaussPart,
     PolyPart,
     StellarState,
-    evaluate_grid,
+    _bargmann_kernel,
+    _moment_index,
+    _wick_moments,
     norm_squared,
     sqrt_factorial,
     to_fock_array,
@@ -152,14 +158,6 @@ def project_fock(state, mode, n):
     )
 
 
-def _projected_mass(state, modes, alphas):
-    """Norm^2 of the coherent projection (the joint heterodyne density x pi^k)."""
-    proj = project_coherent(state, modes, alphas)
-    if isinstance(proj, complex):
-        return abs(proj) ** 2
-    return norm_squared(proj)
-
-
 # ---------------------------------------------------------------------------
 # discrete (Fock) measurement
 # ---------------------------------------------------------------------------
@@ -262,6 +260,8 @@ class _RejectionPlan:
         self.modes = [int(k) for k in modes]
         self.k = len(self.modes)
         self.full = self.k == state.modes
+        if not self.full:
+            self._build_marginal()
         mean, cov0 = _husimi_gaussian_moments(state.gauss)
         sel = self.modes + [state.modes + k for k in self.modes]
         self.mean = mean[sel]
@@ -273,16 +273,66 @@ class _RejectionPlan:
         )
         self.log_env = self._estimate_envelope(safety)
 
+    def _build_marginal(self):
+        """The w-independent data of the closed-form marginal (see ``target``)."""
+        g = self.state.gauss
+        I = self.modes
+        R = [k for k in range(self.state.modes) if k not in I]
+        A_R = g.A[np.ix_(R, R)]
+        self.A_RI = g.A[np.ix_(R, I)]
+        self.A_II = g.A[np.ix_(I, I)]
+        self.B_R, self.B_I, self.C = g.B[R], g.B[I], g.C
+        self.K, roots = _bargmann_kernel(A_R, A_R)
+        self.log_root = float(np.sum(np.log(roots)).real)
+        # P(w, z_R) = sum_t c_t w^(e_t) z_R^(f_t): the exponents e_t of the
+        # measured variables, and c_t scattered onto the moment index of f_t
+        terms = self.state.poly.coeffs
+        self.index = _moment_index(len(R), max(sum(n[k] for k in R) for n in terms))
+        self.exps = np.array([[n[k] for k in I] for n in terms])
+        self.coef = np.zeros((len(terms), self.index.size), dtype=complex)
+        for t, (n, c) in enumerate(terms.items()):
+            self.coef[t, self.index.pos[tuple(n[k] for k in R)]] = c
+
     def target(self, W):
-        """Joint outcome density (up to pi^k) at conjugated outcomes w, batched."""
+        """Joint outcome density (up to pi^k) at conjugated outcomes w, batched.
+
+        Computed in the log domain and exponentiated once, so no intermediate
+        overflows. A full measurement gives exp(2 log|P(w)| + 2 Re E(w) - |w|^2)
+        with E the Gaussian exponent. A partial one (modes I measured, R left)
+        is the Bargmann norm^2 of the coherent projection in closed form: with
+        B_R(w) = B_R - A_RI w, const(w) = C + B_I w - w^T A_II w / 2 - |w|^2 / 2,
+        p(w) the coefficients of P(w, .) over the rest monomials,
+        L = (conj B_R(w), B_R(w)) and mu = K L (``states.inner_product`` with
+        s1 = s2 = the projection; K and the eigenvalue roots do not depend on w),
+
+            log t = 2 Re const + Re(L mu) / 2 - sum_i log sqrt(1 - lambda_i)
+                    + log sum_{a,b} conj(p_a) p_b T[a, b](mu).
+        """
         W = np.atleast_2d(W)
         if self.full:
             col = {mode: pos for pos, mode in enumerate(self.modes)}
             zgrids = [W[:, col[j]] for j in range(self.state.modes)]
-            vals = evaluate_grid(self.state, zgrids)
-            return np.exp(-np.sum(np.abs(W) ** 2, axis=1)) * np.abs(vals) ** 2
-        return np.array(
-            [_projected_mass(self.state, self.modes, np.conj(w)) for w in W]
+            with np.errstate(divide="ignore"):  # a zero of P has log -inf
+                log_p = np.log(np.abs(self.state.poly.evaluate_grid(zgrids)))
+            return np.exp(
+                2.0 * log_p + 2.0 * self.state.gauss.exponent_grid(zgrids).real
+                - np.sum(np.abs(W) ** 2, axis=1)
+            )
+        BR = self.B_R - W @ self.A_RI.T
+        const = (
+            self.C + W @ self.B_I
+            - 0.5 * np.einsum("ni,ij,nj->n", W, self.A_II, W)
+            - 0.5 * np.sum(np.abs(W) ** 2, axis=1)
+        )
+        L = np.concatenate([np.conj(BR), BR], axis=1)
+        mu = L @ self.K  # K is symmetric
+        p = np.prod(W[:, None, :] ** self.exps, axis=2) @ self.coef
+        T = _wick_moments(mu, self.K, self.index, self.index)
+        s = np.einsum("na,nab,nb->n", np.conj(p), T, p).real
+        with np.errstate(divide="ignore"):  # rounding can leave s <= 0 at a zero
+            log_s = np.log(np.maximum(s, 0.0))
+        return np.exp(
+            2.0 * const.real + 0.5 * np.sum(L * mu, axis=1).real - self.log_root + log_s
         )
 
     def proposal_logpdf(self, Y):
@@ -335,6 +385,9 @@ class _RejectionPlan:
         return math.log(safety) + best
 
     def draw(self, rng, max_tries=20000):
+        """One accepted proposal point y, its target density and the points
+        tried. Raises RuntimeError when a target is NaN or exceeds the
+        envelope, since the sample would then be biased."""
         tries = 0
         while tries < max_tries:
             batch = 32
@@ -343,6 +396,14 @@ class _RejectionPlan:
             U = rng.random(batch)
             t = self.target(_y_to_w(Y, self.k))
             thresh = np.exp(self.log_env + self.proposal_logpdf(Y))
+            bad = ~(t <= thresh)
+            if bad.any():
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    worst = np.max(t[bad] / thresh[bad])
+                raise RuntimeError(
+                    f"rejection envelope violated: target/envelope ratio {worst:.3g} "
+                    "at a proposal point"
+                )
             ok = np.nonzero(U * thresh <= t)[0]
             tries += batch
             if ok.size:
@@ -360,8 +421,10 @@ def sample_continuous(state, modes, cfg, stats=None):
 
     The proposal is the Gaussian-part Husimi with inflated covariance; the
     envelope constant is the configured safety factor times the largest
-    density ratio found on a grid plus outer probe rings. Aborts if the
-    acceptance rate falls below 1e-3.
+    density ratio found on a grid plus outer probe rings. The target is the
+    closed-form marginal density of ``_RejectionPlan.target``, batched and in
+    the log domain. Raises RuntimeError if a proposal point's target is NaN or
+    exceeds the envelope, or if the acceptance rate falls below 1e-3.
     """
     require_normalized(state)
     plan = _RejectionPlan(state, modes, cfg.rejection_safety)

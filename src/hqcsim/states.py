@@ -385,19 +385,17 @@ class FockArray:
         return self.amplitudes.get(tuple(index), 0j)
 
 
-def to_fock_array(state, cutoff, warn_tail=True, track_loss=None):
+def to_fock_array(state, cutoff, warn_tail=True):
     """Expand to Fock amplitudes psi_n = sqrt(n!) [z^n] F for |n| <= cutoff.
 
-    The truncation-loss estimate is 1 - captured/total where total is the
-    exact closed-form norm of the state; pass ``track_loss=False`` to skip the
-    extra norm evaluation (the recorded loss is then 0).
+    The truncation loss is 1 - captured/total where total is the exact
+    closed-form norm of the state; ``warn_tail`` reports a loss above 1e-8 on
+    the warning channel.
     """
     state.gauss.check_admissible()
     cutoff = int(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
-    if track_loss is None:
-        track_loss = warn_tail
     coeffs = stellar_coefficients(state, cutoff)
     amps = {}
     captured = 0.0
@@ -405,10 +403,8 @@ def to_fock_array(state, cutoff, warn_tail=True, track_loss=None):
         psi = coeffs[idx] * sqrt_factorial(idx)
         amps[idx] = psi
         captured += abs(psi) ** 2
-    loss = 0.0
-    if track_loss:
-        total = norm_squared(state)
-        loss = max(0.0, 1.0 - captured / total) if total > 0 else 0.0
+    total = norm_squared(state)
+    loss = max(0.0, 1.0 - captured / total) if total > 0 else 0.0
     if warn_tail and loss > 1e-8:
         warnings.warn(
             f"Fock truncation at cutoff {cutoff} loses {loss:.3e} of the norm",
@@ -427,7 +423,8 @@ class _MomentIndex:
 
     ``down[j, i]`` is the position of n_i - e_j, or ``size`` (a zero pad) when
     n_i has no j-th component. A shell holds its positions, the first nonzero
-    component k of each index and the position of n - e_k.
+    component k of each index, the positions p of n - e_k, and ``n[p]`` and
+    ``down[:, p].T`` (gathered once here, not on every use).
     """
 
     def __init__(self, modes, degree):
@@ -444,7 +441,8 @@ class _MomentIndex:
         for d in range(1, degree + 1):
             hi = lo + math.comb(d + modes - 1, modes - 1)
             k = np.argmax(self.n[lo:hi] > 0, axis=1)
-            self.shells.append((slice(lo, hi), k, self.down[k, np.arange(lo, hi)]))
+            p = self.down[k, np.arange(lo, hi)]
+            self.shells.append((slice(lo, hi), k, p, self.n[p], self.down[:, p].T))
             lo = hi
 
 
@@ -452,30 +450,44 @@ _moment_index = functools.lru_cache(maxsize=64)(_MomentIndex)
 
 
 def _wick_moments(mu, K, rows, cols):
-    """T[a, b] = E[u^a w^b], a in ``rows``, b in ``cols``, for the formal
-    Gaussian over v = (u, w) of mean ``mu`` and covariance ``K``.
+    """T[n, a, b] = E[u^a w^b], a in ``rows``, b in ``cols``, for the formal
+    Gaussians over v = (u, w) of means ``mu[n]`` and common covariance ``K``.
 
-    Filled shell by shell from E[v_k f] = mu_k E[f] + sum_l K_kl E[df/dv_l]:
-    the row a = 0 in b, then the rows in a, vectorised over b.
+    ``mu`` has a leading batch axis. Filled shell by shell from
+    E[v_k f] = mu_k E[f] + sum_l K_kl E[df/dv_l]: the row a = 0 in b, then the
+    rows in a, vectorised over the batch and b.
     """
-    m = mu.size // 2
+    m = mu.shape[1] // 2
     nc = cols.size
-    T = np.zeros((rows.size + 1, nc + 1), dtype=complex)  # last row/column: zero pads
-    first = T[0]
-    first[0] = 1.0
-    for S, k, p in cols.shells:
-        first[S] = mu[m + k] * first[p] + np.sum(
-            K[m + k, m:] * cols.n[p] * first[cols.down[:, p]].T, axis=1
+    # last row/column: zero pads
+    T = np.zeros((mu.shape[0], rows.size + 1, nc + 1), dtype=complex)
+    first = T[:, 0]
+    first[:, 0] = 1.0
+    for S, k, p, n_p, down_p in cols.shells:
+        first[:, S] = mu[:, m + k] * first[:, p] + np.sum(
+            K[m + k, m:] * n_p * first[:, down_p], axis=2
         )
     b = cols.n.T
-    for S, k, p in rows.shells:
-        prev = T[p]
-        T[S, :nc] = (
-            mu[k][:, None] * prev[:, :nc]
-            + np.einsum("sj,jsc->sc", K[k, :m] * rows.n[p], T[rows.down[:, p], :nc])
-            + np.einsum("sj,sjc->sc", K[k, m:], b * prev[:, cols.down])
+    for S, k, p, n_p, down_p in rows.shells:
+        prev = T[:, p]
+        # (s, 1, j) @ (n, s, j, c) contracts j for each index of the shell
+        T[:, S, :nc] = (
+            mu[:, k, None] * prev[:, :, :nc]
+            + ((K[k, :m] * n_p)[:, None, :] @ T[:, down_p, :nc])[:, :, 0]
+            + (K[k, m:][:, None, :] @ (b * prev[:, :, cols.down]))[:, :, 0]
         )
-    return T[:-1, :-1]
+    return T[:, :-1, :-1]
+
+
+def _bargmann_kernel(A1, A2):
+    """K = M^-1 for M = [[conj(A1), I], [I, A2]], and the roots sqrt(1 - lambda_i)
+    of the eigenvalues of conj(A1) A2 (see ``inner_product``)."""
+    m = A1.shape[0]
+    A1 = np.conj(A1)
+    M = np.zeros((2 * m, 2 * m), dtype=complex)
+    M[:m, :m], M[m:, m:] = A1, A2
+    M[:m, m:] = M[m:, :m] = np.eye(m)
+    return np.linalg.inv(M), np.sqrt(1.0 - np.linalg.eigvals(A1 @ A2))
 
 
 def inner_product(s1, s2):
@@ -497,19 +509,14 @@ def inner_product(s1, s2):
     if s1.poly.is_zero() or s2.poly.is_zero():
         return 0j
     m = s1.modes
-    A1 = np.conj(g1.A)
-    M = np.zeros((2 * m, 2 * m), dtype=complex)
-    M[:m, :m], M[m:, m:] = A1, g2.A
-    M[:m, m:] = M[m:, :m] = np.eye(m)
-    K = np.linalg.inv(M)
+    K, roots = _bargmann_kernel(g1.A, g2.A)
     L = np.concatenate([np.conj(g1.B), g2.B])
     mu = K @ L
-    lam = np.linalg.eigvals(A1 @ g2.A)
-    core = np.exp(np.conj(g1.C) + g2.C + 0.5 * L @ mu) / np.prod(np.sqrt(1.0 - lam))
+    core = np.exp(np.conj(g1.C) + g2.C + 0.5 * L @ mu) / np.prod(roots)
     rows = _moment_index(m, s1.poly.degree())
     cols = _moment_index(m, s2.poly.degree())
     c1, c2 = s1.poly.coeffs, s2.poly.coeffs
-    T = _wick_moments(mu, K, rows, cols)
+    T = _wick_moments(mu[None], K, rows, cols)[0]
     T = T[np.ix_([rows.pos[n] for n in c1], [cols.pos[n] for n in c2])]
     p1, p2 = np.conj(list(c1.values())), np.array(list(c2.values()))
     return complex(core * np.sum(p1[:, None] * T * p2))

@@ -75,6 +75,13 @@ class TestRun:
         assert "error" in r.stderr
 
 
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported where it is used; the CLI and the stellar routes run without it
+    code = "import sys, hqcsim.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert r.stdout.strip() == "[]"
+
+
 class TestProb:
     def test_hom_null(self, hom_path):
         r = run_cli("prob", hom_path, "--outcome", "1,1")

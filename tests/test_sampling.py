@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy import stats as sps
 
 from hqcsim import fockspace as fs
 from hqcsim import multimode as mm
 from hqcsim import sampling as sp
 from hqcsim import states as st
-from hqcsim.gates import Passive, beamsplitter_matrix
+from hqcsim.gates import Displace, Passive, beamsplitter_matrix
 from conftest import coherent_state, random_state, random_unitary
 
 
@@ -96,6 +98,13 @@ class TestFockProbabilities:
         with pytest.raises(ValueError, match="normalized"):
             sp.fock_probabilities(st.StellarState.vacuum(1).scaled(0.2), 10)
 
+    def test_truncation_loss_reported(self):
+        # D(2)|0> has mean photon number 4: |n| <= 4 holds only 0.629 of it
+        s = st.normalized(mm.apply_gate(st.StellarState.vacuum(1), Displace.make([2.0])))
+        with pytest.warns(UserWarning, match="truncation loss 3.71"):
+            probs = sp.fock_probabilities(s, 4)
+        assert sum(probs.values()) == pytest.approx(0.6288, abs=1e-4)
+
 
 class TestProjections:
     def test_project_coherent_all_modes_scalar(self):
@@ -173,6 +182,46 @@ class TestProjections:
         s = random_state(rng, 2, 2)
         out = sp.project_fock(s, 0, 3)
         assert st.stellar_rank(out) <= 2 + 3
+
+
+def _projected_mass(state, modes, alphas):
+    """Norm^2 of the coherent projection (the joint heterodyne density x pi^k),
+    point by point: the reference for the closed-form marginal."""
+    proj = sp.project_coherent(state, modes, alphas)
+    if isinstance(proj, complex):
+        return abs(proj) ** 2
+    return st.norm_squared(proj)
+
+
+class TestRejectionPlan:
+    @settings(max_examples=30)
+    @given(hst.integers(2, 3), hst.integers(0, 3), hst.data(), hst.integers(0, 2**32 - 1))
+    def test_marginal_matches_projection(self, modes, rank, data, seed):
+        measured = data.draw(hst.lists(hst.integers(0, modes - 1), min_size=1,
+                                       max_size=modes - 1, unique=True))
+        rng = np.random.default_rng(seed)
+        s = st.normalized(random_state(rng, modes, rank))
+        plan = sp._RejectionPlan(s, measured, 1.5)
+        k = len(measured)
+        # points out to twice the proposal's spread
+        Y = plan.mean + rng.standard_normal((16, 2 * k)) @ (2.0 * plan.chol.T)
+        W = Y[:, :k] + 1j * Y[:, k:]
+        expect = np.array([_projected_mass(s, measured, np.conj(w)) for w in W])
+        np.testing.assert_allclose(plan.target(W), expect, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("modes", [[0], [1]])
+    def test_envelope_violation_raises(self, rng, modes):
+        # [0] of a two-mode state: closed-form marginal; [1] of the one-mode
+        # state left after measuring mode 0: the full-measurement target
+        s = st.normalized(random_state(rng, 2, 2))
+        if modes == [1]:
+            s = st.normalized(sp.project_coherent(s, [0], [0.3 - 0.2j]))
+            modes = [0]
+        plan = sp._RejectionPlan(s, modes, 1.5)
+        plan.draw(sp.shot_rng(0, 0))
+        plan.log_env -= 5.0
+        with pytest.raises(RuntimeError, match="envelope violated"):
+            plan.draw(sp.shot_rng(0, 0))
 
 
 class TestDiscreteSampler:

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 from hqcsim import multimode as mm
 from hqcsim import states as st
 from hqcsim.gates import Passive
-from conftest import coherent_state, random_state, random_unitary
+from conftest import coherent_state, random_admissible_gauss, random_state, random_unitary
 
 TOL_ROOT = 1e-9
 
@@ -168,6 +168,16 @@ class TestInnerProduct:
         ip = st.inner_product(s1, s2)
         assert abs(ip - expect) <= 1e-10 * abs(expect)
         assert st.inner_product(s2, s1) == pytest.approx(np.conj(ip), rel=1e-12)
+
+    def test_wick_moments_batched(self, rng):
+        g = random_admissible_gauss(rng, 2)
+        M = np.block([[np.conj(g.A), np.eye(2)], [np.eye(2), g.A]])
+        K = np.linalg.inv(M)
+        rows, cols = st._moment_index(2, 3), st._moment_index(2, 2)
+        mu = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        batched = st._wick_moments(mu, K, rows, cols)
+        single = np.stack([st._wick_moments(mu[n:n + 1], K, rows, cols)[0] for n in range(5)])
+        np.testing.assert_allclose(batched, single, rtol=1e-14, atol=1e-14)
 
     def test_eigenvalue_square_roots_across_branch_cut(self):
         # three squeezed modes with |a|^2 = 0.95 against phases 0.3 apart: the
