@@ -4,9 +4,9 @@ A circuit document (schema "hqc-circuit/1") declares a mode count, an input
 preparation, and a time-ordered program of gate and measurement entries. Gate
 parameters may be affine expressions over the outcomes of earlier
 measurements; continuous outcomes enter as complex values, discrete outcomes
-as integers. Execution is shot-by-shot with counter-based substreams, so runs
-are bit-reproducible for a fixed (circuit, seed, shots) regardless of how
-shots are scheduled across workers.
+as integers. Execution is shot-by-shot in one thread; shot i draws from its
+own counter-based substream, so its outcomes are bit-reproducible for a fixed
+(circuit, seed) and do not depend on how many shots the run makes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +30,9 @@ from .gates import (
 )
 from .multimode import GaussianUnitarySpec, apply_gate, apply_gaussian
 from .sampling import (
-    SamplerConfig,
     _RejectionPlan,
+    _fock_projections,
     project_coherent,
-    project_fock,
     shot_rng,
 )
 from .states import (
@@ -295,19 +293,11 @@ def circuit_to_dict(spec):
 # input preparation
 # ---------------------------------------------------------------------------
 
-def _realize(decl, record, modes):
-    gate = _instantiate(decl, record)
-    if isinstance(gate, tuple):
-        _, mode, value = gate
-        return Displace.single(mode, value, modes)
-    return gate
-
-
 def _gaussian_spec_from_decls(decl_nodes, modes):
     gates = []
     for node in decl_nodes:
         decl = _parse_gate(node, modes)
-        gates.append(_realize(decl, {}, modes))
+        gates.append(_instantiate(decl, {}, list(range(modes))))
     return GaussianUnitarySpec.make(modes, gates)
 
 
@@ -339,7 +329,7 @@ def prepare_input(builder, modes):
                 state = apply_gate(state, Create(k))
             else:
                 decl = _parse_gate(op["gate"], modes)
-                state = apply_gate(state, _realize(decl, {}, modes))
+                state = apply_gate(state, _instantiate(decl, {}, list(range(modes))))
         return normalized(state)
     if kind == "state":
         return normalized(hio.state_from_dict(builder["state"]))
@@ -352,24 +342,33 @@ def prepare_input(builder, modes):
 # execution
 # ---------------------------------------------------------------------------
 
-def _instantiate(decl, record):
-    """Concrete gate object from a declaration and the shot's outcome record.
-
-    Single-mode displacements come back as a ('displace', mode, value) tuple
-    so the caller can size the vector to the modes still active.
+def _instantiate(decl, record, active):
+    """Concrete gate on the ``active`` (not yet measured) modes, indexed by
+    position among them, from a declaration and the shot's outcome record. A
+    passive U acts on the active modes if it does not couple them to the rest.
     """
     if decl.kind == "passive":
-        return Passive.make(decl.matrix)
+        U = decl.matrix
+        if len(active) < U.shape[0]:
+            gone = [k for k in range(U.shape[0]) if k not in active]
+            leak = max(np.abs(U[np.ix_(a, b)]).max() for a, b in ((active, gone), (gone, active)))
+            if leak > 1e-12:
+                raise CircuitError(
+                    f"passive gate couples the active modes {active} to the "
+                    f"measured modes {gone} (|U| entry {leak:.3g})"
+                )
+            U = U[np.ix_(active, active)]
+        return Passive.make(U)
     value = decl.params[0].resolve(record)
-    mode = decl.modes[0]
+    local = active.index(decl.modes[0])
     if decl.kind == "displace":
-        return ("displace", mode, value)
+        return Displace.single(local, value, len(active))
     if decl.kind == "squeeze":
-        return Squeeze(mode, complex(value))
+        return Squeeze(local, complex(value))
     if decl.kind in ("shear", "phase"):
         if abs(value.imag) > 1e-12 * (1 + abs(value.real)):
             raise CircuitError(f"{decl.kind} parameter must be real, got {value!r}")
-        return Shear(mode, value.real) if decl.kind == "shear" else Phase(mode, value.real)
+        return Shear(local, value.real) if decl.kind == "shear" else Phase(local, value.real)
     raise CircuitError(f"cannot instantiate {decl.kind!r}")
 
 
@@ -393,29 +392,6 @@ class _ShotEngine:
         self.discrete_cache = {}
         self.plan_cache = {}
 
-    def _apply_gate(self, state, active, decl, record):
-        gate = _instantiate(decl, record)
-        if isinstance(gate, tuple):  # single-mode displacement on original mode
-            _, mode, value = gate
-            vec = np.zeros(len(active), dtype=complex)
-            vec[active.index(mode)] = value
-            return apply_gate(state, Displace.make(vec))
-        if decl.kind == "passive":
-            if len(active) != self.spec.modes:
-                raise CircuitError(
-                    "passive gate after measurement is only supported when no "
-                    "modes were removed"
-                )
-            return apply_gate(state, gate)
-        local = active.index(gate.mode)
-        if isinstance(gate, Squeeze):
-            gate = Squeeze(local, gate.xi)
-        elif isinstance(gate, Shear):
-            gate = Shear(local, gate.s)
-        elif isinstance(gate, Phase):
-            gate = Phase(local, gate.phi)
-        return apply_gate(state, gate)
-
     def _measure_discrete(self, state, active, decl, rng, cache_key):
         nmax = self.cfg.cutoff
         values = []
@@ -424,15 +400,11 @@ class _ShotEngine:
             key = (cache_key, mode, tuple(values)) if cache_key else None
             dist = self.discrete_cache.get(key) if key else None
             if dist is None:
-                masses = []
-                states = []
-                for n in range(nmax + 1):
-                    proj = project_fock(state, local, n)
-                    if isinstance(proj, complex):
-                        masses.append(abs(proj) ** 2)
-                    else:
-                        masses.append(norm_squared(proj))
-                    states.append(proj)
+                states = _fock_projections(state, local, nmax)
+                masses = [
+                    abs(p) ** 2 if isinstance(p, complex) else norm_squared(p)
+                    for p in states
+                ]
                 total = float(np.sum(masses))
                 dist = (np.cumsum(masses), masses, states, total)
                 if key:
@@ -483,7 +455,7 @@ class _ShotEngine:
             if isinstance(item, GateDecl):
                 if isinstance(state, complex):
                     raise CircuitError("gate after all modes were measured")
-                state = self._apply_gate(state, active, item, record)
+                state = apply_gate(state, _instantiate(item, record, active))
                 continue
             cache_key = None if continuous_seen else (pos, history)
             if item.kind == "discrete":
@@ -504,19 +476,14 @@ class _ShotEngine:
         return records, summary
 
 
-def run_circuit(spec, cfg, workers=1, final_summary=False):
-    """Execute the circuit for cfg.shots shots; deterministic given the seed.
-
-    ``workers`` only controls scheduling; results are identical for any value.
-    """
+def run_circuit(spec, cfg, final_summary=False):
+    """Execute the circuit for cfg.shots shots, in order, in one thread;
+    deterministic given the seed, and shot i's row does not depend on
+    cfg.shots."""
     t0 = time.perf_counter()
     engine = _ShotEngine(spec, cfg, final_summary)
     shots = range(cfg.shots)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(engine.run_shot, shots))
-    else:
-        results = [engine.run_shot(shot) for shot in shots]
+    results = [engine.run_shot(shot) for shot in shots]
     rows = tuple((shot, tuple(res[0])) for shot, res in zip(shots, results))
     summaries = ()
     if final_summary:
@@ -528,14 +495,14 @@ def run_circuit(spec, cfg, workers=1, final_summary=False):
 
 
 def final_state(spec, record_overrides=None):
-    """State after the gate program with no measurements (for probabilities)."""
-    engine = _ShotEngine(spec, SamplerConfig())
-    state = engine.input_state
+    """State after the gates that precede the first measurement (for
+    probabilities)."""
+    state = prepare_input(spec.prep, spec.modes)
     active = list(range(spec.modes))
     for item in spec.program:
         if isinstance(item, MeasureDecl):
             break
-        state = engine._apply_gate(state, active, item, record_overrides or {})
+        state = apply_gate(state, _instantiate(item, record_overrides or {}, active))
     return state
 
 

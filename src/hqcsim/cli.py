@@ -68,9 +68,7 @@ def _load_circuit(path):
 def cmd_run(args):
     spec = _load_circuit(args.circuit)
     cfg = sp.SamplerConfig(seed=args.seed, shots=args.shots, cutoff=args.cutoff)
-    result = circ.run_circuit(
-        spec, cfg, workers=args.workers, final_summary=args.final_summary
-    )
+    result = circ.run_circuit(spec, cfg, final_summary=args.final_summary)
     if args.format == "csv":
         _write(result.outcomes_csv(), args.out)
     else:
@@ -291,7 +289,8 @@ def build_parser():
     p = sub.add_parser("run", help="execute a circuit document")
     _add_common(p, suppress=True)
     p.add_argument("circuit")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; "
+                   "it no longer changes scheduling (shots run in one thread)")
     p.add_argument("--final-summary", action="store_true")
     p.set_defaults(func=cmd_run)
 

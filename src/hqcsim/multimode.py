@@ -6,7 +6,8 @@ state as a single-variable function of that mode with symbolic coefficients:
 the Gaussian exponents follow the single-mode closed forms (the linear
 coefficient of the section is a linear form in the spectator variables, so the
 quadratic term of the update populates cross entries of A), and the polynomial
-is conjugated through the gate and normal ordered against the new Gaussian.
+goes through one fixed substitution z_k -> mu z_k + nu (d/dz_k + l), normal
+ordered against the new Gaussian, as dense array kernels (``_section_gate``).
 
 This module owns the exponent formulas of the single-mode squeeze and shear
 gates (``_squeeze_exponents``, ``_shear_exponents``); the single-mode closed
@@ -15,6 +16,8 @@ forms in ``dynamics`` read them from here.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +36,8 @@ from .states import (
     GaussPart,
     PolyPart,
     StellarState,
+    _linear_shifts,
+    _poly_of_array,
     stellar_rank,
 )
 
@@ -173,66 +178,81 @@ def apply_displace(state, beta):
     return _assert_rank_preserved(state, out, "displacement")
 
 
+@functools.lru_cache(maxsize=64)
+def _transport_table(dk, qn):
+    """(coef, j, n) over d, p <= dk and q < qn, n = 0..dk: j = (d - q - p) / 2
+    and coef = d! / (j! q! p!) where d - q - p is even and non-negative, else 0."""
+    n = np.arange(dk + 1)
+    j2 = n[:, None, None] - n[:qn, None] - n
+    ok = (j2 >= 0) & (j2 % 2 == 0)
+    j = np.where(ok, j2 // 2, 0)
+    f = np.array([math.factorial(i) for i in n], dtype=float)
+    out = np.where(ok, f[:, None, None] / (f[j] * f[:qn, None] * f), 0.0), j, n
+    for a in out:  # shared by every caller
+        a.setflags(write=False)
+    return out
+
+
 def _section_gate(state, mode, a_new, b_scale, kappa, c_const, mu, nu):
     """Shared single-mode-gate engine on mode k of a multimode state.
 
-    Gaussian section update: a' = a_new, linear coefficient scales by b_scale,
-    and kappa * (linear coefficient)^2 + c_const joins the spectator exponent.
-    Polynomial update: z_k -> mu z_k + nu d/dz_k, normal ordered against the
-    new Gaussian.
+    Gaussian section update: a' = a_new, the section's linear coefficient
+    s(z) = B_k - sum_{j != k} A_kj z_j scales by b_scale, and
+    kappa * s^2 + c_const joins the spectator exponent (one outer product).
+
+    Polynomial update: z_k -> mu z_k + nu (d/dz_k + l), l = B'_k - (A' z)_k, i.e.
+    P = sum_d z_k^d Q_d goes to sum_d Q_d T^d(1) with T = alpha z_k + nu d/dz_k
+    + nu s', alpha = mu - nu a' and s' the new section coefficient. As
+    [d/dz_k, z_k] = 1, T^d(1) = d! [x^d] exp(x (alpha z_k + nu s') + x^2 alpha nu / 2)
+    = sum_{q,p} t[d, q, p] s'^q z_k^p with j = (d - q - p) / 2 and
+    t[d, q, p] = d! / (j! q! p!) (alpha nu / 2)^j nu^q alpha^p. On a dense
+    coefficient array with z_k on axis 0, G_q = sum_d t[d, q] Q_d is one
+    contraction and sum_q s'^q G_q a Horner pass in s' (a scaled copy plus one
+    shifted slice per coupled spectator; the array is sized so that the
+    shifts drop only zeros).
     """
-    m = state.modes
-    k = mode
-    g = state.gauss
-    A = np.array(g.A)
-    B = np.array(g.B)
-    # linear form b_sec(z) = B_k - sum_{j != k} A_kj z_j  (constant, coeffs)
-    b0 = B[k]
-    mvec = -np.array([A[k, j] if j != k else 0j for j in range(m)])
-    A2 = A.copy()
-    B2 = B.copy()
+    m, k, g = state.modes, mode, state.gauss
+    A, B, b0 = g.A, g.B, g.B[mode]
+    sec = -A[k]
+    sec[k] = 0
+    upd = sec[:, None] * sec
+    A2 = A - kappa * (upd + upd.T)  # exactly symmetric
+    A2[k] = A2[:, k] = b_scale * A[k]
     A2[k, k] = a_new
-    for j in range(m):
-        if j != k:
-            A2[k, j] = b_scale * A[k, j]
-            A2[j, k] = A2[k, j]
+    B2 = B + (2.0 * kappa * b0) * sec
     B2[k] = b_scale * b0
-    # kappa * b_sec^2 added to the exponent of the spectators
-    C2 = g.C + c_const + kappa * b0**2
-    for i in range(m):
-        if i != k and mvec[i] != 0:
-            B2[i] = B2[i] + 2.0 * kappa * b0 * mvec[i]
-    for i in range(m):
-        for j in range(m):
-            if i != k and j != k and mvec[i] != 0 and mvec[j] != 0:
-                A2[i, j] = A2[i, j] - 2.0 * kappa * mvec[i] * mvec[j]
-    gauss2 = GaussPart.make(A2, B2, C2, check=False)
-    # polynomial: P = sum_d z_k^d Q_d, transported power by power
-    by_power = {}
-    for idx, c in state.poly.coeffs.items():
-        d = idx[k]
-        rest = list(idx)
-        rest[k] = 0
-        by_power.setdefault(d, {})[tuple(rest)] = c
-    max_d = max(by_power) if by_power else 0
-    ell = PolyPart.make(
-        {
-            tuple(1 if j == i else 0 for j in range(m)): -A2[k, i]
-            for i in range(m)
-        }
-        | {(0,) * m: B2[k]}
-    )
-    powers = [PolyPart.one(m)]
-    for _ in range(max_d):
-        t = powers[-1]
-        stepped = t.mul_var(k).scaled(mu).added(t.derivative(k).scaled(nu))
-        stepped = stepped.added(t.multiplied(ell).scaled(nu))
-        powers.append(stepped)
-    out_poly = PolyPart.make({})
-    for d, rest in by_power.items():
-        out_poly = out_poly.added(PolyPart.make(rest).multiplied(powers[d]))
-    out = StellarState.make(m, out_poly.pruned(), gauss2)
-    return _assert_rank_preserved(state, out, "section gate")
+    for arr in (A2, B2):
+        arr.setflags(write=False)
+    gauss2 = GaussPart(A2, B2, complex(g.C + c_const + kappa * b0**2))
+    coeffs = state.poly.coeffs
+    degs = [max(c) for c in zip(*coeffs)]
+    dk = degs[k] if degs else 0
+    if dk == 0:  # P does not involve z_k
+        return StellarState(m, state.poly, gauss2)
+    # spectator degrees grow by at most dk, and the total degree is kept
+    total = max(map(sum, coeffs))
+    Q = np.zeros([min(d + dk, total) + 1 if j != k else dk + 1 for j, d in enumerate(degs)],
+                 dtype=complex)
+    for idx, c in coeffs.items():
+        Q[idx] = c
+    Q = Q.swapaxes(0, k)  # z_k on axis 0
+    qn = dk + 1 if nu else 1  # powers of s' in T^d(1)
+    alpha = mu - nu * a_new
+    coef, j, n = _transport_table(dk, qn)
+    t = coef * ((0.5 * alpha * nu) ** n)[j] * ((nu ** n[:qn])[:, None] * alpha ** n)
+    # einsum, not a BLAS matmul: threaded OpenBLAS stalls for ms on some shapes
+    G = np.einsum("dqp,d...->qp...", t, Q)
+    coupling = (-A2[k]).tolist()  # s' = B'_k + sum_{j != k} coupling_j z_j
+    coupling[k], coupling[0] = coupling[0], 0  # array axes: 0 and k swapped
+    shifts = _linear_shifts(coupling)
+    out = G[-1]
+    for q in range(qn - 2, -1, -1):
+        nxt = G[q] + B2[k] * out
+        for dst, src, c in shifts:
+            nxt[dst] += c * out[src]
+        out = nxt
+    poly = _poly_of_array(out.swapaxes(0, k))
+    return _assert_rank_preserved(state, StellarState(m, poly, gauss2), "section gate")
 
 
 def _squeeze_exponents(a, xi):

@@ -28,10 +28,11 @@ from .states import (
     PolyPart,
     StellarState,
     _bargmann_kernel,
+    _linear_shifts,
     _moment_index,
+    _poly_of_array,
     _wick_moments,
     norm_squared,
-    sqrt_factorial,
     to_fock_array,
 )
 
@@ -118,44 +119,53 @@ def project_coherent(state, modes, alphas):
 
 
 def project_fock(state, mode, n):
-    """Project one mode onto the Fock state |n>.
-
-    Computes (1/sqrt(n!)) d^n/dz^n F at z_mode = 0 symbolically on the P x G
-    form; the remaining-mode polynomial degree grows by at most n. Projecting
-    the last mode returns the complex amplitude.
+    """Project one mode onto the Fock state |n>: (1/sqrt(n!)) d^n/dz^n F at
+    z_mode = 0, the last entry of ``_fock_projections``. The remaining-mode
+    polynomial degree grows by at most n; projecting the last mode returns the
+    complex amplitude.
     """
-    mode = int(mode)
-    n = int(n)
+    return _fock_projections(state, mode, n)[-1]
+
+
+def _fock_projections(state, mode, nmax):
+    """``project_fock(state, mode, n)`` for every n = 0..nmax, in one sweep.
+
+    With F = P exp(E) and l = dE/dz_k = B_k - (A z)_k, d^n F = P_n exp(E) with
+    P_{n+1} = dP_n/dz_k + l P_n: one derivative step per n on P_n / sqrt(n!),
+    a dense coefficient array with z_k on axis 0 that stops at z_k^nmax (higher
+    powers do not reach z_k = 0 within nmax steps). Projection n is its z_k = 0
+    slice times the rest-mode Gaussian, which is built once.
+    """
+    mode, nmax = int(mode), int(nmax)
     if not 0 <= mode < state.modes:
         raise ValueError("mode index out of range")
-    if n < 0:
+    if nmax < 0:
         raise ValueError("photon number must be non-negative")
-    g = state.gauss
-    m = state.modes
-    # linear form d/dz_mode log G = B_mode - (A z)_mode
-    ell = PolyPart.make(
-        {tuple(1 if j == i else 0 for j in range(m)): -g.A[mode, i] for i in range(m)}
-        | {(0,) * m: g.B[mode]}
-    )
-    poly = state.poly
-    for _ in range(n):
-        poly = poly.derivative(mode).added(poly.multiplied(ell))
-    # evaluate the section z_mode = 0
+    g, m = state.gauss, state.modes
     rest = [k for k in range(m) if k != mode]
-    new_coeffs = {}
-    for idx, c in poly.coeffs.items():
-        if idx[mode] == 0:
-            new_coeffs[tuple(idx[k] for k in rest)] = c
-    scale = 1.0 / sqrt_factorial((n,))
-    if not rest:
-        total = sum(new_coeffs.values()) if new_coeffs else 0j
-        return complex(total * scale * np.exp(g.C))
-    B_rest = g.B[rest]
-    A_rest = g.A[np.ix_(rest, rest)]
-    poly = PolyPart.make(new_coeffs, modes=len(rest)).scaled(scale).pruned()
-    return StellarState.make(
-        len(rest), poly, GaussPart.make(A_rest, B_rest, g.C, check=False)
-    )
+    ell = (-g.A[mode, [mode] + rest]).tolist()  # l = B_k + sum_j ell_j z_j, z_k first
+    # a variable in l gains at most one degree per step
+    degs = [max(c) for c in zip(*state.poly.coeffs)] or [0] * m
+    P = np.zeros([d + 1 + nmax * (a != 0) for d, a in zip(degs, g.A[mode])], dtype=complex)
+    for idx, c in state.poly.coeffs.items():
+        P[idx] = c
+    P = np.moveaxis(P, mode, 0)[: nmax + 1]
+    down = np.arange(1, P.shape[0]).reshape((-1,) + (1,) * len(rest))
+    shifts = _linear_shifts(ell)
+    gauss = GaussPart.make(g.A[np.ix_(rest, rest)], g.B[rest], g.C, check=False)
+    out = []
+    for n in range(nmax + 1):
+        if n:
+            step = g.B[mode] * P
+            step[:-1] += down * P[1:]
+            for dst, src, c in shifts:
+                step[dst] += c * P[src]
+            P = step / math.sqrt(n)
+        out.append(
+            StellarState(len(rest), _poly_of_array(P[0]), gauss) if rest
+            else complex(P[0] * np.exp(g.C))
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

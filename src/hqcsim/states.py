@@ -163,6 +163,24 @@ class PolyPart:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
 
+def _poly_of_array(arr):
+    """PolyPart of a dense coefficient array (arr[n] is the coefficient of z^n),
+    without entries at or below PRUNE_REL * max|c|; C order is sorted order."""
+    mag = np.abs(arr)
+    keep = mag > PRUNE_REL * mag.max()
+    index = zip(*[i.tolist() for i in keep.nonzero()])
+    return PolyPart(dict(zip(index, arr[keep].tolist())))
+
+
+def _linear_shifts(coefs):
+    """(dst, src, c) for each nonzero c_j: ``out[dst] += c * arr[src]`` adds
+    c_j z_j arr to out, for dense coefficient arrays with z_j on axis j."""
+    return [
+        ((slice(None),) * j + (slice(1, None),), (slice(None),) * j + (slice(None, -1),), c)
+        for j, c in enumerate(coefs) if c
+    ]
+
+
 def _symmetrize_exact(A):
     A = np.array(A, dtype=complex)
     upper = np.triu(A, 1)

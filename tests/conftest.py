@@ -70,6 +70,18 @@ def states_overlap_via_fock(s1, s2, cutoff):
     return vectors_overlap(fock_vector(s1, cutoff), fock_vector(s2, cutoff))
 
 
+def assert_states_close(got, ref, rel=1e-12):
+    """Same Gaussian exponents and polynomial coefficients, relative to scale."""
+    scale = max(ref.poly.max_abs(), 1e-300)
+    for idx in got.poly.coeffs.keys() | ref.poly.coeffs.keys():
+        diff = abs(got.poly.coeffs.get(idx, 0j) - ref.poly.coeffs.get(idx, 0j))
+        assert diff <= rel * scale, (idx, diff / scale)
+    assert got.poly.degree() == ref.poly.degree()
+    np.testing.assert_allclose(got.gauss.A, ref.gauss.A, rtol=rel, atol=rel)
+    np.testing.assert_allclose(got.gauss.B, ref.gauss.B, rtol=rel, atol=rel)
+    assert got.gauss.C == pytest.approx(ref.gauss.C, rel=rel, abs=rel)
+
+
 def coherent_state(alpha):
     """Single-mode coherent state, exactly normalized."""
     alpha = complex(alpha)

@@ -143,12 +143,13 @@ class TestRun:
         assert all(o in ((2, 0), (0, 2)) for o in outcomes)
 
     def test_worker_invariance(self):
+        # shot i's row does not depend on how many shots the call makes
         spec = circ.parse_circuit(json.dumps(HOM_DOC))
-        cfg = SamplerConfig(seed=5, shots=300, cutoff=8)
-        r1 = circ.run_circuit(spec, cfg, workers=1)
-        r4 = circ.run_circuit(spec, cfg, workers=4)
-        assert r1.rows == r4.rows
-        assert r1.outcomes_csv() == r4.outcomes_csv()
+        r300 = circ.run_circuit(spec, SamplerConfig(seed=5, shots=300, cutoff=8))
+        for shots in (1, 40):
+            short = circ.run_circuit(spec, SamplerConfig(seed=5, shots=shots, cutoff=8))
+            assert short.rows == r300.rows[:shots]
+            assert r300.outcomes_csv().startswith(short.outcomes_csv())
 
     def test_adaptive_displacement_tracking(self):
         doc = make_doc(
@@ -186,11 +187,50 @@ class TestRun:
         spec = circ.parse_circuit(json.dumps(doc))
         cfg = SamplerConfig(seed=2, shots=400, cutoff=6)
         r1 = circ.run_circuit(spec, cfg)
-        r2 = circ.run_circuit(spec, cfg, workers=3)
-        assert r1.rows == r2.rows
+        r2 = circ.run_circuit(spec, SamplerConfig(seed=2, shots=1, cutoff=6))
+        assert r2.rows == r1.rows[:1]
         # single photon: the two counters always sum to 1
         for _, rec in r1.rows:
             assert rec[0][3][0] + rec[1][3][0] == 1
+
+    def _conditionals(self, entries, shots=300):
+        """Normalised outcome masses of every discrete fill the shots reached,
+        keyed by (discrete history, mode, values drawn so far)."""
+        doc = make_doc(3, {"kind": "fock_pattern", "pattern": [2, 1, 1]}, entries)
+        spec = circ.parse_circuit(json.dumps(doc))
+        engine = circ._ShotEngine(spec, SamplerConfig(seed=3, shots=shots, cutoff=8))
+        for shot in range(shots):
+            engine.run_shot(shot)
+        return {
+            (key[1], mode, values): np.array(masses) / total
+            for (key, mode, values), (_, masses, _, total) in engine.discrete_cache.items()
+        }
+
+    def test_passive_after_measurement_on_active_modes(self):
+        bs01 = {"type": "beamsplitter", "modes": [0, 1]}
+        bs12 = {"type": "beamsplitter", "modes": [1, 2]}
+        first = {"measure": "discrete", "modes": [0], "name": "a"}
+        rest = {"measure": "discrete", "modes": [1, 2], "name": "b"}
+        after = self._conditionals([bs01, first, bs12, rest])
+        before = self._conditionals([bs01, bs12, first, rest])
+        assert after.keys() == before.keys()
+        assert {key[0] for key in after} >= {(), ("a", 0), ("a", 1), ("a", 2), ("a", 3)}
+        for key, dist in after.items():
+            np.testing.assert_allclose(dist, before[key], rtol=0, atol=1e-12)
+
+    def test_passive_coupling_measured_mode_rejected(self):
+        doc = make_doc(
+            2,
+            {"kind": "fock_pattern", "pattern": [1, 0]},
+            [
+                {"measure": "discrete", "modes": [0], "name": "a"},
+                {"type": "beamsplitter", "modes": [0, 1]},
+                {"measure": "discrete", "modes": [1], "name": "b"},
+            ],
+        )
+        spec = circ.parse_circuit(json.dumps(doc))
+        with pytest.raises(circ.CircuitError, match=r"couples the active modes \[1\]"):
+            circ.run_circuit(spec, SamplerConfig(seed=0, shots=1, cutoff=4))
 
     def test_final_summary(self):
         doc = make_doc(2, {"kind": "fock_pattern", "pattern": [1, 1]},

@@ -1,14 +1,21 @@
 """Multimode Gaussian action, decompositions, and entanglement analysis."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from hqcsim import fockspace as fs
 from hqcsim import multimode as mm
 from hqcsim import states as st
 from hqcsim.gates import Displace, Passive, Phase, Shear, Squeeze, beamsplitter_matrix
 from conftest import (
+    assert_states_close,
     fock_vector,
+    random_admissible_gauss,
+    random_poly,
     random_state,
     random_unitary,
     states_overlap_via_fock,
@@ -163,6 +170,92 @@ class TestShearPhaseMode:
         s = st.from_fock_superposition({(2, 0): 1.0}, 2)
         out = mm.apply_phase_mode(s, 0, np.pi / 2)
         assert out.poly.coeffs[(2, 0)] == pytest.approx(-1 / np.sqrt(2))
+
+
+def _section_gate_reference(state, mode, a_new, b_scale, kappa, c_const, mu, nu):
+    """The dict-polynomial section engine: (mu z_k + nu (d/dz_k + l))^d built
+    by repeated ``PolyPart.multiplied`` calls, entry by entry exponent loops.
+    The reference for the dense transport kernel of ``multimode._section_gate``."""
+    m = state.modes
+    k = mode
+    g = state.gauss
+    A = np.array(g.A)
+    B = np.array(g.B)
+    b0 = B[k]
+    mvec = -np.array([A[k, j] if j != k else 0j for j in range(m)])
+    A2 = A.copy()
+    B2 = B.copy()
+    A2[k, k] = a_new
+    for j in range(m):
+        if j != k:
+            A2[k, j] = b_scale * A[k, j]
+            A2[j, k] = A2[k, j]
+    B2[k] = b_scale * b0
+    C2 = g.C + c_const + kappa * b0**2
+    for i in range(m):
+        if i != k and mvec[i] != 0:
+            B2[i] = B2[i] + 2.0 * kappa * b0 * mvec[i]
+    for i in range(m):
+        for j in range(m):
+            if i != k and j != k and mvec[i] != 0 and mvec[j] != 0:
+                A2[i, j] = A2[i, j] - 2.0 * kappa * mvec[i] * mvec[j]
+    gauss2 = st.GaussPart.make(A2, B2, C2, check=False)
+    by_power = {}
+    for idx, c in state.poly.coeffs.items():
+        rest = list(idx)
+        rest[k] = 0
+        by_power.setdefault(idx[k], {})[tuple(rest)] = c
+    ell = st.PolyPart.make(
+        {tuple(1 if j == i else 0 for j in range(m)): -A2[k, i] for i in range(m)}
+        | {(0,) * m: B2[k]}
+    )
+    powers = [st.PolyPart.one(m)]
+    for _ in range(max(by_power, default=0)):
+        t = powers[-1]
+        stepped = t.mul_var(k).scaled(mu).added(t.derivative(k).scaled(nu))
+        powers.append(stepped.added(t.multiplied(ell).scaled(nu)))
+    out_poly = st.PolyPart.make({})
+    for d, rest in by_power.items():
+        out_poly = out_poly.added(st.PolyPart.make(rest).multiplied(powers[d]))
+    return st.StellarState.make(m, out_poly.pruned(), gauss2)
+
+
+def _section_gates(rng, modes, strength=1.0):
+    """S, P and R on every mode, with random parameters."""
+    gates = []
+    for k in range(modes):
+        gates += [
+            Squeeze(k, 0.5 * strength * np.exp(1j * rng.uniform(0, 2 * np.pi))),
+            Shear(k, strength * float(rng.uniform(-0.6, 0.6))),
+            Phase(k, float(rng.uniform(0, 2 * np.pi))),
+        ]
+    return gates
+
+
+class TestSectionKernel:
+    """The dense transport kernel against the dict reference and the oracle."""
+
+    @settings(max_examples=30)
+    @given(hst.integers(1, 3), hst.integers(0, 5), hst.integers(0, 2**32 - 1))
+    def test_matches_dict_reference(self, modes, rank, seed):
+        rng = np.random.default_rng(seed)
+        # A = W^T diag(t) W with a random unitary W: cross terms for m > 1
+        s = st.StellarState.make(
+            modes, random_poly(rng, modes, rank), random_admissible_gauss(rng, modes, 0.6)
+        )
+        for gate in _section_gates(rng, modes):
+            got = mm.apply_gate(s, gate)
+            with mock.patch.object(mm, "_section_gate", _section_gate_reference):
+                ref = mm.apply_gate(s, gate)
+            assert_states_close(got, ref)
+            assert np.array_equal(got.gauss.A, got.gauss.A.T)
+            s = ref
+
+    @pytest.mark.parametrize("modes, rank, cutoff", [(1, 4, 60), (2, 2, 44), (3, 2, 30)])
+    def test_matches_fock_oracle(self, rng, modes, rank, cutoff):
+        s = st.normalized(random_state(rng, modes, rank, amax=0.25))
+        for gate in _section_gates(rng, modes, strength=0.5):
+            assert gate_overlap_vs_oracle(s, gate, cutoff) > 1 - ORACLE_TOL
 
 
 class TestApplyGaussian:

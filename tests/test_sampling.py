@@ -13,7 +13,7 @@ from hqcsim import multimode as mm
 from hqcsim import sampling as sp
 from hqcsim import states as st
 from hqcsim.gates import Displace, Passive, beamsplitter_matrix
-from conftest import coherent_state, random_state, random_unitary
+from conftest import assert_states_close, coherent_state, random_state, random_unitary
 
 
 class TestPermanent:
@@ -182,6 +182,83 @@ class TestProjections:
         s = random_state(rng, 2, 2)
         out = sp.project_fock(s, 0, 3)
         assert st.stellar_rank(out) <= 2 + 3
+
+
+def _project_fock_reference(state, mode, n):
+    """(1/sqrt(n!)) d^n F / dz_mode^n at z_mode = 0, from scratch: n derivative
+    steps P -> dP/dz_mode + l P on dict polynomials. The reference for the
+    one-pass sweep ``sampling._fock_projections``."""
+    g = state.gauss
+    m = state.modes
+    ell = st.PolyPart.make(
+        {tuple(1 if j == i else 0 for j in range(m)): -g.A[mode, i] for i in range(m)}
+        | {(0,) * m: g.B[mode]}
+    )
+    poly = state.poly
+    for _ in range(n):
+        poly = poly.derivative(mode).added(poly.multiplied(ell))
+    rest = [k for k in range(m) if k != mode]
+    section = {
+        tuple(idx[k] for k in rest): c for idx, c in poly.coeffs.items() if idx[mode] == 0
+    }
+    scale = 1.0 / st.sqrt_factorial((n,))
+    if not rest:
+        return complex(sum(section.values()) * scale * np.exp(g.C))
+    return st.StellarState.make(
+        len(rest),
+        st.PolyPart.make(section).scaled(scale),
+        st.GaussPart.make(g.A[np.ix_(rest, rest)], g.B[rest], g.C, check=False),
+    )
+
+
+def _two_mode_squeezed(lam, poly=None):
+    return st.normalized(
+        st.StellarState.make(
+            2, poly or st.PolyPart.one(2),
+            st.GaussPart.make([[0, -lam], [-lam, 0]], [0, 0], 0),
+        )
+    )
+
+
+class TestFockSweep:
+    """One derivative sweep gives every projection n = 0..N."""
+
+    N = 14
+
+    @pytest.mark.parametrize("case", ["three_modes", "last_mode", "two_mode_squeezed",
+                                      "photon_added_squeezed"])
+    def test_matches_from_scratch(self, rng, case):
+        if case == "three_modes":
+            s = random_state(rng, 3, 3)
+        elif case == "last_mode":  # projections are complex amplitudes
+            s = random_state(rng, 1, 4)
+        elif case == "two_mode_squeezed":  # projection n has rank n
+            s = _two_mode_squeezed(0.5)
+        else:
+            s = _two_mode_squeezed(0.4, st.PolyPart.make({(1, 0): 1.0, (0, 2): 0.5j}))
+        for mode in range(s.modes):
+            sweep = sp._fock_projections(s, mode, self.N)
+            assert len(sweep) == self.N + 1
+            for n, got in enumerate(sweep):
+                ref = _project_fock_reference(s, mode, n)
+                if isinstance(ref, complex):
+                    assert isinstance(got, complex)
+                    assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
+                else:
+                    assert_states_close(got, ref)
+                last = sp.project_fock(s, mode, n)  # the last entry of a shorter sweep
+                assert last == got if isinstance(got, complex) else last.poly == got.poly
+
+    def test_two_mode_squeezed_ranks(self):
+        sweep = sp._fock_projections(_two_mode_squeezed(0.5), 0, self.N)
+        assert [st.stellar_rank(p) for p in sweep] == list(range(self.N + 1))
+
+    def test_rejects_bad_input(self):
+        s = st.StellarState.vacuum(2)
+        with pytest.raises(ValueError, match="mode index"):
+            sp._fock_projections(s, 2, 3)
+        with pytest.raises(ValueError, match="non-negative"):
+            sp.project_fock(s, 0, -1)
 
 
 def _projected_mass(state, modes, alphas):
