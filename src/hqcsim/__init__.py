@@ -32,10 +32,7 @@ from .dynamics import (
     GaussianHamiltonian1M,
     ZeroTrajectory,
     closed_form_trajectory,
-    evolve_displacement,
-    evolve_phaseshift,
-    evolve_shearing,
-    evolve_squeezing,
+    evolve,
     initial_velocities,
     ode_evolve,
 )
@@ -54,8 +51,8 @@ from .multimode import (
     SchmidtForm,
     apply_displace,
     apply_gaussian,
+    apply_gate,
     apply_passive,
-    apply_squeeze_mode,
     bloch_messiah,
     core_state_of,
     decompose_normal,

@@ -11,6 +11,7 @@ choice is needed.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,13 +130,11 @@ def conserved_spectrum(q, p, g, omega=0.0):
     return np.sort_complex(np.linalg.eigvals(B))
 
 
-def _propagator(omega, t):
-    """(cos(omega t), sin(omega t)/omega) as entire functions of omega^2."""
-    w2 = omega * omega
-    x = w2 * t * t
-    if abs(x) < 1e-12:
-        return 1.0 - x / 2.0, t * (1.0 - x / 6.0)
-    w = np.sqrt(w2)
+def _propagator(w2, t):
+    """(cos(omega t), sin(omega t)/omega) at the times t, entire in w2 = omega^2."""
+    if w2 == 0:
+        return 1.0 + 0.0 * t, t
+    w = cmath.sqrt(w2)
     return np.cos(w * t), np.sin(w * t) / w
 
 
@@ -145,7 +144,7 @@ def cm_solve(system, t):
     The eigenvalues come back as an unordered set; use ``cm_solve_path`` for
     continuously labeled trajectories.
     """
-    fc, fs = _propagator(system.omega, t)
+    fc, fs = _propagator(system.omega**2, t)
     L0 = lax_matrices(system.q0, system.p0, system.g).L
     lam = np.diag(system.q0) * fc + L0 * fs
     return np.linalg.eigvals(lam)
@@ -163,8 +162,8 @@ def cm_solve_path(system, times):
     Q0 = np.diag(system.q0)
     out = np.empty((system.n, times.size), dtype=complex)
     prev = system.q0
-    for i, t in enumerate(times):
-        fc, fs = _propagator(system.omega, t)
+    fcs, fss = _propagator(system.omega**2, times)
+    for i, (fc, fs) in enumerate(zip(fcs, fss)):
         vals = np.linalg.eigvals(Q0 * fc + L0 * fs)
         prev = _match_order(prev, vals)
         out[:, i] = prev

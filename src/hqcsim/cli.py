@@ -23,6 +23,7 @@ from . import io as hio
 from . import multimode as mm
 from . import sampling as sp
 from . import states as st
+from .gates import Displace, Passive, Squeeze
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -161,7 +162,7 @@ def cmd_decompose(args):
     poly, spec = mm.decompose_normal(state)
     gates = []
     for gate in spec.gate_list:
-        if hasattr(gate, "U"):
+        if isinstance(gate, Passive):
             gates.append(
                 {
                     "type": "passive",
@@ -171,14 +172,16 @@ def cmd_decompose(args):
                     ],
                 }
             )
-        elif hasattr(gate, "beta"):
+        elif isinstance(gate, Displace):
             gates.append(
                 {"type": "displace", "vector": [[b.real, b.imag] for b in gate.beta]}
             )
-        else:
+        elif isinstance(gate, Squeeze):
             gates.append(
                 {"type": "squeeze", "mode": gate.mode, "xi": [gate.xi.real, gate.xi.imag]}
             )
+        else:
+            raise RuntimeError(f"normal form holds an unexpected gate {gate!r}")
     doc = {
         "poly": [
             {"index": list(i), "re": c.real, "im": c.imag}
@@ -204,38 +207,30 @@ def cmd_cm_trace(args):
     return EXIT_OK
 
 
+# gate letter -> Hamiltonian of the drive (re, im); both routes evolve it
+_EVOLVE_HAMILTONIANS = {
+    "D": dy.GaussianHamiltonian1M.displacement,
+    "R": lambda d: dy.GaussianHamiltonian1M.phase_shift(d.real),
+    "S": dy.GaussianHamiltonian1M.squeezing,
+    "P": lambda d: dy.GaussianHamiltonian1M.shearing(d.real),
+}
+
+
 def cmd_evolve(args):
     state = hio.load_state(args.state)
     if state.modes != 1:
         raise circ.CircuitError("evolve acts on single-mode states")
-    drive = complex(args.re, args.im)
+    ham = _EVOLVE_HAMILTONIANS[args.gate](complex(args.re, args.im))
     if args.trajectory:
-        times = np.linspace(0.0, args.t, args.steps)
         if args.route == "ode":
-            ham = {
-                "D": dy.GaussianHamiltonian1M.displacement,
-                "R": lambda d: dy.GaussianHamiltonian1M.phase_shift(d.real),
-                "S": dy.GaussianHamiltonian1M.squeezing,
-                "P": lambda d: dy.GaussianHamiltonian1M.shearing(d.real),
-            }[args.gate](drive)
             traj = dy.ode_evolve(state, ham, args.t, dt=args.t / (args.steps - 1))
         else:
-            traj = dy.closed_form_trajectory(state, args.gate, _drive_of(args.gate, drive), times)
+            traj = dy.closed_form_trajectory(state, ham, np.linspace(0.0, args.t, args.steps))
         _write(hio.trajectory_csv(traj), args.out)
         return EXIT_OK
-    evolv = {
-        "D": dy.evolve_displacement,
-        "R": dy.evolve_phaseshift,
-        "S": dy.evolve_squeezing,
-        "P": dy.evolve_shearing,
-    }[args.gate]
-    out = evolv(state, _drive_of(args.gate, drive), args.t)
+    out = dy.evolve(state, ham, args.t)
     _write(_json_dump(hio.state_to_dict(out)), args.out)
     return EXIT_OK
-
-
-def _drive_of(gate, drive):
-    return drive.real if gate in ("R", "P") else drive
 
 
 def cmd_table3(args):

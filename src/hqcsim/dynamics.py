@@ -1,26 +1,28 @@
 """Single-mode Gaussian dynamics of finite-rank stellar states.
 
-Three independent routes are provided for every primitive gate:
+Every single-mode Gaussian Hamiltonian (alpha, xi, phi) has one closed form
+(``closed_form_trajectory``, ``evolve``): (a, b, c) follow the 2x2 propagator
+exp(tK) = fc I + fs K, K = [[i phi, -xi], [-conj(xi), -i phi]], through a
+Moebius map (``multimode._mode_exponents``) plus the displacement integrals,
+and the zeros move as Calogero-Moser particles under a constant force
+(``calogero.cm_solve_path``). Two independent routes check it:
 
-* the closed form (``evolve_*``, ``closed_form_trajectory``): the Gaussian
-  exponents follow the gate's exponent formulas in ``multimode``, and the
-  zeros translate (D), rotate (R) or move as Calogero-Moser particles solved
-  by ``calogero.cm_solve_path`` (S, P),
-* the section engine ``multimode.apply_gate`` on mode 0, which conjugates the
-  polynomial through the gate; the closed forms of S and P fall back to it
-  when zeros collide,
+* the section engine ``multimode.apply_gate`` on mode 0, which transports the
+  polynomial through the gate; ``evolve`` falls back to it when squeezing
+  meets a repeated zero, whose Calogero-Moser labels are undefined,
 * fixed-step RK4 integration of the coupled dynamical system
-  (``ode_evolve``), which serves as the cross-check oracle for the other two.
+  (``ode_evolve``), the cross-check oracle.
 
-Gate/drive convention: the Hamiltonian drives (alpha, xi, phi, s) acting for
-time t induce the gates D(alpha*t), S(xi*t), R(phi*t), P(s*t). The shear
-Hamiltonian contains a -s/2 identity term, so evolving the generic
-(identity-free) system reproduces P(st) only up to the global phase
-exp(-i*s*t/2); the closed forms below give the gate itself.
+Gate/drive convention: evolving for time t under the drive alpha, xi or phi
+alone gives the gate D(alpha t), S(xi t) or R(phi t). Both routes drop the
+identity part of the Hamiltonian; the shear Hamiltonian s q^2 has the
+identity term s/2, so the flow of ``GaussianHamiltonian1M.shearing(s)`` is
+exp(-i s t/2) P(s t).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +30,6 @@ import numpy as np
 
 from . import calogero as cm
 from . import multimode as mm
-from .gates import Shear, Squeeze
 from .states import GaussPart, PolyPart, StellarState, poly_coeffs_1m
 
 
@@ -36,12 +37,14 @@ from .states import GaussPart, PolyPart, StellarState, poly_coeffs_1m
 class GaussianHamiltonian1M:
     """Generic single-mode Gaussian Hamiltonian drives (identity part dropped).
 
-    alpha is the displacement drive, xi the squeezing drive, phi the
-    phase-shift drive. The zeros of the stellar function move as
+    The generator is alpha a^dag - conj(alpha) a + (xi a^dag^2 - conj(xi) a^2)/2
+    + i phi a^dag a: alpha is the displacement drive, xi the squeezing drive,
+    phi the phase-shift drive. The zeros of the stellar function move as
     Calogero-Moser particles with coupling g = -i conj(xi) (g^2 = -conj(xi)^2),
     frequency omega^2 = phi^2 - |xi|^2 and the constant force
-    conj(xi) alpha - i phi conj(alpha). The classification is the sign of
-    omega^2: elliptic (positive), hyperbolic (negative), parabolic (zero).
+    conj(xi) alpha - i phi conj(alpha); without squeezing they do not interact.
+    The classification is the sign of omega^2: elliptic (positive),
+    hyperbolic (negative), parabolic (zero).
     """
 
     alpha: complex = 0j
@@ -69,8 +72,8 @@ class GaussianHamiltonian1M:
 
     @staticmethod
     def shearing(s):
-        # H_s^P plus the (s/2) identity; the gate P(st) is exp(is t/2) times
-        # the generic evolution.
+        # s q^2 less its identity term s/2: the gate P(st) is exp(i s t/2)
+        # times this evolution
         return GaussianHamiltonian1M(xi=1j * s, phi=float(s))
 
 
@@ -125,142 +128,104 @@ def _state_from_monic(zeros, a, b, c_eff):
 def initial_velocities(zeros, a, b, hamiltonian):
     """d(lambda_k)/dt at t=0 for the coupled dynamical system."""
     zeros = np.asarray(zeros, dtype=complex)
-    cm._require_distinct(zeros, "initial velocities require simple zeros")
     al, xi, phi = hamiltonian.alpha, hamiltonian.xi, hamiltonian.phi
     xis = np.conj(xi)
-    out = np.empty(zeros.shape, dtype=complex)
-    for k in range(zeros.size):
-        inter = sum(
-            1.0 / (zeros[k] - zeros[j]) for j in range(zeros.size) if j != k
-        )
-        out[k] = -(xis * a + 1j * phi) * zeros[k] + xis * b + np.conj(al) + xis * inter
+    out = -(xis * a + 1j * phi) * zeros + xis * b + np.conj(al)
+    if xi:  # the pair interaction scales with conj(xi)
+        cm._require_distinct(zeros, "initial velocities require simple zeros")
+        for k in range(zeros.size):
+            out[k] += xis * sum(1.0 / (zeros[k] - zeros[j]) for j in range(zeros.size) if j != k)
     return out
 
 
 # ---------------------------------------------------------------------------
-# closed-form gate evolution (Gaussian exponents + labelled zero motion)
+# closed-form evolution under any single-mode Gaussian Hamiltonian
 # ---------------------------------------------------------------------------
-#
-# Each flow maps the monic form (zeros, a, b, c_eff), a drive and a grid of
-# times to the zero paths, shape (n, len(times)), and the (a, b, c) rows,
-# shape (len(times), 3).
 
-def _displacement_flow(zeros, a, b, c, alpha, times):
-    beta = complex(alpha) * times
-    bc = np.conj(beta)
-    gauss = np.column_stack((
-        np.full(times.shape, a),
-        b + beta + a * bc,
-        c - b * bc - 0.5 * a * bc**2 - 0.5 * np.abs(beta) ** 2,
-    ))
-    return zeros[:, None] + bc, gauss
+# Taylor coefficients in -omega^2 t^2 of fk / t^2 and fi / t^3 (columns), used
+# where |omega t| < 1: the closed forms cancel there, and 12 terms reach double
+# precision
+_SERIES = np.array(
+    [[1.0 / math.factorial(2 * k + 2), 2.0 * 4.0**k / math.factorial(2 * k + 3)]
+     for k in range(12)]
+)
 
 
-def _rotation_flow(zeros, a, b, c, phi, times):
-    th = float(phi) * times
-    gauss = np.column_stack((
-        np.exp(2j * th) * a, np.exp(1j * th) * b, c + 1j * zeros.size * th
-    ))
-    return np.exp(-1j * th) * zeros[:, None], gauss
+def _drift_integrals(w2, times, fc, fs):
+    """fk = int_0^t fs = (1 - fc)/omega^2 and fi = int_0^t fs^2 = (t - fs fc)/(2 omega^2)."""
+    x = w2 * times * times
+    near = np.abs(x) < 1.0
+    powers = np.where(near, -x, 0.0)[:, None] ** np.arange(12)
+    fk, fi = np.einsum("tk,kj->jt", powers, _SERIES) * (times**2, times**3)
+    if not near.all():
+        fk = np.where(near, fk, (1.0 - fc) / w2)
+        fi = np.where(near, fi, (times - fs * fc) / (2.0 * w2))
+    return fk, fi
 
 
-def _cm_flow(zeros, a, b, c, hamiltonian, exponents, gate_params, times):
-    """Zeros as Calogero-Moser particles; (a, b, c) from ``exponents``.
+def closed_form_trajectory(state, hamiltonian, times):
+    """Zero/Gaussian paths of a single-mode state under ``hamiltonian`` on a
+    grid of times, in closed form (the identity-free convention of ``ode_evolve``).
 
-    The coupling is g = -i conj(xi) and the frequency omega = sqrt(phi^2 - |xi|^2);
-    the constant force vanishes without a displacement drive. ``exponents``
-    is a multimode exponent formula and ``gate_params`` its gate parameter at
-    each time. Raises calogero.CollisionError on coincident zeros.
-    """
-    if zeros.size:
-        xi, phi = hamiltonian.xi, hamiltonian.phi
-        system = cm.CMSystem.make(
-            zeros,
-            initial_velocities(zeros, a, b, hamiltonian),
-            -1j * np.conj(xi),
-            np.sqrt(complex(phi**2 - abs(xi) ** 2)),
-        )
-        zeros_path = cm.cm_solve_path(system, times)
-    else:
-        zeros_path = np.zeros((0, times.size), dtype=complex)
-    gauss = np.empty((times.size, 3), dtype=complex)
-    for i, param in enumerate(gate_params):
-        a_new, b_scale, kappa, c_const = exponents(a, param)
-        gauss[i] = a_new, b_scale * b, c + (2 * zeros.size + 1) * c_const + kappa * b**2
-    return zeros_path, gauss
-
-
-def _squeeze_flow(zeros, a, b, c, xi, times):
-    xi = complex(xi)
-    ham = GaussianHamiltonian1M.squeezing(xi)
-    return _cm_flow(zeros, a, b, c, ham, mm._squeeze_exponents, xi * times, times)
-
-
-def _shear_flow(zeros, a, b, c, s, times):
-    s = float(s)
-    ham = GaussianHamiltonian1M.shearing(s)
-    return _cm_flow(zeros, a, b, c, ham, mm._shear_exponents, s * times, times)
-
-
-_FLOWS = {"D": _displacement_flow, "R": _rotation_flow, "S": _squeeze_flow, "P": _shear_flow}
-
-
-def _evolve(state, flow, drive, t):
-    zeros, gauss = flow(*_monic_form(state), drive, np.array([float(t)]))
-    return _state_from_monic(zeros[:, 0], *gauss[0])
-
-
-def evolve_displacement(state, alpha, t):
-    """Evolution under the displacement drive alpha for time t: gate D(alpha*t)."""
-    return _evolve(state, _displacement_flow, alpha, t)
-
-
-def evolve_phaseshift(state, phi, t):
-    """Evolution under the phase-shift drive phi for time t: gate R(phi*t)."""
-    return _evolve(state, _rotation_flow, phi, t)
-
-
-def evolve_squeezing(state, xi, t):
-    """Evolution under the squeezing drive xi for time t: gate S(xi*t)."""
-    xi = complex(xi)
-    if xi == 0 or t == 0:
-        return state
-    try:
-        return _evolve(state, _squeeze_flow, xi, t)
-    except cm.CollisionError:
-        warnings.warn(
-            "zero collision in closed-form squeezing; using the section engine",
-            stacklevel=2,
-        )
-        return mm.apply_gate(state, Squeeze(0, xi * t))
-
-
-def evolve_shearing(state, s, t):
-    """Evolution under the shearing drive s for time t: gate P(s*t)."""
-    sigma = float(s) * t
-    if sigma == 0:
-        return state
-    try:
-        return _evolve(state, _shear_flow, s, t)
-    except cm.CollisionError:
-        warnings.warn(
-            "zero collision in closed-form shearing; using the section engine",
-            stacklevel=2,
-        )
-        return mm.apply_gate(state, Shear(0, sigma))
-
-
-def closed_form_trajectory(state, kind, drive, times):
-    """Zero/Gaussian paths from the closed forms on a grid of times.
-
-    ``kind`` is one of 'D', 'R', 'S', 'P'. Zeros keep their labels: D and R
-    carry each zero along its translation or rotation, S and P along its
-    Calogero-Moser trajectory. S and P raise calogero.CollisionError when the
-    state has a repeated zero, where the labels are undefined.
+    (a, b, c) follow the 2x2 propagator exp(tK) of ``multimode._mode_exponents``;
+    the displacement drive alpha adds to b the integral of y (alpha + conj(alpha) a)
+    and to c the matching quadratures. The zeros are Calogero-Moser particles
+    (coupling -i conj(xi), frequency omega) translated by f fk for the constant
+    force f = conj(xi) alpha - i phi conj(alpha), and keep their labels, so the
+    grid must resolve close encounters (see ``calogero.cm_solve_path``). Without
+    squeezing they do not interact; with it a repeated zero has no labels and
+    raises calogero.CollisionError.
     """
     times = np.asarray(times, dtype=float)
-    zeros, gauss = _FLOWS[kind](*_monic_form(state), drive, times)
-    return ZeroTrajectory(times, zeros, gauss)
+    zeros, a, b, c = _monic_form(state)
+    al, xi, phi = complex(hamiltonian.alpha), complex(hamiltonian.xi), float(hamiltonian.phi)
+    n, w2 = zeros.size, mm._omega2(xi, phi)
+    fc, fs = cm._propagator(w2, times)
+    fk, fi = _drift_integrals(w2, times, fc, fs)
+    a_t, b_scale, kappa, c_const, _, _ = mm._mode_exponents(a, xi, phi, times)
+    alc, k = np.conj(al), np.conj(xi) * a + 1j * phi
+    f = np.conj(xi) * al - 1j * phi * alc
+    v1, v2 = al + alc * a, -al * k + alc * (1j * phi * a - xi)
+    beta = b + v1 * fs + v2 * fk  # y b(t); d(beta)/dt = v1 fc + v2 fs
+    g = f * fk - alc * fs
+    # int_0^t g d(beta), from int fk fc = fs fk - fi, int fk fs = fk^2/2, int fs fc = fs^2/2
+    rest = (f * v1 * (fs * fk - fi) + 0.5 * f * v2 * fk**2 - 0.5 * alc * v1 * fs**2
+            - alc * v2 * fi)
+    gauss = np.column_stack((
+        a_t,
+        b_scale * beta,
+        c + (2 * n + 1) * c_const + 1j * n * phi * times + kappa * beta**2 + g * beta - rest,
+    ))
+    v0 = initial_velocities(zeros, a, b, hamiltonian)
+    if n and xi:
+        system = cm.CMSystem.make(zeros, v0, -1j * np.conj(xi), np.sqrt(complex(w2)))
+        zeros_path = cm.cm_solve_path(system, times)
+    else:
+        zeros_path = zeros[:, None] * fc + v0[:, None] * fs
+    return ZeroTrajectory(times, zeros_path + f * fk, gauss)
+
+
+def evolve(state, hamiltonian, t):
+    """State after evolving for time t under the single-mode Hamiltonian.
+
+    A repeated zero under squeezing has no Calogero-Moser labels; without a
+    displacement drive the polynomial is then transported by the section
+    engine ``multimode._section_gate`` instead (with a warning), and with one
+    calogero.CollisionError is raised.
+    """
+    if t == 0:
+        return state
+    try:
+        return closed_form_trajectory(state, hamiltonian, [t]).state_at(0)
+    except cm.CollisionError:
+        if hamiltonian.alpha:
+            raise
+        warnings.warn("zero collision in closed-form evolution; using the section engine",
+                      stacklevel=2)
+    a = complex(state.gauss.A[0, 0])
+    return mm._section_gate(
+        state, 0, *mm._mode_exponents(a, complex(hamiltonian.xi), float(hamiltonian.phi), t)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +243,7 @@ def _system_derivative(y, n, hamiltonian):
     dc = 0.5 * xis * a - 0.5 * xis * b * b - np.conj(al) * b + n * (xis * a + 1j * phi)
     dlam = vel
     dvel = (abs(xi) ** 2 - phi**2) * lam + (xis * al - 1j * phi * np.conj(al))
-    if n > 1:
+    if n > 1 and xi:
         diff = lam[:, None] - lam[None, :]
         np.fill_diagonal(diff, 1.0)
         inv3 = diff**-3
@@ -292,7 +257,7 @@ def ode_evolve(state, hamiltonian, t, dt=None):
 
     Returns the full trajectory; the c-equation uses the generic Hamiltonian
     with the identity part dropped (see the module docstring for the shear
-    phase offset). Aborts if zeros collide or the step goes unstable.
+    phase offset). Aborts if squeezed zeros collide or the step goes unstable.
     """
     zeros0, a, b, c = _monic_form(state)
     if t == 0:
@@ -311,7 +276,7 @@ def ode_evolve(state, hamiltonian, t, dt=None):
         y0,
         h,
         steps,
-        slice(3, 3 + n),
+        slice(3, 3 + n if hamiltonian.xi else 3),  # free zeros may coincide
         admissible=lambda y: abs(y[0]) < 1.0,
     )
     return ZeroTrajectory(np.arange(steps + 1) * h, ys[:, 3 : 3 + n].T, ys[:, :3])

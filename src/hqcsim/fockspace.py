@@ -20,15 +20,19 @@ from .states import FockArray, all_indices_upto, sqrt_factorial
 class FockBasis:
     """Multi-indices with |n| <= cutoff in lexicographic order, plus operators."""
 
-    _cache = {}
+    CACHE_SIZE = 8
+    _cache = {}  # the CACHE_SIZE most recently used bases, least recent first
 
     def __new__(cls, modes, cutoff):
         key = (modes, cutoff)
-        if key not in cls._cache:
+        obj = cls._cache.pop(key, None)
+        if obj is None:
             obj = super().__new__(cls)
             obj._init(modes, cutoff)
-            cls._cache[key] = obj
-        return cls._cache[key]
+            if len(cls._cache) >= cls.CACHE_SIZE:
+                del cls._cache[next(iter(cls._cache))]
+        cls._cache[key] = obj
+        return obj
 
     def _init(self, modes, cutoff):
         self.modes = modes

@@ -9,9 +9,10 @@ quadratic term of the update populates cross entries of A), and the polynomial
 goes through one fixed substitution z_k -> mu z_k + nu (d/dz_k + l), normal
 ordered against the new Gaussian, as dense array kernels (``_section_gate``).
 
-This module owns the exponent formulas of the single-mode squeeze and shear
-gates (``_squeeze_exponents``, ``_shear_exponents``); the single-mode closed
-forms in ``dynamics`` read them from here.
+Squeeze, shear and phase gates are the t = 1 flows of single-mode Gaussian
+drives (``_mode_drive``), so one 2x2 propagator (``_mode_exponents``) gives
+their exponent updates and their transport (mu, nu), here, in the Bogoliubov
+action and in the closed forms of ``dynamics``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import calogero as cm
 from .gates import (
     Create,
     Displace,
@@ -255,76 +257,62 @@ def _section_gate(state, mode, a_new, b_scale, kappa, c_const, mu, nu):
     return _assert_rank_preserved(state, StellarState(m, poly, gauss2), "section gate")
 
 
-def _squeeze_exponents(a, xi):
-    """(a_new, b_scale, kappa, c_const) of S(xi) on a mode with diagonal exponent a."""
-    r, th = abs(xi), np.angle(xi)
-    Abar = np.arctanh(-np.exp(-1j * th) * a)
-    a_new = -np.exp(1j * th) * np.tanh(r + Abar)
-    b_scale = np.cosh(Abar) / np.cosh(r + Abar)
-    kappa = (
-        -0.5
-        * np.exp(-1j * th)
-        * np.cosh(Abar) ** 2
-        * (np.tanh(r + Abar) - np.tanh(Abar))
+def _mode_drive(gate):
+    """(xi, phi, phase) of a single-mode gate: the gate is exp(phase) times the
+    t = 1 flow of the identity-free drive (xi, phi) (see ``_mode_exponents``).
+    P(s) = exp(i s q^2) carries the identity term i s/2 of q^2."""
+    if isinstance(gate, Squeeze):
+        return complex(gate.xi), 0.0, 0j
+    if isinstance(gate, Shear):
+        return 1j * gate.s, float(gate.s), 0.5j * gate.s
+    return 0j, float(gate.phi), 0j
+
+
+def _omega2(xi, phi):
+    """omega^2 = phi^2 - |xi|^2 of a drive, exactly 0 on the parabolic line |phi| = |xi|."""
+    r = abs(xi)
+    return (phi - r) * (phi + r)
+
+
+def _mode_exponents(a, xi, phi, t=1.0):
+    """Flow of exp(tK), K = [[i phi, -xi], [-conj(xi), -i phi]], on a mode with
+    diagonal exponent a: (a_new, b_scale, kappa, c_const, mu, nu) of ``_section_gate``.
+
+    exp(tK) = fc I + fs K, with (fc, fs) from ``calogero._propagator``. a moves
+    by its Moebius map with denominator y = fc - (conj(xi) a + i phi) fs, b
+    scales by 1/y, kappa = -conj(xi) fs / (2 y), c_const = -log(y)/2 - i phi t/2
+    with log y continued from y(0) = 1, and (mu, nu) is the first row of exp(tK).
+    Broadcasts over a and t.
+    """
+    w2 = _omega2(xi, phi)
+    fc, fs = cm._propagator(w2, t)
+    xic = xi.conjugate()
+    k = xic * a + 1j * phi
+    y = fc - k * fs
+    log_y = np.log(y)
+    if w2 > 0:
+        # fc and fs are real, so y meets the negative axis only at fs = 0,
+        # y = -1 (omega |t| = pi, 3 pi, ...), crossing it in the sense of -Im(k) t
+        turns = (math.sqrt(w2) * abs(t) / math.pi + 1.0) // 2.0
+        log_y = log_y - 2j * math.pi * np.sign(k.imag * t) * turns
+    return (
+        (fc * a + fs * (1j * phi * a - xi)) / y,
+        1.0 / y,
+        -0.5 * xic * fs / y,
+        -0.5 * log_y - 0.5j * phi * t,
+        fc + 1j * phi * fs,
+        -xic * fs,
     )
-    # |Im Abar| < pi/4, so cosh(r tau + Abar) stays in the right half-plane
-    # along the gate path and the principal logs are its continuation
-    c_const = -0.5 * (np.log(np.cosh(r + Abar)) - np.log(np.cosh(Abar)))
-    return a_new, b_scale, kappa, c_const
 
 
-def _shear_exponents(a, s):
-    """(a_new, b_scale, kappa, c_const) of P(s) on a mode with diagonal exponent a."""
-    u = 1.0 - a
-    D = 1.0 - 1j * s * u
-    a_new = (a - 1j * s * u) / D
-    b_scale = 1.0 / D
-    kappa = 1j * s / (2.0 * D)
-    # Im(1 - i s tau u) = -s tau Re(u) keeps one sign along the gate path
-    # (Re u = 1 - Re a > 0), so the principal log is its continuation
-    c_const = -0.5 * np.log(D)
-    return a_new, b_scale, kappa, c_const
-
-
-def apply_squeeze_mode(state, mode, xi):
-    """Single-mode squeezing S(xi) on one mode; rank is exactly preserved."""
-    xi = complex(xi)
-    if xi == 0:
+def apply_mode_gate(state, gate):
+    """Single-mode squeeze, shear or phase gate; rank is exactly preserved."""
+    xi, phi, phase = _mode_drive(gate)
+    if xi == 0 and phi == 0:
         return state
-    r, th = abs(xi), np.angle(xi)
-    a = complex(state.gauss.A[mode, mode])
-    mu = np.cosh(r)
-    nu = -np.exp(-1j * th) * np.sinh(r)
-    return _section_gate(state, mode, *_squeeze_exponents(a, xi), mu, nu)
-
-
-def apply_shear_mode(state, mode, s):
-    """Single-mode shearing P(s) = exp(i s q^2) on one mode."""
-    s = float(s)
-    if s == 0:
-        return state
-    a = complex(state.gauss.A[mode, mode])
-    mu = 1.0 + 1j * s
-    nu = 1j * s
-    return _section_gate(state, mode, *_shear_exponents(a, s), mu, nu)
-
-
-def apply_phase_mode(state, mode, phi):
-    """Single-mode phase shift R(phi) on one mode."""
-    phi = float(phi)
-    if phi == 0:
-        return state
-    a = complex(state.gauss.A[mode, mode])
-    return _section_gate(
-        state,
-        mode,
-        np.exp(2j * phi) * a,
-        np.exp(1j * phi),
-        0j,
-        0j,
-        np.exp(1j * phi),
-        0j,
-    )
+    a = complex(state.gauss.A[gate.mode, gate.mode])
+    a_new, b_scale, kappa, c_const, mu, nu = _mode_exponents(a, xi, phi)
+    return _section_gate(state, gate.mode, a_new, b_scale, kappa, c_const + phase, mu, nu)
 
 
 def apply_create(state, mode):
@@ -338,12 +326,8 @@ def apply_gate(state, gate):
         return apply_passive(state, gate)
     if isinstance(gate, Displace):
         return apply_displace(state, gate.beta)
-    if isinstance(gate, Squeeze):
-        return apply_squeeze_mode(state, gate.mode, gate.xi)
-    if isinstance(gate, Shear):
-        return apply_shear_mode(state, gate.mode, gate.s)
-    if isinstance(gate, Phase):
-        return apply_phase_mode(state, gate.mode, gate.phi)
+    if isinstance(gate, (Squeeze, Shear, Phase)):
+        return apply_mode_gate(state, gate)
     if isinstance(gate, Create):
         return apply_create(state, gate.mode)
     raise ValueError(f"unknown gate {gate!r}")
@@ -538,15 +522,9 @@ def _gate_action(gate, m):
         E = np.array(gate.U)
     elif isinstance(gate, Displace):
         d = -np.conj(gate.beta)
-    elif isinstance(gate, Squeeze):
-        r, th = abs(gate.xi), np.angle(gate.xi)
-        E[gate.mode, gate.mode] = np.cosh(r)
-        F[gate.mode, gate.mode] = -np.exp(-1j * th) * np.sinh(r)
-    elif isinstance(gate, Shear):
-        E[gate.mode, gate.mode] = 1.0 + 1j * gate.s
-        F[gate.mode, gate.mode] = 1j * gate.s
-    elif isinstance(gate, Phase):
-        E[gate.mode, gate.mode] = np.exp(1j * gate.phi)
+    elif isinstance(gate, (Squeeze, Shear, Phase)):
+        xi, phi, _ = _mode_drive(gate)
+        *_, E[gate.mode, gate.mode], F[gate.mode, gate.mode] = _mode_exponents(0j, xi, phi)
     else:
         raise ValueError(f"no adjoint action for {gate!r}")
     return E, F, d

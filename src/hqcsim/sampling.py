@@ -464,9 +464,10 @@ def sample_homodyne(state, mode, cfg, r_hom=3.0, stats=None):
     Realized as single-mode squeezing by r_hom followed by heterodyne; the
     finite-squeezing excess variance exp(-2 r_hom)/2 is reported in ``stats``.
     """
-    from .multimode import apply_squeeze_mode
+    from .gates import Squeeze
+    from .multimode import apply_gate
 
-    squeezed = apply_squeeze_mode(state, mode, r_hom)
+    squeezed = apply_gate(state, Squeeze(mode, r_hom))
     outcomes = sample_continuous(squeezed, [mode], cfg, stats=stats)
     if stats is not None:
         stats["variance_excess"] = 0.5 * math.exp(-2.0 * r_hom)

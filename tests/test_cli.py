@@ -122,6 +122,18 @@ class TestStateCommands:
         kinds = [g["type"] for g in doc["gaussian_program"]]
         assert kinds[0] == "displace" and kinds[-1] == "passive"
 
+    def test_decompose_rejects_unknown_gate(self, tmp_path, monkeypatch, capsys):
+        from hqcsim import cli
+        from hqcsim import multimode as mm
+        from hqcsim.gates import Shear
+
+        path = tmp_path / "s.json"
+        hio.save_state(st.StellarState.vacuum(1), path)
+        spec = mm.GaussianUnitarySpec.make(1, [Shear(0, 0.5)])
+        monkeypatch.setattr(mm, "decompose_normal", lambda state: (state.poly, spec))
+        assert cli.main(["decompose", str(path)]) == cli.EXIT_VALIDATION
+        assert "unexpected gate" in capsys.readouterr().err
+
     def test_sample_deterministic(self, fock2_path):
         r1 = run_cli("sample", fock2_path, "--kind", "discrete", "--shots", "40",
                      "--seed", "3", "--format", "csv")

@@ -10,9 +10,10 @@ from hqcsim import dynamics as dy
 from hqcsim import multimode as mm
 from hqcsim import states as st
 from hqcsim.gates import Displace, Phase, Shear, Squeeze
-from conftest import fock_vector, random_single_mode_state, vectors_overlap
+from conftest import fock_vector, multiset_distance, random_single_mode_state, vectors_overlap
 
 ROUTE_TOL = 1e-8
+H = dy.GaussianHamiltonian1M
 
 
 def gauss_abc(state):
@@ -22,7 +23,7 @@ def gauss_abc(state):
 
 class TestDisplacement:
     def test_vacuum_becomes_coherent(self):
-        out = dy.evolve_displacement(st.StellarState.vacuum(1), 1.0, 1.0)
+        out = dy.evolve(st.StellarState.vacuum(1), H.displacement(1.0), 1.0)
         a, b, c = gauss_abc(out)
         assert a == pytest.approx(0.0)
         assert b == pytest.approx(1.0)
@@ -30,18 +31,18 @@ class TestDisplacement:
 
     def test_time_zero_identity(self, rng):
         s = random_single_mode_state(rng, 3)
-        out = dy.evolve_displacement(s, 0.7 - 0.2j, 0.0)
+        out = dy.evolve(s, H.displacement(0.7 - 0.2j), 0.0)
         assert gauss_abc(out) == pytest.approx(gauss_abc(s))
 
     def test_zero_translation(self):
         s = st.from_zeros([0.0], 0, 0, 0)
-        out = dy.evolve_displacement(s, 1j, 2.0)
+        out = dy.evolve(s, H.displacement(1j), 2.0)
         # lambda(t) = conj(alpha) t + lambda(0)
         assert st.zeros_of(out)[0] == pytest.approx(-2j)
 
     def test_direct_matches_evolve(self, rng):
         s = random_single_mode_state(rng, 3)
-        e1 = dy.evolve_displacement(s, 0.4 + 0.3j, 1.0)
+        e1 = dy.evolve(s, H.displacement(0.4 + 0.3j), 1.0)
         e2 = mm.apply_gate(s, Displace.make([0.4 + 0.3j]))
         assert vectors_overlap(fock_vector(e1, 35), fock_vector(e2, 35)) > 1 - 1e-12
 
@@ -73,18 +74,18 @@ class TestPhaseShift:
         s = st.StellarState.make(
             1, st.PolyPart.one(1), st.GaussPart.make([[0.5]], [0.0], 0.0)
         )
-        out = dy.evolve_phaseshift(s, np.pi / 2, 1.0)
+        out = dy.evolve(s, H.phase_shift(np.pi / 2), 1.0)
         a, _, _ = gauss_abc(out)
         assert a == pytest.approx(-0.5)
 
     def test_identity(self, rng):
         s = random_single_mode_state(rng, 2)
-        out = dy.evolve_phaseshift(s, 1.3, 0.0)
+        out = dy.evolve(s, H.phase_shift(1.3), 0.0)
         assert vectors_overlap(fock_vector(out, 30), fock_vector(s, 30)) > 1 - 1e-12
 
     def test_zero_rotation(self):
         s = st.from_zeros([1.0], 0, 0, 0)
-        out = dy.evolve_phaseshift(s, np.pi / 2, 1.0)
+        out = dy.evolve(s, H.phase_shift(np.pi / 2), 1.0)
         assert st.zeros_of(out)[0] == pytest.approx(-1j)
 
     def test_direct_square(self):
@@ -95,7 +96,7 @@ class TestPhaseShift:
 
     def test_direct_matches_evolve(self, rng):
         s = random_single_mode_state(rng, 3)
-        e1 = dy.evolve_phaseshift(s, 0.9, 1.0)
+        e1 = dy.evolve(s, H.phase_shift(0.9), 1.0)
         e2 = mm.apply_gate(s, Phase(0, 0.9))
         u, v = fock_vector(e1, 35), fock_vector(e2, 35)
         assert np.max(np.abs(u - v)) < 1e-10
@@ -105,14 +106,14 @@ class TestSqueezing:
     def test_vacuum_sign_convention(self):
         # S(r)|0> carries a = -tanh(r); the Fock-oracle test below fixes the
         # drive sign
-        out = dy.evolve_squeezing(st.StellarState.vacuum(1), 0.5, 1.0)
+        out = dy.evolve(st.StellarState.vacuum(1), H.squeezing(0.5), 1.0)
         a, b, _ = gauss_abc(out)
         assert a == pytest.approx(-np.tanh(0.5))
         assert b == 0
 
     def test_identity(self, rng):
         s = random_single_mode_state(rng, 2)
-        assert dy.evolve_squeezing(s, 0.4, 0.0) is s
+        assert dy.evolve(s, H.squeezing(0.4), 0.0) is s
         assert mm.apply_gate(s, Squeeze(0, 0)) is s
 
     def test_fock_oracle_direction(self):
@@ -123,7 +124,7 @@ class TestSqueezing:
         arr = st.to_fock_array(st.StellarState.vacuum(1), 40)
         oracle = fock_oracle_apply(arr, Squeeze(0, xi))
         mine = st.to_fock_array(
-            dy.evolve_squeezing(st.StellarState.vacuum(1), xi, 1.0), 40, warn_tail=False
+            dy.evolve(st.StellarState.vacuum(1), H.squeezing(xi), 1.0), 40, warn_tail=False
         )
         from hqcsim.fockspace import FockBasis
 
@@ -146,7 +147,7 @@ class TestSqueezing:
     def test_three_routes_agree(self, rng):
         s = random_single_mode_state(rng, 3)
         xi, t = 0.5 * np.exp(1.1j), 0.9
-        e1 = dy.evolve_squeezing(s, xi, t)
+        e1 = dy.evolve(s, H.squeezing(xi), t)
         e2 = mm.apply_gate(s, Squeeze(0, xi * t))
         e3 = dy.ode_evolve(s, dy.GaussianHamiltonian1M.squeezing(xi), t, dt=5e-4).state_at(-1)
         u1, u2, u3 = (fock_vector(e, 45) for e in (e1, e2, e3))
@@ -158,12 +159,12 @@ class TestSqueezing:
 class TestShearing:
     def test_identity(self, rng):
         s = random_single_mode_state(rng, 2)
-        assert dy.evolve_shearing(s, 0.8, 0.0) is s
+        assert dy.evolve(s, H.shearing(0.8), 0.0) is s
 
     def test_single_zero_motion(self):
         # one zero at 1, a=b=0, s=1, t=1: Lambda = lambda0 - i s t lambda0
         s = st.from_zeros([1.0], 0, 0, 0)
-        out = dy.evolve_shearing(s, 1.0, 1.0)
+        out = dy.evolve(s, H.shearing(1.0), 1.0)
         assert st.zeros_of(out)[0] == pytest.approx(1.0 - 1.0j)
 
     def test_fig4_cyclic_exchange(self):
@@ -185,14 +186,15 @@ class TestShearing:
         # central zero pinned by parity along the whole closed-form trajectory
         s = st.from_zeros(zeros, 0, 0, 0)
         times = np.linspace(-3.0, 3.0, 241)
-        traj = dy.closed_form_trajectory(s, "P", 1.0, times)
+        traj = dy.closed_form_trajectory(s, H.shearing(1.0), times)
         central = np.min(np.abs(traj.zeros), axis=0)
         assert np.max(central) < 1e-8
 
     def test_three_routes_agree(self, rng):
         s = random_single_mode_state(rng, 3)
         sh, t = 0.8, 1.1
-        e1 = dy.evolve_shearing(s, sh, t)
+        # the flow drops the identity term of the shear Hamiltonian
+        e1 = dy.evolve(s, H.shearing(sh), t).scaled(0.5j * sh * t)
         e2 = mm.apply_gate(s, Shear(0, sh * t))
         # generic Hamiltonian evolution misses the -s/2 identity term of the
         # shear Hamiltonian: add the phase back
@@ -219,7 +221,7 @@ class TestShearing:
         # double zero: the eigenvalue route is refused, the section engine used
         s = st.from_fock_superposition({(2,): 1.0}, 1)
         with pytest.warns(UserWarning, match="collision"):
-            out = dy.evolve_shearing(s, 0.5, 1.0)
+            out = dy.evolve(s, H.shearing(0.5), 1.0)
         ref = mm.apply_gate(s, Shear(0, 0.5))
         assert vectors_overlap(fock_vector(out, 35), fock_vector(ref, 35)) > 1 - 1e-12
         # the fallback is itself checked against the truncated-Fock oracle
@@ -232,12 +234,20 @@ class TestShearing:
 
 
 class TestClosedFormTrajectory:
+    def test_repeated_zero_with_displacement_raises(self):
+        # squeezing with a displacement drive: no Calogero-Moser labels and no
+        # section-engine fallback
+        s = st.from_fock_superposition({(2,): 1.0}, 1)
+        with pytest.raises(cm.CollisionError):
+            dy.evolve(s, H(alpha=0.3, xi=0.5j), 1.0)
+
     @pytest.mark.parametrize("kind, drive", [("S", 0.5j), ("P", 0.5)])
     def test_repeated_zero_raises(self, kind, drive):
         # |2> has a double zero at the origin: eigenvalue labels are undefined
         s = st.from_fock_superposition({(2,): 1.0}, 1)
+        ham = {"S": H.squeezing, "P": H.shearing}[kind](drive)
         with pytest.raises(cm.CollisionError):
-            dy.closed_form_trajectory(s, kind, drive, np.linspace(0.0, 1.0, 11))
+            dy.closed_form_trajectory(s, ham, np.linspace(0.0, 1.0, 11))
 
     @settings(max_examples=30)
     @given(
@@ -259,15 +269,16 @@ class TestClosedFormTrajectory:
         assume(zeros.size < 2 or np.min(gaps) >= 0.2)
         s = st.normalized(st.from_zeros(zeros, gauss[0], gauss[1], 0.0))
         times = np.linspace(0.0, t, 41)
-        for kind, evolve, drive, gate in (
-            ("S", dy.evolve_squeezing, xi, Squeeze(0, xi * t)),
-            ("P", dy.evolve_shearing, shear, Shear(0, shear * t)),
+        # the P gate is exp(i s t/2) times the identity-free shear flow
+        for ham, gate, phase in (
+            (H.squeezing(xi), Squeeze(0, xi * t), 0.0),
+            (H.shearing(shear), Shear(0, shear * t), 0.5j * shear * t),
         ):
-            closed = evolve(s, drive, t)
+            closed = dy.evolve(s, ham, t).scaled(phase)
             u = fock_vector(closed, 40)
             assert np.max(np.abs(u - fock_vector(mm.apply_gate(s, gate), 40))) < 1e-9
-            traj = dy.closed_form_trajectory(s, kind, drive, times)
-            assert np.max(np.abs(u - fock_vector(traj.state_at(-1), 40))) < 1e-9
+            traj = dy.closed_form_trajectory(s, ham, times)
+            assert np.max(np.abs(u - fock_vector(traj.state_at(-1).scaled(phase), 40))) < 1e-9
 
 
 class TestInitialVelocities:
@@ -314,7 +325,7 @@ class TestOdeEvolve:
         s = st.from_zeros([0.3 + 0.2j], 0.1, 0.05, 0.0)
         ham = dy.GaussianHamiltonian1M.displacement(1.0)
         out = dy.ode_evolve(s, ham, 1.0, dt=1e-4).state_at(-1)
-        ref = dy.evolve_displacement(s, 1.0, 1.0)
+        ref = dy.evolve(s, ham, 1.0)
         u, v = fock_vector(out, 30), fock_vector(ref, 30)
         assert np.max(np.abs(u - v)) < 1e-8
 
@@ -333,6 +344,15 @@ class TestOdeEvolve:
         ham = dy.GaussianHamiltonian1M(xi=0.9, phi=0.2)
         traj = dy.ode_evolve(s, ham, 2.0, dt=1e-3)
         assert np.max(np.abs(traj.gauss_path[:, 0])) < 1.0
+
+    @pytest.mark.parametrize("ham", [H.displacement(0.5), H.phase_shift(0.7)])
+    def test_free_repeated_zeros(self, ham):
+        # without squeezing the zeros do not interact, so |2>'s double zero is fine
+        s = st.from_fock_superposition({(2,): 1.0}, 1)
+        ode = dy.ode_evolve(s, ham, 1.0, dt=1e-3)
+        closed = dy.closed_form_trajectory(s, ham, ode.times)
+        assert np.max(np.abs(closed.zeros - ode.zeros)) < 1e-10
+        assert np.max(np.abs(closed.gauss_path - ode.gauss_path)) < 1e-10
 
     def test_rejects_bad_input(self, rng):
         s = st.from_fock_superposition({(2,): 1.0}, 1)  # double zero at 0
@@ -355,12 +375,12 @@ class TestNormPreservation:
         s = random_single_mode_state(rng, 3)
         s = s.scaled(-0.5 * np.log(st.norm_squared(s)))
         evolv = {
-            "D": lambda q: dy.evolve_displacement(q, 0.6 - 0.1j, 1.2),
-            "R": lambda q: dy.evolve_phaseshift(q, 0.8, 1.2),
-            "S": lambda q: dy.evolve_squeezing(q, 0.5j, 1.2),
-            "P": lambda q: dy.evolve_shearing(q, 0.7, 1.2),
+            "D": H.displacement(0.6 - 0.1j),
+            "R": H.phase_shift(0.8),
+            "S": H.squeezing(0.5j),
+            "P": H.shearing(0.7),
         }[gate]
-        assert st.norm_squared(evolv(s)) == pytest.approx(1.0, abs=1e-9)
+        assert st.norm_squared(dy.evolve(s, evolv, 1.2)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestTrajectoryExport:
@@ -376,3 +396,77 @@ class TestTrajectoryExport:
             "re_a", "im_a", "re_b", "im_b", "re_c", "im_c",
         ]
         assert len(text.splitlines()) == len(traj.times) + 1
+
+
+def _route_distance(x, y):
+    """Largest distance between the final zeros (as multisets) and (a, b, c)."""
+    zx, zy = x.zeros[:, -1], y.zeros[:, -1]
+    dz = multiset_distance(zx, zy) if zx.size else 0.0
+    return max(dz, float(np.max(np.abs(x.gauss_path[-1] - y.gauss_path[-1]))))
+
+
+class TestCombinedClosedForm:
+    """The closed form for any (alpha, xi, phi) against RK4 and the Fock oracle."""
+
+    @settings(max_examples=30)
+    @given(
+        zeros=hst.lists(
+            hst.complex_numbers(max_magnitude=1.2, allow_nan=False, allow_infinity=False),
+            max_size=4,
+        ),
+        a=hst.complex_numbers(max_magnitude=0.89, allow_nan=False, allow_infinity=False),
+        b=hst.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+        alpha=hst.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False),
+        xi=hst.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False),
+        # None puts phi on the parabolic line |phi| = |xi|, with the sign of t
+        phi=hst.one_of(hst.none(), hst.floats(-1.0, 1.0)),
+        t=hst.floats(-1.5, 1.5),
+    )
+    def test_matches_ode_with_step_doubling(self, zeros, a, b, alpha, xi, phi, t):
+        zeros = np.array(zeros, dtype=complex)
+        gaps = np.abs(zeros[:, None] - zeros[None, :]) + 9.0 * np.eye(zeros.size)
+        assume(zeros.size < 2 or np.min(gaps) >= 0.2)
+        assume(abs(t) > 1e-3)
+        ham = H(alpha=alpha, xi=xi, phi=abs(xi) * np.sign(t) if phi is None else phi)
+        s = st.from_zeros(zeros, a, b, 0.1j)
+        dt = abs(t) / 300
+        coarse = dy.ode_evolve(s, ham, t, dt=dt)
+        fine = dy.ode_evolve(s, ham, t, dt=dt / 2)
+        closed = dy.closed_form_trajectory(s, ham, fine.times)
+        scale = 1.0 + float(np.max(np.abs(fine.zeros[:, -1]), initial=0.0))
+        bound = 1e-9 * scale + 2.0 * _route_distance(coarse, fine)
+        assert _route_distance(closed, fine) <= bound
+
+    @pytest.mark.parametrize("ham, t", [
+        (H(alpha=0.3 - 0.2j, xi=0.25j, phi=0.6), 1.0),    # elliptic
+        (H(alpha=-0.2j, xi=0.4 + 0.2j, phi=0.1), -0.8),   # hyperbolic
+        (H(alpha=0.25, xi=0.3j, phi=0.3), 1.2),          # parabolic (shear + alpha)
+        (H(alpha=0.4 + 0.1j), 0.9),                      # displacement alone
+    ])
+    def test_matches_fock_expm(self, ham, t):
+        from scipy.sparse.linalg import expm_multiply
+
+        from hqcsim.fockspace import FockBasis
+
+        cutoff = 70
+        basis = FockBasis(1, cutoff)
+        ad, an = basis.creation(0), basis.annihilation(0)
+        al, xi = ham.alpha, ham.xi
+        gen = (al * ad - np.conj(al) * an + 0.5 * (xi * (ad @ ad) - np.conj(xi) * (an @ an))
+               + 1j * ham.phi * (ad @ an))
+        s = st.normalized(st.from_zeros([0.5 + 0.2j, -0.3 + 0.4j], 0.15j, 0.1, 0.0))
+        expect = expm_multiply(t * gen, fock_vector(s, cutoff))
+        got = fock_vector(dy.evolve(s, ham, t), cutoff)
+        assert np.max(np.abs(got - expect)) < 1e-9
+
+    @pytest.mark.parametrize("t", [4.0, -4.0])
+    def test_log_winding(self, t):
+        # omega |t| = 7.7 > 2 pi: y = fc - k fs crosses the negative real axis
+        # twice, and c follows the continued log y
+        ham = H(alpha=0.2 - 0.1j, xi=0.5 * np.exp(0.4j), phi=-2.0)
+        s = st.from_zeros([0.6, -0.4 + 0.5j], 0.3 - 0.2j, 0.2, 0.0)
+        ode = dy.ode_evolve(s, ham, t, dt=1e-3)
+        closed = dy.closed_form_trajectory(s, ham, ode.times)
+        assert abs(ham.phi) * abs(t) > 2 * np.pi
+        assert np.max(np.abs(closed.gauss_path - ode.gauss_path)) < 1e-9
+        assert _route_distance(closed, ode) < 1e-9

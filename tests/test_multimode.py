@@ -97,14 +97,14 @@ class TestDisplace:
 class TestSqueezeMode:
     def test_vacuum_two_modes(self):
         r, th = 0.5, 0.9
-        out = mm.apply_squeeze_mode(st.StellarState.vacuum(2), 0, r * np.exp(1j * th))
+        out = mm.apply_gate(st.StellarState.vacuum(2), Squeeze(0, r * np.exp(1j * th)))
         assert out.gauss.A[0, 0] == pytest.approx(-np.exp(1j * th) * np.tanh(r))
         assert out.gauss.A[1, 1] == 0
         assert out.gauss.A[0, 1] == 0
 
     def test_zero_drive_identity(self, rng):
         s = random_state(rng, 2, 2)
-        assert mm.apply_squeeze_mode(s, 1, 0) is s
+        assert mm.apply_gate(s, Squeeze(1, 0)) is s
 
     def test_rank2_state_vs_oracle(self, rng):
         s = st.normalized(
@@ -112,7 +112,7 @@ class TestSqueezeMode:
         )
         xi = 0.5 * np.exp(1j * 2.1)
         assert gate_overlap_vs_oracle(s, Squeeze(1, xi), 40) > 1 - ORACLE_TOL
-        out = mm.apply_squeeze_mode(s, 1, xi)
+        out = mm.apply_gate(s, Squeeze(1, xi))
         assert st.stellar_rank(out) == 2
 
     def test_random_states_vs_oracle(self, rng):
@@ -126,6 +126,12 @@ class TestSqueezeMode:
 def _log_continued_along(values):
     """log of the last entry, continued along a finely sampled path (axis 1)."""
     return np.log(np.abs(values[:, -1])) + 1j * np.unwrap(np.angle(values), axis=1)[:, -1]
+
+
+def _gate_c_const(a, gate):
+    """c_const of a single-mode gate from the one propagator helper."""
+    xi, phi, phase = mm._mode_drive(gate)
+    return mm._mode_exponents(a, xi, phi)[3] + phase
 
 
 class TestGateLogConstant:
@@ -144,7 +150,7 @@ class TestGateLogConstant:
         tau = np.linspace(0.0, 1.0, self.POINTS)
         path = np.cosh(np.abs(xi)[:, None] * tau + Abar[:, None]) / np.cosh(Abar)[:, None]
         expect = -0.5 * _log_continued_along(path)
-        got = np.array([mm._squeeze_exponents(ai, xii)[3] for ai, xii in zip(a, xi)])
+        got = np.array([_gate_c_const(ai, Squeeze(0, xii)) for ai, xii in zip(a, xi)])
         assert np.max(np.abs(got - expect)) < 1e-12
 
     def test_shear(self, rng):
@@ -153,8 +159,61 @@ class TestGateLogConstant:
         tau = np.linspace(0.0, 1.0, self.POINTS)
         path = 1.0 - 1j * (s * (1.0 - a))[:, None] * tau
         expect = -0.5 * _log_continued_along(path)
-        got = np.array([mm._shear_exponents(ai, si)[3] for ai, si in zip(a, s)])
+        got = np.array([_gate_c_const(ai, Shear(0, si)) for ai, si in zip(a, s)])
         assert np.max(np.abs(got - expect)) < 1e-12
+
+
+def _previous_mode_exponents(a, gate):
+    """(a_new, b_scale, kappa, c_const, mu, nu) of S, P and R as each gate had
+    them before they came from one propagator: the pinned reference."""
+    if isinstance(gate, Squeeze):
+        r, th = abs(gate.xi), np.angle(gate.xi)
+        Abar = np.arctanh(-np.exp(-1j * th) * a)
+        kappa = -0.5 * np.exp(-1j * th) * np.cosh(Abar) ** 2 * (
+            np.tanh(r + Abar) - np.tanh(Abar))
+        return (-np.exp(1j * th) * np.tanh(r + Abar), np.cosh(Abar) / np.cosh(r + Abar),
+                kappa, -0.5 * (np.log(np.cosh(r + Abar)) - np.log(np.cosh(Abar))),
+                np.cosh(r), -np.exp(-1j * th) * np.sinh(r))
+    if isinstance(gate, Shear):
+        s = gate.s
+        D = 1.0 - 1j * s * (1.0 - a)
+        return ((a - 1j * s * (1.0 - a)) / D, 1.0 / D, 1j * s / (2.0 * D),
+                -0.5 * np.log(D), 1.0 + 1j * s, 1j * s)
+    rot = np.exp(1j * gate.phi)
+    return rot**2 * a, rot, 0j, 0j, rot, 0j
+
+
+class TestGatesPinned:
+    """Each single-mode gate's exponents and output (C and P) equal the
+    previous formulas': S with |xi| <= 4, P with |s| <= 100, R with
+    pi < |phi| < 3 pi (past the first branch crossing of log y)."""
+
+    @pytest.mark.parametrize("kind", ["S", "P", "R"])
+    def test_matches_previous_formulas(self, rng, kind):
+        for _ in range(40):
+            s = random_state(rng, int(rng.integers(1, 3)), int(rng.integers(0, 4)))
+            mode = int(rng.integers(s.modes))
+            if kind == "S":
+                gate = Squeeze(mode, rng.uniform(0, 4) * np.exp(2j * np.pi * rng.uniform()))
+            elif kind == "P":
+                gate = Shear(mode, float(rng.uniform(-100, 100)))
+            else:
+                gate = Phase(mode, float(rng.choice([-1, 1]) * rng.uniform(np.pi, 3 * np.pi)))
+            a = complex(s.gauss.A[mode, mode])
+            prev = _previous_mode_exponents(a, gate)
+            xi, phi, phase = mm._mode_drive(gate)
+            new = list(mm._mode_exponents(a, xi, phi))
+            new[3] += phase
+            for x, y in zip(new, prev):
+                assert abs(x - y) <= 1e-14 * max(1.0, abs(y))
+            got = mm.apply_gate(s, gate)
+            # at |s| ~ 100 the transport turns one ulp of a_new into up to
+            # 5e-12 of P, so the pin is 1e-12 or twice that sensitivity
+            new[0] *= 1.0 + 2.0**-52
+            nudged = mm._section_gate(s, mode, *new)
+            sens = max(abs(nudged.poly.coeffs.get(k, 0j) - c) for k, c in got.poly.coeffs.items())
+            rel = max(1e-12, 2.0 * sens / got.poly.max_abs())
+            assert_states_close(got, mm._section_gate(s, mode, *prev), rel=rel)
 
 
 class TestShearPhaseMode:
@@ -168,7 +227,7 @@ class TestShearPhaseMode:
 
     def test_phase_rotates_section(self):
         s = st.from_fock_superposition({(2, 0): 1.0}, 2)
-        out = mm.apply_phase_mode(s, 0, np.pi / 2)
+        out = mm.apply_gate(s, Phase(0, np.pi / 2))
         assert out.poly.coeffs[(2, 0)] == pytest.approx(-1 / np.sqrt(2))
 
 
@@ -381,7 +440,7 @@ class TestDecompositions:
 
     def test_squeezed_photon(self, rng):
         f1 = st.from_fock_superposition({(1,): 1.0}, 1)
-        s = mm.apply_squeeze_mode(f1, 0, 0.5)
+        s = mm.apply_gate(f1, Squeeze(0, 0.5))
         core = mm.core_state_of(s)
         assert st.stellar_rank(core) == 1
         rebuilt = mm.apply_gaussian(core, mm.decompose_normal(s)[1])

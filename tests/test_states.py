@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from hqcsim import fockspace as fs
 from hqcsim import multimode as mm
 from hqcsim import states as st
 from hqcsim.gates import Passive
@@ -363,3 +364,12 @@ class TestSerialization:
         back = hio.fock_array_from_csv(text)
         for idx, amp in arr.amplitudes.items():
             assert back.amplitude(idx) == pytest.approx(amp, abs=1e-15)
+
+
+class TestFockBasisCache:
+    def test_cache_is_bounded(self):
+        size = fs.FockBasis.CACHE_SIZE
+        bases = [fs.FockBasis(1, cutoff) for cutoff in range(3, 4 + 2 * size)]
+        assert len(fs.FockBasis._cache) == size
+        assert fs.FockBasis(1, 3 + 2 * size) is bases[-1]  # recent bases are shared
+        assert fs.FockBasis(1, 3) is not bases[0]  # the oldest was dropped
