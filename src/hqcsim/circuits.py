@@ -30,6 +30,7 @@ from .gates import (
 )
 from .multimode import GaussianUnitarySpec, apply_gate, apply_gaussian
 from .sampling import (
+    MIN_ACCEPT_RATE,
     _RejectionPlan,
     _fock_projections,
     project_coherent,
@@ -250,6 +251,19 @@ def parse_circuit(text):
     return CircuitSpec(modes, prep, tuple(program))
 
 
+def measurement_circuit(modes, kind, measured, prep=None):
+    """Validated circuit of one ``kind`` measurement, named m0, of the
+    ``measured`` modes of a ``modes``-mode input (prepared by ``prep``)."""
+    doc = {
+        "schema": SCHEMA,
+        "modes": modes,
+        "circuit": [{"measure": kind, "modes": list(measured), "name": "m0"}],
+    }
+    if prep is not None:
+        doc["prep"] = prep
+    return parse_circuit(doc)
+
+
 def circuit_to_dict(spec):
     entries = []
     for item in spec.program:
@@ -382,15 +396,21 @@ def _normalized_by(proj, mass):
 
 
 class _ShotEngine:
-    """Executes shots of one circuit; caches reusable per-position data."""
+    """Executes shots of one circuit's program on a given normalized input
+    state; caches reusable per-position data. Every sampler draws through it:
+    modes are measured one at a time, a photon count from the Fock
+    projections of the mode and a heterodyne outcome by rejection sampling
+    from a one-mode ``_RejectionPlan``."""
 
-    def __init__(self, spec, cfg, final_summary=False):
+    def __init__(self, spec, cfg, input_state, final_summary=False):
         self.spec = spec
         self.cfg = cfg
         self.final_summary = final_summary
-        self.input_state = prepare_input(spec.prep, spec.modes)
+        self.input_state = input_state
         self.discrete_cache = {}
         self.plan_cache = {}
+        # heterodyne draws accepted and proposal points tried, over all shots
+        self.accepted = self.tried = 0
 
     def _measure_discrete(self, state, active, decl, rng, cache_key):
         nmax = self.cfg.cutoff
@@ -429,11 +449,18 @@ class _ShotEngine:
             key = (cache_key, mode) if cache_key and not values else None
             plan = self.plan_cache.get(key) if key else None
             if plan is None:
-                plan = _RejectionPlan(state, [local], self.cfg.rejection_safety)
+                plan = _RejectionPlan(state, local)
                 if key:
                     self.plan_cache[key] = plan
             # with modes left, the drawn density is the norm^2 of the projection
-            y, mass, _ = plan.draw(rng)
+            y, mass, tries = plan.draw(rng)
+            self.accepted += 1
+            self.tried += tries
+            if self.accepted >= 100 and self.accepted < MIN_ACCEPT_RATE * self.tried:
+                raise RuntimeError(
+                    f"continuous sampler acceptance rate {self.accepted / self.tried:.2e} "
+                    "below 1e-3; envelope too loose"
+                )
             w = complex(y[0], y[1])
             alpha = np.conj(w)
             values.append(alpha)
@@ -481,7 +508,7 @@ def run_circuit(spec, cfg, final_summary=False):
     deterministic given the seed, and shot i's row does not depend on
     cfg.shots."""
     t0 = time.perf_counter()
-    engine = _ShotEngine(spec, cfg, final_summary)
+    engine = _ShotEngine(spec, cfg, prepare_input(spec.prep, spec.modes), final_summary)
     shots = range(cfg.shots)
     results = [engine.run_shot(shot) for shot in shots]
     rows = tuple((shot, tuple(res[0])) for shot, res in zip(shots, results))

@@ -66,10 +66,9 @@ def _load_circuit(path):
         return circ.parse_circuit(fh.read())
 
 
-def cmd_run(args):
-    spec = _load_circuit(args.circuit)
+def _run_and_write(spec, args, final_summary=False):
     cfg = sp.SamplerConfig(seed=args.seed, shots=args.shots, cutoff=args.cutoff)
-    result = circ.run_circuit(spec, cfg, final_summary=args.final_summary)
+    result = circ.run_circuit(spec, cfg, final_summary=final_summary)
     if args.format == "csv":
         _write(result.outcomes_csv(), args.out)
     else:
@@ -77,26 +76,18 @@ def cmd_run(args):
     return EXIT_OK
 
 
+def cmd_run(args):
+    return _run_and_write(_load_circuit(args.circuit), args, args.final_summary)
+
+
 def cmd_sample(args):
-    state = hio.load_state(args.state)
-    state = st.normalized(state)
-    modes = _parse_modes(args.modes, state.modes)
-    cfg = sp.SamplerConfig(seed=args.seed, shots=args.shots, cutoff=args.cutoff)
-    rows = []
-    if args.kind == "discrete":
-        outs = sp.sample_discrete(state, modes, cfg)
-        for shot, o in enumerate(outs):
-            rows.append((shot, [("m0", "discrete", tuple(modes), o.ns)]))
-    else:
-        outs = sp.sample_continuous(state, modes, cfg)
-        for shot, o in enumerate(outs):
-            rows.append((shot, [("m0", "continuous", tuple(modes), o.alphas)]))
-    if args.format == "csv":
-        _write(hio.outcomes_csv(rows), args.out)
-    else:
-        doc = circ.RunResult(args.seed, args.shots, tuple(rows)).to_dict()
-        _write(_json_dump(doc), args.out)
-    return EXIT_OK
+    # one measurement of the stored state, run as a circuit
+    modes = hio.load_state(args.state).modes
+    measured = [int(v) for v in args.modes.split(",")] if args.modes else range(modes)
+    spec = circ.measurement_circuit(
+        modes, args.kind, measured, prep={"kind": "state_file", "path": args.state}
+    )
+    return _run_and_write(spec, args)
 
 
 def cmd_prob(args):
@@ -249,12 +240,6 @@ def cmd_table3(args):
     return EXIT_OK
 
 
-def _parse_modes(text, modes):
-    if not text:
-        return list(range(modes))
-    return [int(v) for v in text.split(",")]
-
-
 def _add_common(parser, suppress=False):
     # Subparsers register the same flags with SUPPRESS defaults so the flags
     # work both before and after the subcommand.
@@ -264,7 +249,11 @@ def _add_common(parser, suppress=False):
         help="RNG seed (default HQC_SEED or 0)",
     )
     parser.add_argument("--shots", type=int, default=s if suppress else 1000)
-    parser.add_argument("--cutoff", type=int, default=s if suppress else 30)
+    parser.add_argument(
+        "--cutoff", type=int, default=s if suppress else 30,
+        help="photon cutoff: per measured mode for run and sample, "
+        "total degree for prob",
+    )
     parser.add_argument(
         "--out", default=s if suppress else None, help="output path (default stdout)"
     )

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import calogero as cm
 from . import multimode as mm
-from .states import GaussPart, PolyPart, StellarState, poly_coeffs_1m
+from .states import from_zeros, poly_coeffs_1m
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,7 @@ class ZeroTrajectory:
 
     def state_at(self, i):
         a, b, c = self.gauss_path[i]
-        return _state_from_monic(self.zeros[:, i], a, b, c)
+        return from_zeros(self.zeros[:, i], a, b, c)
 
 
 def _factor_poly(state):
@@ -112,17 +112,6 @@ def _monic_form(state):
     lead, zeros = _factor_poly(state)
     g = state.gauss
     return zeros, complex(g.A[0, 0]), complex(g.B[0]), complex(g.C) + np.log(lead)
-
-
-def _state_from_monic(zeros, a, b, c_eff):
-    """State with monic polynomial over the zeros and exp(c_eff) absorbed."""
-    poly = np.array([1.0 + 0j])
-    for z0 in zeros:
-        poly = np.convolve(poly, np.array([-complex(z0), 1.0]))
-    coeffs = {(k,): poly[k] for k in range(poly.size)}
-    return StellarState.make(
-        1, PolyPart.make(coeffs), GaussPart.make([[a]], [b], c_eff, check=False)
-    )
 
 
 def initial_velocities(zeros, a, b, hamiltonian):
@@ -223,9 +212,10 @@ def evolve(state, hamiltonian, t):
         warnings.warn("zero collision in closed-form evolution; using the section engine",
                       stacklevel=2)
     a = complex(state.gauss.A[0, 0])
-    return mm._section_gate(
-        state, 0, *mm._mode_exponents(a, complex(hamiltonian.xi), float(hamiltonian.phi), t)
+    a_new, b_scale, kappa, c_const, _, nu = mm._mode_exponents(
+        a, complex(hamiltonian.xi), float(hamiltonian.phi), t
     )
+    return mm._section_gate(state, 0, a_new, b_scale, kappa, c_const, nu)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,7 +194,7 @@ def _transport_table(dk, qn):
     return out
 
 
-def _section_gate(state, mode, a_new, b_scale, kappa, c_const, mu, nu):
+def _section_gate(state, mode, a_new, b_scale, kappa, c_const, nu):
     """Shared single-mode-gate engine on mode k of a multimode state.
 
     Gaussian section update: a' = a_new, the section's linear coefficient
@@ -204,7 +203,9 @@ def _section_gate(state, mode, a_new, b_scale, kappa, c_const, mu, nu):
 
     Polynomial update: z_k -> mu z_k + nu (d/dz_k + l), l = B'_k - (A' z)_k, i.e.
     P = sum_d z_k^d Q_d goes to sum_d Q_d T^d(1) with T = alpha z_k + nu d/dz_k
-    + nu s', alpha = mu - nu a' and s' the new section coefficient. As
+    + nu s', alpha = mu - nu a' and s' the new section coefficient. For a
+    Gaussian flow det exp(tK) = 1 makes alpha = b_scale exactly, which is what
+    the kernel uses: mu - nu a' cancels when |nu| is large. As
     [d/dz_k, z_k] = 1, T^d(1) = d! [x^d] exp(x (alpha z_k + nu s') + x^2 alpha nu / 2)
     = sum_{q,p} t[d, q, p] s'^q z_k^p with j = (d - q - p) / 2 and
     t[d, q, p] = d! / (j! q! p!) (alpha nu / 2)^j nu^q alpha^p. On a dense
@@ -239,7 +240,7 @@ def _section_gate(state, mode, a_new, b_scale, kappa, c_const, mu, nu):
         Q[idx] = c
     Q = Q.swapaxes(0, k)  # z_k on axis 0
     qn = dk + 1 if nu else 1  # powers of s' in T^d(1)
-    alpha = mu - nu * a_new
+    alpha = b_scale
     coef, j, n = _transport_table(dk, qn)
     t = coef * ((0.5 * alpha * nu) ** n)[j] * ((nu ** n[:qn])[:, None] * alpha ** n)
     # einsum, not a BLAS matmul: threaded OpenBLAS stalls for ms on some shapes
@@ -276,7 +277,8 @@ def _omega2(xi, phi):
 
 def _mode_exponents(a, xi, phi, t=1.0):
     """Flow of exp(tK), K = [[i phi, -xi], [-conj(xi), -i phi]], on a mode with
-    diagonal exponent a: (a_new, b_scale, kappa, c_const, mu, nu) of ``_section_gate``.
+    diagonal exponent a: (a_new, b_scale, kappa, c_const, mu, nu); all but mu are
+    the arguments of ``_section_gate``.
 
     exp(tK) = fc I + fs K, with (fc, fs) from ``calogero._propagator``. a moves
     by its Moebius map with denominator y = fc - (conj(xi) a + i phi) fs, b
@@ -311,8 +313,8 @@ def apply_mode_gate(state, gate):
     if xi == 0 and phi == 0:
         return state
     a = complex(state.gauss.A[gate.mode, gate.mode])
-    a_new, b_scale, kappa, c_const, mu, nu = _mode_exponents(a, xi, phi)
-    return _section_gate(state, gate.mode, a_new, b_scale, kappa, c_const + phase, mu, nu)
+    a_new, b_scale, kappa, c_const, _, nu = _mode_exponents(a, xi, phi)
+    return _section_gate(state, gate.mode, a_new, b_scale, kappa, c_const + phase, nu)
 
 
 def apply_create(state, mode):
@@ -353,8 +355,9 @@ def takagi(A, rounding=13):
     """Autonne-Takagi factorization A = W diag(s) W^T of a complex symmetric A.
 
     Returns (s, W) with s real non-negative descending and W unitary.
-    Degenerate singular values are handled subspace by subspace; an exactly
-    singular/degenerate failure falls back to a tiny symmetric perturbation.
+    Degenerate singular values are handled subspace by subspace. Raises
+    RuntimeError, naming the residual max|W diag(s) W^T - A|, when the
+    factorization misses A by more than 1e-8 (relative to max(1, max|A|)).
     """
     # imported on use: loading scipy at import more than doubles the time and
     # resident memory of `import hqcsim` (0.27 -> 0.67 s, 30 -> 61 MB, 2 cores)
@@ -379,14 +382,11 @@ def takagi(A, rounding=13):
     for blk in blocks:
         qs.append(sqrtm(v[:, blk].T @ w[:, blk]))
     W = v @ np.conj(block_diag(*qs))
-    if np.max(np.abs(W @ np.diag(s) @ W.T - A)) > 1e-8 * max(1.0, np.max(np.abs(A))):
-        # perturbation fallback for pathologically degenerate inputs
-        warnings.warn("takagi: degenerate input, applying tiny symmetric perturbation",
-                      stacklevel=2)
-        rng = np.random.default_rng(0)
-        pert = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        pert = 1e-11 * (pert + pert.T)
-        return takagi(A + pert, rounding)
+    residual = np.max(np.abs(W @ np.diag(s) @ W.T - A))
+    if residual > 1e-8 * max(1.0, np.max(np.abs(A))):
+        raise RuntimeError(
+            f"takagi factorization failed: residual max|W diag(s) W^T - A| = {residual:.3e}"
+        )
     return s, W
 
 

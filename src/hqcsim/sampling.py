@@ -4,14 +4,15 @@ post-measurement projections, permanents, and transition probabilities.
 Outcome convention: continuous outcomes follow physical heterodyne detection,
 i.e. the outcome alpha is distributed by the Husimi density
 exp(-|alpha|^2) |F(alpha*)|^2 / pi^m and the post-measurement state fixes the
-measured variables at the conjugated outcomes. Sampling is by rejection from
-an inflated Gaussian fitted to the Gaussian part of the state, with per-shot
-counter-based substreams so results are reproducible under any parallel
-schedule. The target density of a partial measurement is the Bargmann norm of
-the coherent projection, evaluated in closed form for a whole batch of
-outcomes at once; every target is computed in the log domain and
-exponentiated once. A target that is NaN or exceeds the envelope raises
-RuntimeError instead of biasing the sample.
+measured variables at the conjugated outcomes. Every sampler runs the shot
+engine of ``circuits``: modes are measured one at a time, and shot i draws
+from its own counter-based substream, so its outcomes do not depend on how
+many shots are made. A heterodyne draw is by rejection from an inflated
+Gaussian fitted to the Gaussian part of the state. The target density of a
+partial measurement is the Bargmann norm of the coherent projection,
+evaluated in closed form for a whole batch of outcomes at once; every target
+is computed in the log domain and exponentiated once. A target that is NaN or
+exceeds the envelope raises RuntimeError instead of biasing the sample.
 """
 
 from __future__ import annotations
@@ -38,13 +39,14 @@ from .states import (
 
 RYSER_LIMIT = 20
 PROPOSAL_INFLATION = 1.5
+REJECTION_SAFETY = 1.5  # envelope factor over the largest probed density ratio
+MAX_TRIES = 20000  # proposal points per draw before the sampler gives up
 MIN_ACCEPT_RATE = 1e-3
 
 
 @dataclass(frozen=True)
 class ContinuousOutcome:
     alphas: tuple
-    density_value: float
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,12 @@ class DiscreteOutcome:
 class SamplerConfig:
     seed: int = 0
     shots: int = 1
-    rejection_safety: float = 1.5
     cutoff: int = 30
 
 
 def shot_rng(seed, shot):
-    """Counter-based generator for one shot; independent of thread schedule."""
+    """Counter-based generator for one shot: its draws do not depend on which
+    other shots run, or in what order."""
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(shot)])
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -189,58 +191,25 @@ def fock_probabilities(state, cutoff, loss_tol=1e-8):
     return {idx: float(abs(a) ** 2) for idx, a in sorted(arr.amplitudes.items())}
 
 
-class _ChainSampler:
-    """Mode-by-mode exact sampling from grouped joint Fock probabilities."""
+def _engine_run(state, kind, modes, cfg):
+    """The shot engine after cfg.shots shots of one ``kind`` measurement of
+    ``modes`` on ``state``, and each shot's outcome values."""
+    from .circuits import _ShotEngine, measurement_circuit
 
-    def __init__(self, state, modes, cutoff):
-        self.modes = [int(k) for k in modes]
-        probs = fock_probabilities(state, cutoff)
-        self.joint = [
-            (tuple(idx[k] for k in self.modes), p) for idx, p in probs.items()
-        ]
-        self.total = sum(p for _, p in self.joint)
-        self._cond_cache = {}
-
-    def conditional(self, prefix):
-        """Distribution of the next mode's count given a measured prefix."""
-        if prefix not in self._cond_cache:
-            level = len(prefix)
-            masses = {}
-            for key, p in self.joint:
-                if key[:level] == prefix:
-                    masses[key[level]] = masses.get(key[level], 0.0) + p
-            total = sum(masses.values())
-            vals = sorted(masses)
-            cdf = np.cumsum([masses[v] / total for v in vals])
-            self._cond_cache[prefix] = (vals, cdf)
-        return self._cond_cache[prefix]
-
-    def draw(self, rng):
-        prefix = ()
-        for _ in self.modes:
-            vals, cdf = self.conditional(prefix)
-            u = rng.random()
-            prefix = prefix + (vals[int(np.searchsorted(cdf, u))],)
-        return prefix
+    spec = measurement_circuit(state.modes, kind, modes)
+    engine = _ShotEngine(spec, cfg, require_normalized(state))
+    return engine, [engine.run_shot(shot)[0][0][3] for shot in range(cfg.shots)]
 
 
 def sample_discrete(state, modes, cfg):
-    """Photon-number outcomes on the given modes, chain-sampled per shot.
-
-    Deterministic given the seed: shot i uses the substream keyed (seed, i).
+    """Photon-number outcomes on the given modes, drawn by the shot engine:
+    one mode at a time from the Fock projections, with at most cfg.cutoff
+    photons per mode. Deterministic given the seed: shot i uses the substream
+    keyed (seed, i). Raises RuntimeError when the cutoff captures less than
+    1 - 1e-6 of a mode's distribution.
     """
-    sampler = _ChainSampler(require_normalized(state), modes, cfg.cutoff)
-    if sampler.total < 1.0 - 1e-6:
-        warnings.warn(
-            f"discrete sampling cutoff {cfg.cutoff} captures only "
-            f"{sampler.total:.9f} of the distribution",
-            stacklevel=2,
-        )
-    out = []
-    for shot in range(cfg.shots):
-        rng = shot_rng(cfg.seed, shot)
-        out.append(DiscreteOutcome(sampler.draw(rng)))
-    return out
+    _, values = _engine_run(state, "discrete", modes, cfg)
+    return [DiscreteOutcome(ns) for ns in values]
 
 
 # ---------------------------------------------------------------------------
@@ -263,17 +232,16 @@ def _husimi_gaussian_moments(gauss):
 
 
 class _RejectionPlan:
-    """Envelope data for rejection sampling of measured modes of a state."""
+    """Envelope data for rejection sampling of one measured mode of a state."""
 
-    def __init__(self, state, modes, safety):
+    def __init__(self, state, mode):
         self.state = state
-        self.modes = [int(k) for k in modes]
-        self.k = len(self.modes)
-        self.full = self.k == state.modes
+        self.mode = int(mode)
+        self.full = state.modes == 1
         if not self.full:
             self._build_marginal()
         mean, cov0 = _husimi_gaussian_moments(state.gauss)
-        sel = self.modes + [state.modes + k for k in self.modes]
+        sel = [self.mode, state.modes + self.mode]
         self.mean = mean[sel]
         cov = PROPOSAL_INFLATION * cov0[np.ix_(sel, sel)]
         self.chol = np.linalg.cholesky(cov)
@@ -281,13 +249,13 @@ class _RejectionPlan:
         self.log_norm = -0.5 * (
             np.linalg.slogdet(2 * np.pi * cov)[1]
         )
-        self.log_env = self._estimate_envelope(safety)
+        self.log_env = self._estimate_envelope()
 
     def _build_marginal(self):
         """The w-independent data of the closed-form marginal (see ``target``)."""
         g = self.state.gauss
-        I = self.modes
-        R = [k for k in range(self.state.modes) if k not in I]
+        I = [self.mode]
+        R = [k for k in range(self.state.modes) if k != self.mode]
         A_R = g.A[np.ix_(R, R)]
         self.A_RI = g.A[np.ix_(R, I)]
         self.A_II = g.A[np.ix_(I, I)]
@@ -295,22 +263,23 @@ class _RejectionPlan:
         self.K, roots = _bargmann_kernel(A_R, A_R)
         self.log_root = float(np.sum(np.log(roots)).real)
         # P(w, z_R) = sum_t c_t w^(e_t) z_R^(f_t): the exponents e_t of the
-        # measured variables, and c_t scattered onto the moment index of f_t
+        # measured variable, and c_t scattered onto the moment index of f_t
         terms = self.state.poly.coeffs
         self.index = _moment_index(len(R), max(sum(n[k] for k in R) for n in terms))
-        self.exps = np.array([[n[k] for k in I] for n in terms])
+        self.exps = np.array([[n[self.mode] for n in terms]])
         self.coef = np.zeros((len(terms), self.index.size), dtype=complex)
         for t, (n, c) in enumerate(terms.items()):
             self.coef[t, self.index.pos[tuple(n[k] for k in R)]] = c
 
     def target(self, W):
-        """Joint outcome density (up to pi^k) at conjugated outcomes w, batched.
+        """Outcome density (up to pi) at conjugated outcomes w, batched: W
+        holds one point per row.
 
         Computed in the log domain and exponentiated once, so no intermediate
-        overflows. A full measurement gives exp(2 log|P(w)| + 2 Re E(w) - |w|^2)
-        with E the Gaussian exponent. A partial one (modes I measured, R left)
-        is the Bargmann norm^2 of the coherent projection in closed form: with
-        B_R(w) = B_R - A_RI w, const(w) = C + B_I w - w^T A_II w / 2 - |w|^2 / 2,
+        overflows. With no mode left it is exp(2 log|P(w)| + 2 Re E(w) - |w|^2)
+        with E the Gaussian exponent. Otherwise (mode I measured, modes R left)
+        it is the Bargmann norm^2 of the coherent projection in closed form:
+        with B_R(w) = B_R - A_RI w, const(w) = C + B_I w - A_II w^2 / 2 - |w|^2 / 2,
         p(w) the coefficients of P(w, .) over the rest monomials,
         L = (conj B_R(w), B_R(w)) and mu = K L (``states.inner_product`` with
         s1 = s2 = the projection; K and the eigenvalue roots do not depend on w),
@@ -320,8 +289,7 @@ class _RejectionPlan:
         """
         W = np.atleast_2d(W)
         if self.full:
-            col = {mode: pos for pos, mode in enumerate(self.modes)}
-            zgrids = [W[:, col[j]] for j in range(self.state.modes)]
+            zgrids = [W[:, 0]]
             with np.errstate(divide="ignore"):  # a zero of P has log -inf
                 log_p = np.log(np.abs(self.state.poly.evaluate_grid(zgrids)))
             return np.exp(
@@ -336,7 +304,7 @@ class _RejectionPlan:
         )
         L = np.concatenate([np.conj(BR), BR], axis=1)
         mu = L @ self.K  # K is symmetric
-        p = np.prod(W[:, None, :] ** self.exps, axis=2) @ self.coef
+        p = (W ** self.exps) @ self.coef
         T = _wick_moments(mu, self.K, self.index, self.index)
         s = np.einsum("na,nab,nb->n", np.conj(p), T, p).real
         with np.errstate(divide="ignore"):  # rounding can leave s <= 0 at a zero
@@ -351,60 +319,47 @@ class _RejectionPlan:
         return self.log_norm - 0.5 * q
 
     def _ratio_max(self, Y):
-        t = self.target(_y_to_w(Y, self.k))
+        t = self.target(_y_to_w(Y))
         lq = self.proposal_logpdf(Y)
         with np.errstate(divide="ignore"):
             r = np.log(t) - lq
         return float(np.max(r[np.isfinite(r)], initial=-np.inf))
 
-    def _estimate_envelope(self, safety):
-        sig = np.sqrt(np.diag(self.chol @ self.chol.T))
+    def _estimate_envelope(self):
+        """REJECTION_SAFETY times the largest target/proposal ratio found on a
+        +-5 sigma grid (41 points per axis with no mode left, else 21) and on
+        outer probe rings (200 or 40 points) that catch polynomial growth."""
         if self.state.poly.degree() == 0:
             # Gaussian target with the same mean as the proposal: the density
             # ratio peaks exactly at the mean.
-            return math.log(safety) + self._ratio_max(self.mean[None, :])
-        best = -np.inf
-        if self.full and self.k <= 2:
-            axes = [
-                np.linspace(self.mean[i] - 5 * sig[i], self.mean[i] + 5 * sig[i], 41)
-                for i in range(2 * self.k)
-            ]
-            grids = np.meshgrid(*axes, indexing="ij")
-            Y = np.stack([g.ravel() for g in grids], axis=1)
-            best = max(best, self._ratio_max(Y))
-        elif self.k == 1:
-            axes = [
-                np.linspace(self.mean[i] - 5 * sig[i], self.mean[i] + 5 * sig[i], 21)
-                for i in range(2)
-            ]
-            grids = np.meshgrid(*axes, indexing="ij")
-            Y = np.stack([g.ravel() for g in grids], axis=1)
-            best = max(best, self._ratio_max(Y))
-        else:
-            rng = np.random.default_rng(12345)
-            Y = self.mean + rng.standard_normal((4000, 2 * self.k)) @ (2.0 * self.chol.T)
-            best = max(best, self._ratio_max(Y))
-        # polynomial growth check on outer rings
+            return math.log(REJECTION_SAFETY) + self._ratio_max(self.mean[None, :])
+        sig = np.sqrt(np.diag(self.chol @ self.chol.T))
+        n_axis, n_ring = (41, 200) if self.full else (21, 40)
+        axes = [
+            np.linspace(self.mean[i] - 5 * sig[i], self.mean[i] + 5 * sig[i], n_axis)
+            for i in range(2)
+        ]
+        grids = np.meshgrid(*axes, indexing="ij")
+        best = self._ratio_max(np.stack([g.ravel() for g in grids], axis=1))
         rng = np.random.default_rng(54321)
-        n_ring = 200 if self.full else 40
         for radius in (6.0, 8.0, 12.0):
-            D = rng.standard_normal((n_ring, 2 * self.k))
+            D = rng.standard_normal((n_ring, 2))
             D /= np.linalg.norm(D, axis=1, keepdims=True)
-            Y = self.mean + radius * D * sig
-            best = max(best, self._ratio_max(Y))
-        return math.log(safety) + best
+            best = max(best, self._ratio_max(self.mean + radius * D * sig))
+        return math.log(REJECTION_SAFETY) + best
 
-    def draw(self, rng, max_tries=20000):
+    def draw(self, rng):
         """One accepted proposal point y, its target density and the points
         tried. Raises RuntimeError when a target is NaN or exceeds the
-        envelope, since the sample would then be biased."""
+        envelope, since the sample would then be biased, or when MAX_TRIES
+        points bring no acceptance."""
         tries = 0
-        while tries < max_tries:
+        while tries < MAX_TRIES:
             batch = 32
-            Z = rng.standard_normal((batch, 2 * self.k))
+            Z = rng.standard_normal((batch, 2))
             Y = self.mean + Z @ self.chol.T
             U = rng.random(batch)
-            t = self.target(_y_to_w(Y, self.k))
+            t = self.target(_y_to_w(Y))
             thresh = np.exp(self.log_env + self.proposal_logpdf(Y))
             bad = ~(t <= thresh)
             if bad.any():
@@ -422,40 +377,28 @@ class _RejectionPlan:
         raise RuntimeError("rejection sampler failed to accept; envelope too loose")
 
 
-def _y_to_w(Y, k):
-    return Y[:, :k] + 1j * Y[:, k:]
+def _y_to_w(Y):
+    """Conjugated outcomes w = y_0 + i y_1, one per row."""
+    return Y[:, :1] + 1j * Y[:, 1:]
 
 
 def sample_continuous(state, modes, cfg, stats=None):
-    """Heterodyne outcomes on the given modes by exact rejection sampling.
+    """Heterodyne outcomes on the given modes, drawn by the shot engine one
+    mode at a time, each by exact rejection sampling (``_RejectionPlan``).
 
     The proposal is the Gaussian-part Husimi with inflated covariance; the
-    envelope constant is the configured safety factor times the largest
-    density ratio found on a grid plus outer probe rings. The target is the
-    closed-form marginal density of ``_RejectionPlan.target``, batched and in
-    the log domain. Raises RuntimeError if a proposal point's target is NaN or
-    exceeds the envelope, or if the acceptance rate falls below 1e-3.
+    envelope constant is REJECTION_SAFETY times the largest density ratio
+    found on a grid plus outer probe rings. The target is the closed-form
+    marginal density of ``_RejectionPlan.target``, batched and in the log
+    domain. Raises RuntimeError if a proposal point's target is NaN or exceeds
+    the envelope, or if the acceptance rate falls below 1e-3. ``stats``, when
+    given, receives the acceptance rate and the proposal points drawn.
     """
-    require_normalized(state)
-    plan = _RejectionPlan(state, modes, cfg.rejection_safety)
-    out = []
-    total_draws = 0
-    for shot in range(cfg.shots):
-        rng = shot_rng(cfg.seed, shot)
-        y, dens, draws = plan.draw(rng)
-        total_draws += draws
-        w = y[: plan.k] + 1j * y[plan.k:]
-        alphas = tuple(np.conj(w))
-        out.append(ContinuousOutcome(alphas, dens / np.pi**plan.k))
-        if shot >= 99 and (shot + 1) / total_draws < MIN_ACCEPT_RATE:
-            raise RuntimeError(
-                f"continuous sampler acceptance rate {(shot + 1) / total_draws:.2e} "
-                "below 1e-3; envelope too loose"
-            )
+    engine, values = _engine_run(state, "continuous", modes, cfg)
     if stats is not None:
-        stats["acceptance_rate"] = cfg.shots / total_draws if total_draws else 1.0
-        stats["draws"] = total_draws
-    return out
+        stats["acceptance_rate"] = engine.accepted / engine.tried if engine.tried else 1.0
+        stats["draws"] = engine.tried
+    return [ContinuousOutcome(alphas) for alphas in values]
 
 
 def sample_homodyne(state, mode, cfg, r_hom=3.0, stats=None):

@@ -198,7 +198,8 @@ class TestRun:
         keyed by (discrete history, mode, values drawn so far)."""
         doc = make_doc(3, {"kind": "fock_pattern", "pattern": [2, 1, 1]}, entries)
         spec = circ.parse_circuit(json.dumps(doc))
-        engine = circ._ShotEngine(spec, SamplerConfig(seed=3, shots=shots, cutoff=8))
+        engine = circ._ShotEngine(spec, SamplerConfig(seed=3, shots=shots, cutoff=8),
+                                  circ.prepare_input(spec.prep, spec.modes))
         for shot in range(shots):
             engine.run_shot(shot)
         return {

@@ -134,6 +134,21 @@ class TestStateCommands:
         assert cli.main(["decompose", str(path)]) == cli.EXIT_VALIDATION
         assert "unexpected gate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, modes, message", [
+        ("discrete", "5", "mode index 5 out of range"),
+        ("discrete", "0,0", "mode 0 measured twice"),
+        ("continuous", "0,0", "mode 0 measured twice"),
+    ])
+    def test_sample_bad_modes(self, tmp_path, capsys, kind, modes, message):
+        from hqcsim import cli
+
+        path = tmp_path / "v2.json"
+        hio.save_state(st.StellarState.vacuum(2), path)
+        rc = cli.main(["sample", str(path), "--kind", kind, "--modes", modes, "--shots", "2"])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_sample_deterministic(self, fock2_path):
         r1 = run_cli("sample", fock2_path, "--kind", "discrete", "--shots", "40",
                      "--seed", "3", "--format", "csv")

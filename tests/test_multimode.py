@@ -207,13 +207,15 @@ class TestGatesPinned:
             for x, y in zip(new, prev):
                 assert abs(x - y) <= 1e-14 * max(1.0, abs(y))
             got = mm.apply_gate(s, gate)
-            # at |s| ~ 100 the transport turns one ulp of a_new into up to
-            # 5e-12 of P, so the pin is 1e-12 or twice that sensitivity
-            new[0] *= 1.0 + 2.0**-52
-            nudged = mm._section_gate(s, mode, *new)
-            sens = max(abs(nudged.poly.coeffs.get(k, 0j) - c) for k, c in got.poly.coeffs.items())
-            rel = max(1e-12, 2.0 * sens / got.poly.max_abs())
-            assert_states_close(got, mm._section_gate(s, mode, *prev), rel=rel)
+            a_new, b_scale, kappa, c_const, _, nu = prev
+            ref = mm._section_gate(s, mode, a_new, b_scale, kappa, c_const, nu)
+            assert_states_close(got, ref, rel=1e-12)
+            # the transport uses b_scale, not mu - nu a_new, so one ulp of
+            # a_new does not move P (it moved P by up to 5e-12 at |s| ~ 100)
+            nudged = a_new * (1.0 + 2.0**-52)
+            assert_states_close(
+                mm._section_gate(s, mode, nudged, b_scale, kappa, c_const, nu), ref, rel=1e-12
+            )
 
 
 class TestShearPhaseMode:
@@ -231,10 +233,12 @@ class TestShearPhaseMode:
         assert out.poly.coeffs[(2, 0)] == pytest.approx(-1 / np.sqrt(2))
 
 
-def _section_gate_reference(state, mode, a_new, b_scale, kappa, c_const, mu, nu):
+def _section_gate_reference(state, mode, a_new, b_scale, kappa, c_const, nu):
     """The dict-polynomial section engine: (mu z_k + nu (d/dz_k + l))^d built
-    by repeated ``PolyPart.multiplied`` calls, entry by entry exponent loops.
-    The reference for the dense transport kernel of ``multimode._section_gate``."""
+    by repeated ``PolyPart.multiplied`` calls, entry by entry exponent loops,
+    with mu = b_scale + nu a_new (det exp(tK) = 1). The reference for the
+    dense transport kernel of ``multimode._section_gate``."""
+    mu = b_scale + nu * a_new
     m = state.modes
     k = mode
     g = state.gauss
@@ -402,6 +406,15 @@ class TestTakagi:
         A = np.diag([0.5, 0.5])
         s, W = mm.takagi(A)
         np.testing.assert_allclose(W @ np.diag(s) @ W.T, A, atol=1e-10)
+
+    def test_failed_factorization_names_residual(self, rng, monkeypatch):
+        import scipy.linalg
+
+        X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        # a wrong square root of each block makes W diag(s) W^T miss A
+        monkeypatch.setattr(scipy.linalg, "sqrtm", lambda M: 2.0 * np.eye(M.shape[0]))
+        with pytest.raises(RuntimeError, match=r"residual max\|W diag\(s\) W\^T - A\| = "):
+            mm.takagi(0.3 * (X + X.T))
 
 
 class TestDecompositions:

@@ -272,18 +272,17 @@ def _projected_mass(state, modes, alphas):
 
 class TestRejectionPlan:
     @settings(max_examples=30)
-    @given(hst.integers(2, 3), hst.integers(0, 3), hst.data(), hst.integers(0, 2**32 - 1))
+    @given(hst.integers(1, 3), hst.integers(0, 3), hst.data(), hst.integers(0, 2**32 - 1))
     def test_marginal_matches_projection(self, modes, rank, data, seed):
-        measured = data.draw(hst.lists(hst.integers(0, modes - 1), min_size=1,
-                                       max_size=modes - 1, unique=True))
+        # modes = 1 measures the last mode: the full-measurement target
+        mode = data.draw(hst.integers(0, modes - 1))
         rng = np.random.default_rng(seed)
         s = st.normalized(random_state(rng, modes, rank))
-        plan = sp._RejectionPlan(s, measured, 1.5)
-        k = len(measured)
+        plan = sp._RejectionPlan(s, mode)
         # points out to twice the proposal's spread
-        Y = plan.mean + rng.standard_normal((16, 2 * k)) @ (2.0 * plan.chol.T)
-        W = Y[:, :k] + 1j * Y[:, k:]
-        expect = np.array([_projected_mass(s, measured, np.conj(w)) for w in W])
+        Y = plan.mean + rng.standard_normal((16, 2)) @ (2.0 * plan.chol.T)
+        W = Y[:, :1] + 1j * Y[:, 1:]
+        expect = np.array([_projected_mass(s, [mode], np.conj(w)) for w in W])
         np.testing.assert_allclose(plan.target(W), expect, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("modes", [[0], [1]])
@@ -294,7 +293,7 @@ class TestRejectionPlan:
         if modes == [1]:
             s = st.normalized(sp.project_coherent(s, [0], [0.3 - 0.2j]))
             modes = [0]
-        plan = sp._RejectionPlan(s, modes, 1.5)
+        plan = sp._RejectionPlan(s, modes[0])
         plan.draw(sp.shot_rng(0, 0))
         plan.log_env -= 5.0
         with pytest.raises(RuntimeError, match="envelope violated"):
@@ -332,6 +331,18 @@ class TestDiscreteSampler:
         top = sorted(joint, key=joint.get, reverse=True)[:20]
         tv = 0.5 * sum(abs(emp.get(k, 0.0) - joint[k]) for k in top)
         assert tv <= 4 * math.sqrt(20 / cfg.shots)
+
+    def test_cutoff_loss_raises(self):
+        # the cutoff caps photons per mode; a coherent state with mean 9
+        # photons keeps far more than 1e-6 of its mass above 5
+        with pytest.raises(RuntimeError, match="captures only"):
+            sp.sample_discrete(coherent_state(3.0), [0], sp.SamplerConfig(shots=1, cutoff=5))
+
+    @pytest.mark.parametrize("modes, match", [([2], "mode index 2 out of range"),
+                                              ([0, 0], "mode 0 measured twice")])
+    def test_bad_modes_rejected(self, modes, match):
+        with pytest.raises(ValueError, match=match):
+            sp.sample_discrete(st.StellarState.vacuum(2), modes, sp.SamplerConfig())
 
 
 class TestContinuousSampler:
@@ -383,6 +394,30 @@ class TestContinuousSampler:
         # thermal marginal: E[|alpha|^2] = 1 + sinh^2(r) with lam = tanh(r)
         nbar = lam**2 / (1 - lam**2)
         assert np.mean(np.abs(al) ** 2) == pytest.approx(1 + nbar, abs=0.05)
+
+    def test_two_mode_squeezed_vacuum(self):
+        # F = exp(lam z0 z1): E|alpha_k|^2 = 1/(1 - lam^2) and
+        # E[alpha0 alpha1] = lam/(1 - lam^2), drawn one mode after the other
+        import json
+
+        from hqcsim import circuits as circ
+        from hqcsim import io as hio
+
+        lam = 0.4
+        s = _two_mode_squeezed(lam)
+        cfg = sp.SamplerConfig(seed=11, shots=2000)
+        outs = sp.sample_continuous(s, [0, 1], cfg)
+        doc = {"schema": circ.SCHEMA, "modes": 2,
+               "prep": {"kind": "state", "state": hio.state_to_dict(s)},
+               "circuit": [{"measure": "continuous", "modes": [0, 1], "name": "a"}]}
+        rows = circ.run_circuit(circ.parse_circuit(json.dumps(doc)), cfg).rows
+        ran = [records[0][3] for _, records in rows]
+        for al in (np.array([o.alphas for o in outs]), np.array(ran)):
+            for x, expect in ((np.abs(al[:, 0]) ** 2, 1 / (1 - lam**2)),
+                              (np.abs(al[:, 1]) ** 2, 1 / (1 - lam**2)),
+                              (al[:, 0] * al[:, 1], lam / (1 - lam**2))):
+                err = np.std(x) / math.sqrt(cfg.shots)
+                assert abs(np.mean(x) - expect) < 6 * err
 
     def test_requires_normalized(self):
         with pytest.raises(ValueError, match="normalized"):
