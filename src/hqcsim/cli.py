@@ -10,6 +10,7 @@ numeric-tolerance failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,17 +49,9 @@ def _write(text, out_path):
 
 
 def _json_dump(doc):
-    return json.dumps(_round_floats(doc), indent=1, sort_keys=True) + "\n"
-
-
-def _round_floats(node):
-    if isinstance(node, float):
-        return float(hio.fmt(node))
-    if isinstance(node, dict):
-        return {k: _round_floats(v) for k, v in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_round_floats(v) for v in node]
-    return node
+    # json writes each float as its shortest round-trip repr: the same value
+    # a 17-significant-digit form gives
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def _load_circuit(path):
@@ -262,7 +255,9 @@ def _add_common(parser, suppress=False):
     )
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser; built once, as parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hqcsim",
         description="Holomorphic-representation bosonic circuit simulator",

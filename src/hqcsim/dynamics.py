@@ -223,23 +223,20 @@ def evolve(state, hamiltonian, t):
 # ---------------------------------------------------------------------------
 
 def _system_derivative(y, n, hamiltonian):
-    al, xi, phi = hamiltonian.alpha, hamiltonian.xi, hamiltonian.phi
-    xis = np.conj(xi)
-    a, b = y[0], y[1]
+    # Python scalars: their arithmetic costs far less than numpy's
+    al, xi, phi = complex(hamiltonian.alpha), complex(hamiltonian.xi), hamiltonian.phi
+    xis, alc = xi.conjugate(), al.conjugate()
+    a, b = complex(y[0]), complex(y[1])
     lam = y[3 : 3 + n]
-    vel = y[3 + n :]
-    da = xis * a * a + 2j * phi * a - xi
-    db = (1j * phi + xis * a) * b + al + np.conj(al) * a
-    dc = 0.5 * xis * a - 0.5 * xis * b * b - np.conj(al) * b + n * (xis * a + 1j * phi)
-    dlam = vel
-    dvel = (abs(xi) ** 2 - phi**2) * lam + (xis * al - 1j * phi * np.conj(al))
+    out = np.empty_like(y)
+    out[0] = xis * a * a + 2j * phi * a - xi
+    out[1] = (1j * phi + xis * a) * b + al + alc * a
+    out[2] = 0.5 * xis * a - 0.5 * xis * b * b - alc * b + n * (xis * a + 1j * phi)
+    out[3 : 3 + n] = y[3 + n :]
+    out[3 + n :] = (abs(xi) ** 2 - phi**2) * lam + (xis * al - 1j * phi * alc)
     if n > 1 and xi:
-        diff = lam[:, None] - lam[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv3 = diff**-3
-        np.fill_diagonal(inv3, 0.0)
-        dvel = dvel - 2.0 * xis**2 * np.sum(inv3, axis=1)
-    return np.concatenate(([da, db, dc], dlam, dvel))
+        out[3 + n :] -= 2.0 * xis**2 * cm._inverse_cubes(lam)
+    return out
 
 
 def ode_evolve(state, hamiltonian, t, dt=None):

@@ -152,15 +152,6 @@ def fock_oracle_apply(arr, gate, cutoff=None, loss_tol=1e-6):
     return basis.to_fock_array(v1, truncation_loss=loss)
 
 
-def state_vector_overlap(u, v):
-    """Normalized squared overlap of two coefficient vectors."""
-    nu = np.vdot(u, u).real
-    nv = np.vdot(v, v).real
-    if nu == 0 or nv == 0:
-        return 0.0
-    return float(abs(np.vdot(u, v)) ** 2 / (nu * nv))
-
-
 def reduced_purity(arr, part_modes):
     """Purity of the reduced state on ``part_modes`` from a pure FockArray.
 

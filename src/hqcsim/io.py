@@ -79,38 +79,32 @@ def fock_array_csv(arr):
     return "\n".join(lines) + "\n"
 
 
+def _time_table_csv(header, times, columns):
+    """CSV of the times and the Re/Im parts of ``columns`` (one complex row per time)."""
+    table = np.empty((len(times), 1 + 2 * columns.shape[1]))
+    table[:, 0] = times
+    table[:, 1::2] = columns.real
+    table[:, 2::2] = columns.imag
+    row = ",".join(["{:.17g}"] * table.shape[1])
+    rows = [row.format(*values) for values in table.tolist()]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
 def trajectory_csv(traj):
     """Columns t, Re/Im of each zero, then Re/Im of a, b, c."""
-    n = traj.n_zeros
     header = ["t"]
-    for k in range(n):
+    for k in range(traj.n_zeros):
         header += [f"re_lambda{k + 1}", f"im_lambda{k + 1}"]
     header += ["re_a", "im_a", "re_b", "im_b", "re_c", "im_c"]
-    lines = [",".join(header)]
-    for i, t in enumerate(traj.times):
-        row = [fmt(t)]
-        for k in range(n):
-            z = traj.zeros[k, i]
-            row += [fmt(z.real), fmt(z.imag)]
-        for v in traj.gauss_path[i]:
-            row += [fmt(v.real), fmt(v.imag)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _time_table_csv(header, traj.times, np.hstack((traj.zeros.T, traj.gauss_path)))
 
 
 def cm_trajectory_csv(times, positions):
     """Columns t, Re/Im of each particle position."""
-    n = positions.shape[0]
     header = ["t"]
-    for k in range(n):
+    for k in range(positions.shape[0]):
         header += [f"re_q{k + 1}", f"im_q{k + 1}"]
-    lines = [",".join(header)]
-    for i, t in enumerate(times):
-        row = [fmt(t)]
-        for k in range(n):
-            row += [fmt(positions[k, i].real), fmt(positions[k, i].imag)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    return _time_table_csv(header, times, positions.T)
 
 
 def outcomes_csv(rows):

@@ -63,7 +63,12 @@ def fock_vector(state, cutoff):
 
 
 def vectors_overlap(u, v):
-    return fs.state_vector_overlap(u, v)
+    """Normalized squared overlap of two coefficient vectors."""
+    nu = np.vdot(u, u).real
+    nv = np.vdot(v, v).real
+    if nu == 0 or nv == 0:
+        return 0.0
+    return float(abs(np.vdot(u, v)) ** 2 / (nu * nv))
 
 
 def states_overlap_via_fock(s1, s2, cutoff):

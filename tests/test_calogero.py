@@ -7,6 +7,37 @@ from hqcsim import calogero as cm
 from conftest import multiset_distance
 
 
+def cm_energy(system, q, p):
+    """Calogero-Moser Hamiltonian value at a phase-space point."""
+    q = np.asarray(q, dtype=complex)
+    p = np.asarray(p, dtype=complex)
+    h = 0.5 * np.sum(p**2 + system.omega**2 * q**2)
+    n = q.size
+    for k in range(n):
+        for j in range(n):
+            if j != k:
+                h += 0.5 * system.g**2 / (q[k] - q[j]) ** 2
+    return complex(h)
+
+
+def cm_solve_path_reference(system, times):
+    """Per-step route: one eigvals and one linear_sum_assignment per time."""
+    from scipy.optimize import linear_sum_assignment
+
+    times = np.asarray(times, dtype=float)
+    L0 = cm.lax_matrices(system.q0, system.p0, system.g).L
+    Q0 = np.diag(system.q0)
+    out = np.empty((system.n, times.size), dtype=complex)
+    prev = system.q0
+    fcs, fss = cm._propagator(system.omega**2, times)
+    for i, (fc, fs) in enumerate(zip(fcs, fss)):
+        vals = np.linalg.eigvals(Q0 * fc + L0 * fs)
+        _, cols = linear_sum_assignment(np.abs(prev[:, None] - vals[None, :]) ** 2)
+        prev = vals[cols]
+        out[:, i] = prev
+    return out
+
+
 def random_system(rng, n, omega, spread=1.5):
     while True:
         q0 = spread * (rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -42,6 +73,71 @@ class TestCmSolve:
             cm.CMSystem.make([0.0, 1e-9], [0, 0], 1.0)
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the steps of cm_solve_path that use the assignment fallback."""
+    calls = []
+    match = cm._match_order
+
+    def counted(reference, values):
+        calls.append(len(values))
+        return match(reference, values)
+
+    monkeypatch.setattr(cm, "_match_order", counted)
+    return calls
+
+
+# omega^2 > 0, < 0, = 0 and complex
+OMEGAS = [1.1, 0.9j, 0.0, 0.8 * np.exp(0.6j)]
+
+
+class TestSolvePath:
+    @pytest.mark.parametrize("omega", OMEGAS)
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_resolved_grid_matches_reference(self, rng, fallbacks, omega, n, direction):
+        s = random_system(rng, n, omega)
+        # labels start from q0, so the grid starts at t = 0; more times than
+        # one eigen-solve block, so labels cross block edges
+        times = direction * np.linspace(0.0, 2.0, 2 * cm._PATH_BLOCK + 37)
+        np.testing.assert_array_equal(
+            cm.cm_solve_path(s, times), cm_solve_path_reference(s, times)
+        )
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("omega", [0.0, 1.1])
+    def test_coarse_grid_falls_back(self, rng, fallbacks, omega):
+        s = random_system(rng, 4, omega)
+        times = np.linspace(0.0, 3.0, 4)
+        np.testing.assert_array_equal(
+            cm.cm_solve_path(s, times), cm_solve_path_reference(s, times)
+        )
+        assert fallbacks
+
+    # cosh(800) overflows the matrix; at t = 700 it is finite but the squared
+    # distances overflow, as they do for one particle moving by 1e200
+    @pytest.mark.parametrize(
+        "q0, p0, omega, times",
+        [
+            ([1.0, -1.0, 0.5j], [0.2, 0.1, -0.3], 1j, [0.0, 800.0]),
+            ([1.0, -1.0, 0.5j], [0.2, 0.1, -0.3], 1j, [0.0, 350.0, 700.0]),
+            ([0.0], [1e200], 0.0, [0.0, 1.0]),
+        ],
+        ids=["hyperbolic-matrix", "hyperbolic-cost", "one-particle-cost"],
+    )
+    def test_overflow_raises(self, q0, p0, omega, times):
+        s = cm.CMSystem.make(q0, p0, 0.5, omega)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError) as ref:
+                cm_solve_path_reference(s, times)
+            with pytest.raises(type(ref.value), match=str(ref.value)):
+                cm.cm_solve_path(s, times)
+
+    def test_empty_grid(self):
+        s = cm.CMSystem.make([1.0, -1.0], [0.2, 0.1], 0.5)
+        assert cm.cm_solve_path(s, []).shape == (2, 0)
+
+
 class TestCmOde:
     def test_free_straight_lines(self, rng):
         s = cm.CMSystem.make([0.0, 2.0], [1.0, -0.5], 0.0, 0.0)
@@ -58,8 +154,8 @@ class TestCmOde:
     def test_energy_conserved(self, rng):
         s = random_system(rng, 4, 0.8)
         _, qs, ps = cm.cm_ode_path(s, 2.0, 5e-4)
-        e0 = cm.cm_energy(s, qs[:, 0], ps[:, 0])
-        e1 = cm.cm_energy(s, qs[:, -1], ps[:, -1])
+        e0 = cm_energy(s, qs[:, 0], ps[:, 0])
+        e1 = cm_energy(s, qs[:, -1], ps[:, -1])
         assert abs(e1 - e0) / abs(e0) < 1e-8
 
     def test_head_on_collision_detected(self):
@@ -122,6 +218,17 @@ class TestScattering:
         res = cm.scattering_permutation(s, 20.0)
         pscale = max(np.max(np.abs(res.p_in)), 1.0)
         assert multiset_distance(res.p_in, res.p_out) / pscale < 1e-6
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_reference_route(self, rng, monkeypatch, n):
+        s = random_system(rng, n, 0.0)
+        got = cm.scattering_permutation(s, 20.0)
+        monkeypatch.setattr(cm, "cm_solve_path", cm_solve_path_reference)
+        ref = cm.scattering_permutation(s, 20.0)
+        assert got.permutation == ref.permutation
+        assert (got.residual, got.horizon) == (ref.residual, ref.horizon)
+        for name in ("p_in", "q_in", "p_out", "q_out"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
 
     def test_requires_isolated(self, rng):
         s = random_system(rng, 2, 1.0)

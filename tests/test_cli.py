@@ -84,6 +84,94 @@ def test_import_leaves_scipy_unloaded():
     assert r.stdout.strip() == "[]"
 
 
+def test_closed_routes_leave_scipy_optimize_unloaded(tmp_path):
+    # on a resolved grid cm_solve_path labels eigenvalues without scipy.optimize
+    state = tmp_path / "s.json"
+    hio.save_state(st.from_zeros([0.5, -0.4j, -0.6 + 0.2j], 0.1, 0.2j, 0), state)
+    system = tmp_path / "cm.json"
+    system.write_text(json.dumps({
+        "q0": [[-1, 0], [0, 0.2], [1.2, 0]], "p0": [[0.3, 0], [0, 0], [-0.3, 0.1]],
+        "g": [1, 0], "omega": [0.5, 0],
+    }))
+    calls = [
+        ["evolve", str(state), "--gate", "S", "--re", "0.3", "--im", "0.2", "--trajectory"],
+        ["evolve", str(state), "--gate", "P", "--re", "0.75", "--trajectory"],
+        ["cm-trace", str(system), "--t1", "2.0"],
+    ]
+    code = (
+        "import sys\nfrom hqcsim import cli\n"
+        f"for argv in {calls!r}:\n"
+        f"    assert cli.main(argv + ['--out', {str(tmp_path / 'o.csv')!r}]) == 0\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert r.stdout.strip() == "False"
+
+
+class TestParserReuse:
+    def test_flags_do_not_carry_over(self, hom_path, monkeypatch):
+        from hqcsim import cli
+
+        seen = []
+        monkeypatch.setattr(
+            cli, "_run_and_write", lambda spec, args, final_summary=False: seen.append(args)
+        )
+        monkeypatch.setenv("HQC_SEED", "11")
+        cli.main(["--shots", "7", "run", hom_path, "--seed", "5"])
+        monkeypatch.setenv("HQC_SEED", "12")
+        cli.main(["run", hom_path])
+        assert [(a.seed, a.shots) for a in seen] == [(5, 7), (12, 1000)]
+        assert cli.build_parser() is cli.build_parser()
+
+
+class TestOutputFormats:
+    def test_json_dump_text(self):
+        from hqcsim import cli
+
+        doc = {"x": [0.1, 1e-320, -0.0, 1e308], "y": (np.float64(2.5), -1e-300, 3)}
+        assert cli._json_dump(doc) == (
+            '{\n "x": [\n  0.1,\n  1e-320,\n  -0.0,\n  1e+308\n ],\n'
+            ' "y": [\n  2.5,\n  -1e-300,\n  3\n ]\n}\n'
+        )
+
+    @staticmethod
+    def _extremes(rng, shape):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+        x.flat[:4] = [-0.0, 1e300, -1e-300, 0.0]
+        return x
+
+    def test_trajectory_csv_matches_per_float(self, rng):
+        from hqcsim.dynamics import ZeroTrajectory
+
+        n, T = 3, 9
+        traj = ZeroTrajectory(
+            self._extremes(rng, T),
+            self._extremes(rng, (n, T)) + 1j * self._extremes(rng, (n, T)),
+            self._extremes(rng, (T, 3)) + 1j * self._extremes(rng, (T, 3)),
+        )
+        lines = ["t,re_lambda1,im_lambda1,re_lambda2,im_lambda2,re_lambda3,im_lambda3,"
+                 "re_a,im_a,re_b,im_b,re_c,im_c"]
+        for i, t in enumerate(traj.times):
+            row = [f"{t:.17g}"]
+            for z in [*traj.zeros[:, i], *traj.gauss_path[i]]:
+                row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
+            lines.append(",".join(row))
+        assert hio.trajectory_csv(traj) == "\n".join(lines) + "\n"
+
+    def test_cm_trajectory_csv_matches_per_float(self, rng):
+        times = self._extremes(rng, 7)
+        pos = self._extremes(rng, (2, 7)) - 1j * self._extremes(rng, (2, 7))
+        lines = ["t,re_q1,im_q1,re_q2,im_q2"]
+        for i, t in enumerate(times):
+            row = [f"{t:.17g}"]
+            for z in pos[:, i]:
+                row += [f"{z.real:.17g}", f"{z.imag:.17g}"]
+            lines.append(",".join(row))
+        text = hio.cm_trajectory_csv(times, pos)
+        assert text == "\n".join(lines) + "\n"
+        assert "-0," in text
+
+
 class TestProb:
     def test_hom_null(self, hom_path):
         r = run_cli("prob", hom_path, "--outcome", "1,1")
