@@ -65,6 +65,7 @@ from .sampling import (
     DiscreteOutcome,
     SamplerConfig,
     boson_sampling_prob,
+    fock_amplitude,
     fock_probabilities,
     permanent,
     project_coherent,

@@ -12,6 +12,7 @@ choice is needed.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,30 +170,51 @@ def cm_solve_path(system, times):
     ``scipy.optimize.linear_sum_assignment``, which rejects NaN costs. The grid
     must be fine enough that particles move less than half their minimal gap
     between samples; the fallback then never runs.
+
+    Row k continues the particle at q0[k]: a grid of two or more times that
+    does not start at t = 0 is reached by a uniform walk from 0 to times[0],
+    at the grid's first spacing or finer, labelled the same way. A one-point
+    grid has no spacing to walk at: its one column is the minimal-cost match to
+    q0, so its rows are a set of positions, which is all ``dynamics.evolve``
+    reads.
     """
     times = np.asarray(times, dtype=float)
     n = system.n
     L0 = lax_matrices(system.q0, system.p0, system.g).L
     Q0 = np.diag(system.q0)
-    fcs, fss = _propagator(system.omega**2, times)
-    out = np.empty((n, times.size), dtype=complex)
+    w2 = system.omega**2
     # the labelled positions of the previous step are last[perm]
     last, perm = system.q0, np.arange(n)
+    if times.size > 1 and times[0] != 0 and times[1] != times[0]:
+        steps = math.ceil(abs(times[0] / (times[1] - times[0])))
+        for lo in range(1, steps, _PATH_BLOCK):
+            walk = times[0] * np.arange(lo, min(lo + _PATH_BLOCK, steps)) / steps
+            _, last, perm = _label_block(Q0, L0, *_propagator(w2, walk), last, perm)
+    fcs, fss = _propagator(w2, times)
+    out = np.empty((n, times.size), dtype=complex)
     for lo in range(0, times.size, _PATH_BLOCK):
-        fc = fcs[lo : lo + _PATH_BLOCK, None, None]
-        fs = fss[lo : lo + _PATH_BLOCK, None, None]
-        vals = np.linalg.eigvals(Q0 * fc + L0 * fs)
-        refs = np.concatenate((last[None], vals[:-1]))
-        with np.errstate(over="ignore", invalid="ignore"):  # such steps fall back
-            cost = np.abs(refs[:, :, None] - vals[:, None, :]) ** 2
-        nearest = cost.argmin(axis=2)
-        ok = (np.sort(nearest, axis=1) == np.arange(n)).all(axis=1)
-        ok &= np.isfinite(cost).all(axis=(1, 2))
-        for i in range(len(vals)):
-            perm = nearest[i, perm] if ok[i] else _match_order(refs[i, perm], vals[i])
-            out[:, lo + i] = vals[i, perm]
-        last = vals[-1]
+        block = slice(lo, lo + _PATH_BLOCK)
+        rows, last, perm = _label_block(Q0, L0, fcs[block], fss[block], last, perm)
+        out[:, block] = rows.T
     return out
+
+
+def _label_block(Q0, L0, fc, fs, last, perm):
+    """Eigenvalues of Q0 fc[i] + L0 fs[i] for a block of times, one row per
+    time, labelled step by step (``cm_solve_path``) on from the positions
+    last[perm]; returned with the (last, perm) of the block's final time."""
+    vals = np.linalg.eigvals(Q0 * fc[:, None, None] + L0 * fs[:, None, None])
+    refs = np.concatenate((last[None], vals[:-1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # such steps fall back
+        cost = np.abs(refs[:, :, None] - vals[:, None, :]) ** 2
+    nearest = cost.argmin(axis=2)
+    ok = (np.sort(nearest, axis=1) == np.arange(len(last))).all(axis=1)
+    ok &= np.isfinite(cost).all(axis=(1, 2))
+    rows = np.empty_like(vals)
+    for i in range(len(vals)):
+        perm = nearest[i, perm] if ok[i] else _match_order(refs[i, perm], vals[i])
+        rows[i] = vals[i, perm]
+    return rows, vals[-1], perm
 
 
 def _match_order(reference, values):

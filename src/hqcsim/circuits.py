@@ -33,6 +33,7 @@ from .sampling import (
     MIN_ACCEPT_RATE,
     _RejectionPlan,
     _fock_projections,
+    fock_amplitude,
     project_coherent,
     shot_rng,
 )
@@ -442,7 +443,7 @@ class _ShotEngine:
             active = [m for m in active if m != mode]
         return state, active, tuple(values)
 
-    def _measure_continuous(self, state, active, decl, rng, cache_key):
+    def _measure_continuous(self, state, active, decl, rng, cache_key, project_last):
         values = []
         for mode in decl.modes:
             local = active.index(mode)
@@ -464,6 +465,8 @@ class _ShotEngine:
             w = complex(y[0], y[1])
             alpha = np.conj(w)
             values.append(alpha)
+            if mode == decl.modes[-1] and not project_last:
+                break
             state = _normalized_by(project_coherent(state, [local], [alpha]), mass)
             active = [m for m in active if m != mode]
         return state, active, tuple(values)
@@ -491,8 +494,10 @@ class _ShotEngine:
                 )
                 history = history + (item.name,) + values
             else:
+                # after the program's last outcome only final_summary reads the state
+                project_last = self.final_summary or pos < len(self.spec.program) - 1
                 state, active, values = self._measure_continuous(
-                    state, active, item, rng, cache_key
+                    state, active, item, rng, cache_key, project_last
                 )
                 continuous_seen = True
             record[item.name] = values
@@ -521,7 +526,7 @@ def run_circuit(spec, cfg, final_summary=False):
     return RunResult(cfg.seed, cfg.shots, rows, summaries, elapsed)
 
 
-def final_state(spec, record_overrides=None):
+def final_state(spec):
     """State after the gates that precede the first measurement (for
     probabilities)."""
     state = prepare_input(spec.prep, spec.modes)
@@ -529,7 +534,7 @@ def final_state(spec, record_overrides=None):
     for item in spec.program:
         if isinstance(item, MeasureDecl):
             break
-        state = apply_gate(state, _instantiate(item, record_overrides or {}, active))
+        state = apply_gate(state, _instantiate(item, {}, active))
     return state
 
 
@@ -607,9 +612,10 @@ def table3_demo(architecture, m=3, photons=2, seed=1234):
         gates = [Squeeze(k, complex(xi[k])) for k in range(m)] + [Passive.make(U)]
         outcomes = [(0,) * m, pattern, tuple(2 if k == 0 else 0 for k in range(m))]
         t0 = time.perf_counter()
-        state = apply_gaussian(StellarState.vacuum(m), GaussianUnitarySpec.make(m, gates))
-        arr_stellar = to_fock_array(normalized(state), 24, warn_tail=False)
-        eff = [float(abs(arr_stellar.amplitude(n)) ** 2) for n in outcomes]
+        state = normalized(
+            apply_gaussian(StellarState.vacuum(m), GaussianUnitarySpec.make(m, gates))
+        )
+        eff = [abs(fock_amplitude(state, n)) ** 2 for n in outcomes]
         t_eff = time.perf_counter() - t0
         t0 = time.perf_counter()
         arr = _oracle_state(m, 24, gates)

@@ -3,8 +3,9 @@
 Subcommands: run, sample, prob, rank, schmidt, decompose, cm-trace, evolve,
 table3. Output is deterministic for a fixed seed (the HQC_SEED environment
 variable supplies the default); numeric values are printed with 17
-significant digits. Exit codes: 0 success, 1 validation error, 2
-numeric-tolerance failure.
+significant digits. ``--cutoff`` caps photons per measured mode (run,
+sample); prob is exact and reads no cutoff. Exit codes: 0 success, 1
+validation error, 2 numeric-tolerance failure.
 """
 
 from __future__ import annotations
@@ -84,23 +85,10 @@ def cmd_sample(args):
 
 
 def cmd_prob(args):
-    spec = _load_circuit(args.circuit)
-    state = circ.final_state(spec)
-    state = st.normalized(state)
-    outcome = tuple(int(v) for v in args.outcome.split(","))
-    if len(outcome) != state.modes:
-        raise circ.CircuitError("outcome length must equal the mode count")
-    probs = sp.fock_probabilities(state, args.cutoff)
-    captured = sum(probs.values())
-    if captured < 1.0 - 1e-6:
-        raise ToleranceFailure(
-            f"cutoff {args.cutoff} captures only {captured:.9f} of the distribution"
-        )
-    doc = {
-        "outcome": list(outcome),
-        "probability": probs.get(outcome, 0.0),
-        "captured": captured,
-    }
+    # exact |<n|psi>|^2 of the state before the first measurement
+    state = st.normalized(circ.final_state(_load_circuit(args.circuit)))
+    outcome = [int(v) for v in args.outcome.split(",")]
+    doc = {"outcome": outcome, "probability": abs(sp.fock_amplitude(state, outcome)) ** 2}
     _write(_json_dump(doc), args.out)
     return EXIT_OK
 
@@ -244,8 +232,7 @@ def _add_common(parser, suppress=False):
     parser.add_argument("--shots", type=int, default=s if suppress else 1000)
     parser.add_argument(
         "--cutoff", type=int, default=s if suppress else 30,
-        help="photon cutoff: per measured mode for run and sample, "
-        "total degree for prob",
+        help="photons per measured mode (run, sample)",
     )
     parser.add_argument(
         "--out", default=s if suppress else None, help="output path (default stdout)"

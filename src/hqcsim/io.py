@@ -1,4 +1,4 @@
-"""File formats: stellar-state JSON, Fock CSV, trajectory CSV, outcome CSV.
+"""File formats: stellar-state JSON, trajectory CSV, outcome CSV.
 
 All numeric output is printed with 17 significant digits so runs are
 byte-reproducible.
@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .states import FockArray, GaussPart, PolyPart, StellarState
+from .states import GaussPart, PolyPart, StellarState
 
 
 def fmt(x):
@@ -67,18 +67,6 @@ def load_state(path):
         return state_from_dict(json.load(fh))
 
 
-def fock_array_csv(arr):
-    """One row per multi-index: n_1, ..., n_m, re, im."""
-    header = ",".join([f"n{k + 1}" for k in range(arr.modes)] + ["re", "im"])
-    lines = [header]
-    for idx in sorted(arr.amplitudes):
-        amp = complex(arr.amplitudes[idx])
-        lines.append(
-            ",".join([str(k) for k in idx] + [fmt(amp.real), fmt(amp.imag)])
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _time_table_csv(header, times, columns):
     """CSV of the times and the Re/Im parts of ``columns`` (one complex row per time)."""
     table = np.empty((len(times), 1 + 2 * columns.shape[1]))
@@ -121,17 +109,3 @@ def outcomes_csv(rows):
                         f"{shot},{name},{mode},c,{fmt(z.real)},{fmt(z.imag)}"
                     )
     return "\n".join(lines) + "\n"
-
-
-def fock_array_from_csv(text):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header = lines[0].split(",")
-    m = len(header) - 2
-    amps = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        idx = tuple(int(v) for v in parts[:m])
-        amps[idx] = complex(float(parts[m]), float(parts[m + 1]))
-    captured = sum(abs(a) ** 2 for a in amps.values())
-    cutoff = max((sum(i) for i in amps), default=0)
-    return FockArray(m, cutoff, amps, captured, 0.0)

@@ -129,6 +129,19 @@ def project_fock(state, mode, n):
     return _fock_projections(state, mode, n)[-1]
 
 
+def fock_amplitude(state, pattern):
+    """<n|psi> for the photon counts n = ``pattern``, one per mode: mode 0 is
+    projected onto |n_0> by ``project_fock``, then each following mode of what
+    is left, down to the complex amplitude. Exact, with no truncation: the
+    cost grows with |n|, not with a cutoff.
+    """
+    if len(pattern) != state.modes:
+        raise ValueError(f"{len(pattern)} photon counts for {state.modes} modes")
+    for n in pattern:
+        state = project_fock(state, 0, n)
+    return state
+
+
 def _fock_projections(state, mode, nmax):
     """``project_fock(state, mode, n)`` for every n = 0..nmax, in one sweep.
 
@@ -175,7 +188,8 @@ def _fock_projections(state, mode, nmax):
 # ---------------------------------------------------------------------------
 
 def fock_probabilities(state, cutoff, loss_tol=1e-8):
-    """Outcome probabilities {n: |psi_n|^2} up to the total-degree cutoff.
+    """Outcome probabilities {n: |psi_n|^2} up to the total-degree cutoff: the
+    truncated reference that the exact ``fock_amplitude`` is checked against.
 
     The sum of the returned map is the captured norm; a truncation loss above
     ``loss_tol`` is reported on the warning channel.
@@ -448,17 +462,6 @@ def permanent(M):
         term = np.prod(row_sum)
         total += (-1.0) ** (n - bits) * term
     return complex(total)
-
-
-def permanent_reference(M):
-    """Definition sum over permutations; exponential-factorial cross-check."""
-    from itertools import permutations
-
-    M = np.asarray(M, dtype=complex)
-    n = M.shape[0]
-    return complex(
-        sum(np.prod([M[i, p[i]] for i in range(n)]) for p in permutations(range(n)))
-    )
 
 
 def boson_sampling_prob(U, input_pattern, output_pattern):

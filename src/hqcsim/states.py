@@ -94,12 +94,6 @@ class PolyPart:
             return PolyPart({})
         return PolyPart({k: v * factor for k, v in self.coeffs.items()})
 
-    def added(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return PolyPart({k: v for k, v in sorted(out.items()) if v != 0})
-
     def multiplied(self, other):
         out = {}
         for k1, v1 in self.coeffs.items():
@@ -158,9 +152,6 @@ class PolyPart:
         return PolyPart(
             {k: v for k, v in sorted(self.coeffs.items()) if abs(v) >= PRUNE_REL * mx}
         )
-
-    def max_abs(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
 
 
 def _poly_of_array(arr):

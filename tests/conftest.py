@@ -75,9 +75,17 @@ def states_overlap_via_fock(s1, s2, cutoff):
     return vectors_overlap(fock_vector(s1, cutoff), fock_vector(s2, cutoff))
 
 
+def poly_added(p, q):
+    """Sum of two polynomials, without zero coefficients."""
+    out = dict(p.coeffs)
+    for k, v in q.coeffs.items():
+        out[k] = out.get(k, 0) + v
+    return st.PolyPart({k: v for k, v in sorted(out.items()) if v != 0})
+
+
 def assert_states_close(got, ref, rel=1e-12):
     """Same Gaussian exponents and polynomial coefficients, relative to scale."""
-    scale = max(ref.poly.max_abs(), 1e-300)
+    scale = max(max((abs(c) for c in ref.poly.coeffs.values()), default=0.0), 1e-300)
     for idx in got.poly.coeffs.keys() | ref.poly.coeffs.keys():
         diff = abs(got.poly.coeffs.get(idx, 0j) - ref.poly.coeffs.get(idx, 0j))
         assert diff <= rel * scale, (idx, diff / scale)

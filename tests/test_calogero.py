@@ -1,5 +1,7 @@
 """Calogero-Moser solver: eigenvalue route, RK4 reference, Lax diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,21 +23,27 @@ def cm_energy(system, q, p):
 
 
 def cm_solve_path_reference(system, times):
-    """Per-step route: one eigvals and one linear_sum_assignment per time."""
+    """Per-step route: one eigvals and one linear_sum_assignment per time. A
+    grid of two or more times that starts away from t = 0 is entered by
+    walking from 0 to times[0] in ceil(|times[0]| / first spacing) equal steps."""
     from scipy.optimize import linear_sum_assignment
 
     times = np.asarray(times, dtype=float)
+    lead = np.empty(0)
+    if times.size > 1 and times[0] != 0 and times[1] != times[0]:
+        steps = math.ceil(abs(times[0] / (times[1] - times[0])))
+        lead = times[0] * np.arange(1, steps) / steps
     L0 = cm.lax_matrices(system.q0, system.p0, system.g).L
     Q0 = np.diag(system.q0)
-    out = np.empty((system.n, times.size), dtype=complex)
+    out = np.empty((system.n, lead.size + times.size), dtype=complex)
     prev = system.q0
-    fcs, fss = cm._propagator(system.omega**2, times)
+    fcs, fss = cm._propagator(system.omega**2, np.concatenate((lead, times)))
     for i, (fc, fs) in enumerate(zip(fcs, fss)):
         vals = np.linalg.eigvals(Q0 * fc + L0 * fs)
         _, cols = linear_sum_assignment(np.abs(prev[:, None] - vals[None, :]) ** 2)
         prev = vals[cols]
         out[:, i] = prev
-    return out
+    return out[:, lead.size:]
 
 
 def random_system(rng, n, omega, spread=1.5):
@@ -132,6 +140,20 @@ class TestSolvePath:
                 cm_solve_path_reference(s, times)
             with pytest.raises(type(ref.value), match=str(ref.value)):
                 cm.cm_solve_path(s, times)
+
+    def test_grid_away_from_zero_continues_q0(self, rng, fallbacks):
+        # the rows equal those times taken from a walk resolved from t = 0;
+        # labelling the first time by a minimal-cost match to q0 instead
+        # permutes the rows of about half of these systems
+        times = np.linspace(-0.5, 2.0, 549)
+        walk = np.concatenate((np.linspace(0.0, -0.5, 400)[:-1], times))
+        for _ in range(10):
+            s = random_system(rng, 6, 1.1)
+            np.testing.assert_allclose(
+                cm.cm_solve_path(s, times), cm.cm_solve_path(s, walk)[:, -times.size:],
+                rtol=0, atol=1e-12,
+            )
+        assert fallbacks == []
 
     def test_empty_grid(self):
         s = cm.CMSystem.make([1.0, -1.0], [0.2, 0.1], 0.5)

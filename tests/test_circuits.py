@@ -243,6 +243,27 @@ class TestRun:
             assert rank in (0, 1, 2)
             assert norm == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("final_summary, calls", [(False, 0), (True, 1)])
+    def test_last_heterodyne_projects_only_for_summary(self, monkeypatch, final_summary, calls):
+        doc = make_doc(2, {"kind": "fock_pattern", "pattern": [1, 0]},
+                       [{"type": "beamsplitter", "modes": [0, 1]},
+                        {"measure": "continuous", "modes": [0], "name": "a"}])
+        spec = circ.parse_circuit(json.dumps(doc))
+        cfg = SamplerConfig(seed=2, shots=6)
+        reference = circ.run_circuit(spec, cfg)
+        counted = []
+        project = circ.project_coherent
+
+        def counting(*args):
+            counted.append(args)
+            return project(*args)
+
+        monkeypatch.setattr(circ, "project_coherent", counting)
+        res = circ.run_circuit(spec, cfg, final_summary=final_summary)
+        assert len(counted) == calls * cfg.shots
+        assert res.rows == reference.rows
+        assert len(res.summaries) == calls * cfg.shots
+
     def test_rank_bookkeeping_rank_preserving(self):
         # gates keep the rank, the continuous measurement cannot raise it
         doc = make_doc(

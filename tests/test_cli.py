@@ -177,10 +177,17 @@ class TestProb:
         r = run_cli("prob", hom_path, "--outcome", "1,1")
         assert r.returncode == 0
         doc = json.loads(r.stdout)
+        assert set(doc) == {"outcome", "probability"}
         assert doc["probability"] <= 1e-12
 
     def test_bunching(self, hom_path):
         r = run_cli("prob", hom_path, "--outcome", "2,0")
+        assert json.loads(r.stdout)["probability"] == pytest.approx(0.5, abs=1e-10)
+
+    def test_cutoff_not_read(self, hom_path):
+        # prob is exact; --cutoff caps photons per measured mode of run and sample
+        r = run_cli("prob", hom_path, "--outcome", "2,0", "--cutoff", "1")
+        assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["probability"] == pytest.approx(0.5, abs=1e-10)
 
 

@@ -14,6 +14,7 @@ from hqcsim.gates import Displace, Passive, Phase, Shear, Squeeze, beamsplitter_
 from conftest import (
     assert_states_close,
     fock_vector,
+    poly_added,
     random_admissible_gauss,
     random_poly,
     random_state,
@@ -275,11 +276,11 @@ def _section_gate_reference(state, mode, a_new, b_scale, kappa, c_const, nu):
     powers = [st.PolyPart.one(m)]
     for _ in range(max(by_power, default=0)):
         t = powers[-1]
-        stepped = t.mul_var(k).scaled(mu).added(t.derivative(k).scaled(nu))
-        powers.append(stepped.added(t.multiplied(ell).scaled(nu)))
+        stepped = poly_added(t.mul_var(k).scaled(mu), t.derivative(k).scaled(nu))
+        powers.append(poly_added(stepped, t.multiplied(ell).scaled(nu)))
     out_poly = st.PolyPart.make({})
     for d, rest in by_power.items():
-        out_poly = out_poly.added(st.PolyPart.make(rest).multiplied(powers[d]))
+        out_poly = poly_added(out_poly, st.PolyPart.make(rest).multiplied(powers[d]))
     return st.StellarState.make(m, out_poly.pruned(), gauss2)
 
 

@@ -13,7 +13,24 @@ from hqcsim import multimode as mm
 from hqcsim import sampling as sp
 from hqcsim import states as st
 from hqcsim.gates import Displace, Passive, beamsplitter_matrix
-from conftest import assert_states_close, coherent_state, random_state, random_unitary
+from conftest import (
+    assert_states_close,
+    coherent_state,
+    poly_added,
+    random_state,
+    random_unitary,
+)
+
+
+def permanent_reference(M):
+    """Definition sum over permutations; exponential-factorial cross-check."""
+    from itertools import permutations
+
+    M = np.asarray(M, dtype=complex)
+    n = M.shape[0]
+    return complex(
+        sum(np.prod([M[i, p[i]] for i in range(n)]) for p in permutations(range(n)))
+    )
 
 
 class TestPermanent:
@@ -26,7 +43,7 @@ class TestPermanent:
     def test_against_definition(self, rng):
         for n in (2, 3, 4):
             M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            assert sp.permanent(M) == pytest.approx(sp.permanent_reference(M), abs=1e-12)
+            assert sp.permanent(M) == pytest.approx(permanent_reference(M), abs=1e-12)
 
     def test_oversize_rejected(self):
         with pytest.raises(ValueError, match="Ryser"):
@@ -104,6 +121,41 @@ class TestFockProbabilities:
         with pytest.warns(UserWarning, match="truncation loss 3.71"):
             probs = sp.fock_probabilities(s, 4)
         assert sum(probs.values()) == pytest.approx(0.6288, abs=1e-4)
+
+
+class TestFockAmplitude:
+    """Exact <n|psi> by one-mode projections, mode after mode."""
+
+    @settings(max_examples=25)
+    @given(hst.integers(1, 3), hst.integers(0, 3), hst.integers(0, 2**32 - 1))
+    def test_matches_fock_probabilities(self, modes, rank, seed):
+        rng = np.random.default_rng(seed)
+        s = st.normalized(random_state(rng, modes, rank))
+        assert np.any(s.gauss.A != 0)
+        probs = sp.fock_probabilities(s, {1: 12, 2: 8, 3: 5}[modes], loss_tol=1.0)
+        for n, p in probs.items():
+            assert abs(sp.fock_amplitude(s, n)) ** 2 == pytest.approx(p, rel=1e-9, abs=1e-14)
+
+    @pytest.mark.parametrize("pattern", [(1, 1, 1, 0), (1, 1, 1, 1, 1, 1, 0, 0)])
+    def test_haar_interferometer_matches_permanent(self, rng, pattern):
+        from hqcsim.circuits import _photon_patterns
+
+        m = len(pattern)
+        U = random_unitary(rng, m)
+        s = mm.apply_passive(st.from_fock_superposition({pattern: 1.0}, m), Passive.make(U))
+        outs = _photon_patterns(m, sum(pattern))
+        if m > 4:  # 1716 outcomes: take a few
+            outs = [outs[i] for i in rng.choice(len(outs), 6, replace=False)] + [pattern]
+        for out in outs:
+            got = abs(sp.fock_amplitude(s, out)) ** 2
+            assert got == pytest.approx(sp.boson_sampling_prob(U, pattern, out), abs=1e-12)
+
+    def test_rejects_bad_pattern(self):
+        s = st.StellarState.vacuum(2)
+        with pytest.raises(ValueError, match="1 photon counts for 2 modes"):
+            sp.fock_amplitude(s, (0,))
+        with pytest.raises(ValueError, match="non-negative"):
+            sp.fock_amplitude(s, (1, -1))
 
 
 class TestProjections:
@@ -196,7 +248,7 @@ def _project_fock_reference(state, mode, n):
     )
     poly = state.poly
     for _ in range(n):
-        poly = poly.derivative(mode).added(poly.multiplied(ell))
+        poly = poly_added(poly.derivative(mode), poly.multiplied(ell))
     rest = [k for k in range(m) if k != mode]
     section = {
         tuple(idx[k] for k in rest): c for idx, c in poly.coeffs.items() if idx[mode] == 0
