@@ -133,10 +133,15 @@ def conserved_spectrum(q, p, g, omega=0.0):
 
 
 def _propagator(w2, t):
-    """(cos(omega t), sin(omega t)/omega) at the times t, entire in w2 = omega^2."""
+    """(cos(omega t), sin(omega t)/omega) at the times t, entire in w2 = omega^2.
+
+    A float t (one gate) takes the scalar cmath functions, which give the
+    values of numpy's without its per-call cost."""
     if w2 == 0:
         return 1.0 + 0.0 * t, t
     w = cmath.sqrt(w2)
+    if isinstance(t, float):
+        return cmath.cos(w * t), cmath.sin(w * t) / w
     return np.cos(w * t), np.sin(w * t) / w
 
 

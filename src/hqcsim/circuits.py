@@ -7,6 +7,11 @@ measurements; continuous outcomes enter as complex values, discrete outcomes
 as integers. Execution is shot-by-shot in one thread; shot i draws from its
 own counter-based substream, so its outcomes are bit-reproducible for a fixed
 (circuit, seed) and do not depend on how many shots the run makes.
+
+Between measurements, each run of single-mode gates (displace, squeeze, shear,
+phase) on a mode is fused into one ``multimode.ModeRun`` and applied by one
+kernel call. A gate with constant parameters is instantiated once per run, not
+once per shot, and a stretch of constant gates is fused once.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .gates import (
     Squeeze,
     beamsplitter_matrix,
 )
-from .multimode import GaussianUnitarySpec, apply_gate, apply_gaussian
+from .multimode import GaussianUnitarySpec, _fused, apply_gate, apply_gaussian
 from .sampling import (
     MIN_ACCEPT_RATE,
     _RejectionPlan,
@@ -412,6 +417,38 @@ class _ShotEngine:
         self.plan_cache = {}
         # heterodyne draws accepted and proposal points tried, over all shots
         self.accepted = self.tried = 0
+        # the program as measurement positions and, between them, stretches
+        # (tuples) of gate positions
+        self.steps = []
+        for pos, item in enumerate(spec.program):
+            if isinstance(item, MeasureDecl):
+                self.steps.append(pos)
+            elif self.steps and isinstance(self.steps[-1], tuple):
+                self.steps[-1] += (pos,)
+            else:
+                self.steps.append((pos,))
+        # a position's active modes do not depend on the shot, so constant
+        # gates are instantiated, and stretches of them fused, once
+        self.gate_cache = {}
+        self.fused_cache = {}
+
+    def _gate(self, pos, record, active):
+        gate = self.gate_cache.get(pos)
+        if gate is None:
+            decl = self.spec.program[pos]
+            gate = _instantiate(decl, record, active)
+            if not decl.references():
+                self.gate_cache[pos] = gate
+        return gate
+
+    def _stretch(self, positions, record, active):
+        """The gates at ``positions``, instantiated for this shot and fused."""
+        gates = self.fused_cache.get(positions)
+        if gates is None:
+            gates = _fused([self._gate(pos, record, active) for pos in positions])
+            if all(pos in self.gate_cache for pos in positions):
+                self.fused_cache[positions] = gates
+        return gates
 
     def _measure_discrete(self, state, active, decl, rng, cache_key):
         nmax = self.cfg.cutoff
@@ -421,11 +458,14 @@ class _ShotEngine:
             key = (cache_key, mode, tuple(values)) if cache_key else None
             dist = self.discrete_cache.get(key) if key else None
             if dist is None:
+                # the fill stops at its first zero projection: the n after it
+                # have mass 0 and no state
                 states = _fock_projections(state, local, nmax)
                 masses = [
-                    abs(p) ** 2 if isinstance(p, complex) else norm_squared(p)
+                    abs(p) ** 2 if isinstance(p, complex)
+                    else 0.0 if p.poly.is_zero() else norm_squared(p)
                     for p in states
-                ]
+                ] + [0.0] * (nmax + 1 - len(states))
                 total = float(np.sum(masses))
                 dist = (np.cumsum(masses), masses, states, total)
                 if key:
@@ -439,7 +479,7 @@ class _ShotEngine:
             u = rng.random()
             n = min(int(np.searchsorted(cdf, u * total)), nmax)
             values.append(n)
-            state = _normalized_by(states[n], masses[n])
+            state = _normalized_by(states[min(n, len(states) - 1)], masses[n])
             active = [m for m in active if m != mode]
         return state, active, tuple(values)
 
@@ -481,12 +521,14 @@ class _ShotEngine:
         # function of the discrete outcome history
         history = ()
         continuous_seen = False
-        for pos, item in enumerate(self.spec.program):
-            if isinstance(item, GateDecl):
+        for pos in self.steps:
+            if isinstance(pos, tuple):
                 if isinstance(state, complex):
                     raise CircuitError("gate after all modes were measured")
-                state = apply_gate(state, _instantiate(item, record, active))
+                for gate in self._stretch(pos, record, active):
+                    state = apply_gate(state, gate)
                 continue
+            item = self.spec.program[pos]
             cache_key = None if continuous_seen else (pos, history)
             if item.kind == "discrete":
                 state, active, values = self._measure_discrete(
@@ -531,10 +573,13 @@ def final_state(spec):
     probabilities)."""
     state = prepare_input(spec.prep, spec.modes)
     active = list(range(spec.modes))
+    gates = []
     for item in spec.program:
         if isinstance(item, MeasureDecl):
             break
-        state = apply_gate(state, _instantiate(item, {}, active))
+        gates.append(_instantiate(item, {}, active))
+    for gate in _fused(gates):
+        state = apply_gate(state, gate)
     return state
 
 

@@ -173,6 +173,8 @@ def cmd_cm_trace(args):
     g = complex(*doc["g"]) if isinstance(doc["g"], list) else complex(doc["g"])
     om = complex(*doc.get("omega", [0, 0])) if isinstance(doc.get("omega"), list) else complex(doc.get("omega", 0))
     system = cm.CMSystem.make(q0, p0, g, om)
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     times = np.linspace(args.t0, args.t1, args.steps)
     path = cm.cm_solve_path(system, times)
     _write(hio.cm_trajectory_csv(times, path), args.out)
@@ -194,6 +196,8 @@ def cmd_evolve(args):
         raise circ.CircuitError("evolve acts on single-mode states")
     ham = _EVOLVE_HAMILTONIANS[args.gate](complex(args.re, args.im))
     if args.trajectory:
+        if args.steps < 2:
+            raise ValueError(f"--steps must be at least 2 for a trajectory, got {args.steps}")
         if args.route == "ode":
             traj = dy.ode_evolve(state, ham, args.t, dt=args.t / (args.steps - 1))
         else:

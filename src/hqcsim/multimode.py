@@ -1,25 +1,34 @@
 """Multimode Gaussian action on stellar states, rank machinery, decompositions,
 and entanglement analysis.
 
-Single-mode gates on one mode of a multimode state are applied by treating the
-state as a single-variable function of that mode with symbolic coefficients:
-the Gaussian exponents follow the single-mode closed forms (the linear
-coefficient of the section is a linear form in the spectator variables, so the
-quadratic term of the update populates cross entries of A), and the polynomial
-goes through one fixed substitution z_k -> mu z_k + nu (d/dz_k + l), normal
-ordered against the new Gaussian, as dense array kernels (``_section_gate``).
+Every single-mode Gaussian unitary is a displacement times an SU(1,1)
+element, and all of them go through one kernel, ``_section_gate``. It treats
+the state as a single-variable function of mode k with symbolic coefficients.
+The Gaussian exponents follow the single-mode closed forms: the linear
+coefficient of the section is a linear form in the spectator variables, so
+the quadratic term of the update populates cross entries of A. The
+displacement then moves B and C. The polynomial goes through one substitution
+z_k -> alpha z_k + nu d/dz_k + u, normal ordered against the new Gaussian,
+where u = nu s' + delta is the section coefficient s' scaled by nu plus the
+displacement's constant delta = -alpha conj(beta), on dense coefficient arrays.
 
 Squeeze, shear and phase gates are the t = 1 flows of single-mode Gaussian
 drives (``_mode_drive``), so one 2x2 propagator (``_mode_exponents``) gives
 their exponent updates and their transport (mu, nu), here, in the Bogoliubov
-action and in the closed forms of ``dynamics``.
+action and in the closed forms of ``dynamics``. A run of D, S, P and R gates
+on one mode composes to one propagator and one trailing displacement
+(``ModeRun``): ``apply_gaussian`` and the circuit engine fuse each stretch of
+single-mode gates between multimode gates (``_fused``), so the stretch costs one
+kernel call per mode. A single gate is a run of one.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,29 +131,12 @@ def _subst_linear(poly, U):
     return PolyPart.make(out).pruned()
 
 
-def _shift_variable(poly, mode, shift):
-    """P with z_mode replaced by z_mode + shift."""
-    if shift == 0:
-        return poly
-    out = {}
-    from math import comb
-
-    for idx, c in poly.coeffs.items():
-        p = idx[mode]
-        pw = 1.0 + 0j
-        for j in range(p, -1, -1):
-            new = list(idx)
-            new[mode] = j
-            out[tuple(new)] = out.get(tuple(new), 0) + c * comb(p, j) * pw
-            pw *= shift
-    return PolyPart.make(out).pruned()
-
-
-def _assert_rank_preserved(before, after, what):
-    if after.poly.degree() != before.poly.degree():
+def _assert_rank_preserved(rank, after, what):
+    """``after``, if its polynomial still has total degree ``rank``."""
+    if after.poly.degree() != rank:
         raise RuntimeError(
             f"{what} changed the stellar rank "
-            f"({before.poly.degree()} -> {after.poly.degree()}); numerical failure"
+            f"({rank} -> {after.poly.degree()}); numerical failure"
         )
     return after
 
@@ -158,25 +150,16 @@ def apply_passive(state, gate):
     g = state.gauss
     new_gauss = GaussPart.make(U.T @ g.A @ U, U.T @ g.B, g.C, check=False)
     out = StellarState.make(state.modes, _subst_linear(state.poly, U), new_gauss)
-    return _assert_rank_preserved(state, out, "passive gate")
+    return _assert_rank_preserved(state.poly.degree(), out, "passive gate")
 
 
 def apply_displace(state, beta):
-    """Mode-wise displacement: F -> e^{beta.z - |beta|^2/2} F(z - beta*)."""
+    """Mode-wise displacement: F -> e^{beta.z - |beta|^2/2} F(z - beta*), one
+    kernel call per nonzero beta_k."""
     beta = np.asarray(beta, dtype=complex).reshape(-1)
     if beta.size != state.modes:
         raise ValueError("displacement vector length must equal the mode count")
-    g = state.gauss
-    bc = np.conj(beta)
-    new_B = g.B + beta + g.A @ bc
-    new_C = g.C - g.B @ bc - 0.5 * bc @ g.A @ bc - 0.5 * np.sum(np.abs(beta) ** 2)
-    poly = state.poly
-    for k in range(state.modes):
-        poly = _shift_variable(poly, k, -bc[k])
-    out = StellarState.make(
-        state.modes, poly, GaussPart.make(g.A, new_B, new_C, check=False)
-    )
-    return _assert_rank_preserved(state, out, "displacement")
+    return apply_gate(state, Displace.make(beta))
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,68 +177,90 @@ def _transport_table(dk, qn):
     return out
 
 
-def _section_gate(state, mode, a_new, b_scale, kappa, c_const, nu):
-    """Shared single-mode-gate engine on mode k of a multimode state.
+def _section_gate(state, mode, a_new, b_scale, kappa, c_const, nu, beta=0j):
+    """The kernel of every single-mode Gaussian unitary on mode k of a multimode
+    state: an SU(1,1) part, given by its section update, then D(beta) on mode k.
 
     Gaussian section update: a' = a_new, the section's linear coefficient
     s(z) = B_k - sum_{j != k} A_kj z_j scales by b_scale, and
     kappa * s^2 + c_const joins the spectator exponent (one outer product).
+    D(beta) then maps F to e^{beta z_k - |beta|^2/2} F(z - conj(beta) e_k):
+    B''_k = B'_k + beta + a' conj(beta), B''_j = B'_j + A'_jk conj(beta) and
+    C'' = C' - B'_k conj(beta) - a' conj(beta)^2 / 2 - |beta|^2 / 2.
 
-    Polynomial update: z_k -> mu z_k + nu (d/dz_k + l), l = B'_k - (A' z)_k, i.e.
-    P = sum_d z_k^d Q_d goes to sum_d Q_d T^d(1) with T = alpha z_k + nu d/dz_k
-    + nu s', alpha = mu - nu a' and s' the new section coefficient. For a
-    Gaussian flow det exp(tK) = 1 makes alpha = b_scale exactly, which is what
-    the kernel uses: mu - nu a' cancels when |nu| is large. As
-    [d/dz_k, z_k] = 1, T^d(1) = d! [x^d] exp(x (alpha z_k + nu s') + x^2 alpha nu / 2)
-    = sum_{q,p} t[d, q, p] s'^q z_k^p with j = (d - q - p) / 2 and
-    t[d, q, p] = d! / (j! q! p!) (alpha nu / 2)^j nu^q alpha^p. On a dense
-    coefficient array with z_k on axis 0, G_q = sum_d t[d, q] Q_d is one
-    contraction and sum_q s'^q G_q a Horner pass in s' (a scaled copy plus one
-    shifted slice per coupled spectator; the array is sized so that the
-    shifts drop only zeros).
+    Polynomial update: z_k -> mu z_k + nu (d/dz_k + l), l = B'_k - (A' z)_k,
+    then z_k -> z_k - conj(beta). P = sum_d z_k^d Q_d goes to sum_d Q_d T^d(1)
+    with T = alpha z_k + nu d/dz_k + u, alpha = mu - nu a' and u = nu s' + delta,
+    s' = B'_k - sum_{j != k} A'_kj z_j the section coefficient after the section
+    update and delta = -alpha conj(beta): the shift commutes with d/dz_k and
+    with s', leaves 1 alone and turns alpha z_k into alpha z_k - alpha conj(beta).
+    (Read against the section coefficient s'' = s' + beta + a' conj(beta) after
+    the displacement, delta is -alpha conj(beta) - nu (a' conj(beta) + beta).)
+    For a Gaussian flow det exp(tK) = 1 makes alpha = b_scale exactly, which is
+    what the kernel uses: mu - nu a' cancels when |nu| is large. As
+    [d/dz_k, z_k] = 1 and u commutes with both, T^d(1) = d! [x^d]
+    exp(x (alpha z_k + u) + x^2 alpha nu / 2) = sum_{q,p} t[d, q, p] u^q z_k^p
+    with j = (d - q - p) / 2 and t[d, q, p] = d! / (j! q! p!) (alpha nu / 2)^j
+    alpha^p. On a dense coefficient array with z_k on axis 0,
+    G_q = sum_d t[d, q] Q_d is one contraction and sum_q u^q G_q a Horner pass
+    in u (a scaled copy by nu B'_k + delta plus one shifted slice per coupled
+    spectator, scaled by -nu A'_kj; the array is sized so that the shifts drop
+    only zeros).
     """
     m, k, g = state.modes, mode, state.gauss
-    A, B, b0 = g.A, g.B, g.B[mode]
-    sec = -A[k]
-    sec[k] = 0
-    upd = sec[:, None] * sec
-    A2 = A - kappa * (upd + upd.T)  # exactly symmetric
+    A, B, b0 = g.A, g.B, complex(g.B[mode])
+    if kappa:
+        sec = -A[k]
+        sec[k] = 0
+        upd = sec[:, None] * sec
+        A2 = A - kappa * (upd + upd.T)  # exactly symmetric
+        B2 = B + (2.0 * kappa * b0) * sec
+    else:
+        A2, B2 = A.copy(), B.copy()
     A2[k] = A2[:, k] = b_scale * A[k]
     A2[k, k] = a_new
-    B2 = B + (2.0 * kappa * b0) * sec
-    B2[k] = b_scale * b0
+    B2[k] = b1 = b_scale * b0
+    C2 = g.C + c_const + kappa * b0**2
+    alpha = b_scale
+    u0 = nu * b1  # constant term of u
+    if beta:
+        bc = beta.conjugate()
+        C2 = C2 - b1 * bc - 0.5 * a_new * bc**2 - 0.5 * abs(beta) ** 2
+        B2 += bc * A2[k]  # column k of the symmetric A'
+        B2[k] += beta
+        u0 = u0 - alpha * bc
     for arr in (A2, B2):
         arr.setflags(write=False)
-    gauss2 = GaussPart(A2, B2, complex(g.C + c_const + kappa * b0**2))
+    gauss2 = GaussPart(A2, B2, complex(C2))
     coeffs = state.poly.coeffs
     degs = [max(c) for c in zip(*coeffs)]
     dk = degs[k] if degs else 0
     if dk == 0:  # P does not involve z_k
         return StellarState(m, state.poly, gauss2)
-    # spectator degrees grow by at most dk, and the total degree is kept
+    coupling = (-nu * A2[k]).tolist()  # u = u0 + sum_{j != k} coupling_j z_j
+    coupling[k] = 0
+    # a coupled spectator's degree grows by at most dk; the total degree is kept
     total = max(map(sum, coeffs))
-    Q = np.zeros([min(d + dk, total) + 1 if j != k else dk + 1 for j, d in enumerate(degs)],
-                 dtype=complex)
+    Q = np.zeros([dk + 1 if j == k else min(d + dk, total) + 1 if coupling[j] else d + 1
+                  for j, d in enumerate(degs)], dtype=complex)
     for idx, c in coeffs.items():
         Q[idx] = c
     Q = Q.swapaxes(0, k)  # z_k on axis 0
-    qn = dk + 1 if nu else 1  # powers of s' in T^d(1)
-    alpha = b_scale
+    qn = dk + 1 if nu or beta else 1  # powers of u in T^d(1)
     coef, j, n = _transport_table(dk, qn)
-    t = coef * ((0.5 * alpha * nu) ** n)[j] * ((nu ** n[:qn])[:, None] * alpha ** n)
+    t = coef * ((0.5 * alpha * nu) ** n)[j] * alpha ** n
     # einsum, not a BLAS matmul: threaded OpenBLAS stalls for ms on some shapes
     G = np.einsum("dqp,d...->qp...", t, Q)
-    coupling = (-A2[k]).tolist()  # s' = B'_k + sum_{j != k} coupling_j z_j
     coupling[k], coupling[0] = coupling[0], 0  # array axes: 0 and k swapped
     shifts = _linear_shifts(coupling)
     out = G[-1]
     for q in range(qn - 2, -1, -1):
-        nxt = G[q] + B2[k] * out
+        nxt = G[q] + u0 * out
         for dst, src, c in shifts:
             nxt[dst] += c * out[src]
         out = nxt
     poly = _poly_of_array(out.swapaxes(0, k))
-    return _assert_rank_preserved(state, StellarState(m, poly, gauss2), "section gate")
+    return _assert_rank_preserved(total, StellarState(m, poly, gauss2), "section gate")
 
 
 def _mode_drive(gate):
@@ -291,30 +296,107 @@ def _mode_exponents(a, xi, phi, t=1.0):
     xic = xi.conjugate()
     k = xic * a + 1j * phi
     y = fc - k * fs
-    log_y = np.log(y)
-    if w2 > 0:
-        # fc and fs are real, so y meets the negative axis only at fs = 0,
-        # y = -1 (omega |t| = pi, 3 pi, ...), crossing it in the sense of -Im(k) t
-        turns = (math.sqrt(w2) * abs(t) / math.pi + 1.0) // 2.0
-        log_y = log_y - 2j * math.pi * np.sign(k.imag * t) * turns
     return (
         (fc * a + fs * (1j * phi * a - xi)) / y,
         1.0 / y,
         -0.5 * xic * fs / y,
-        -0.5 * log_y - 0.5j * phi * t,
+        -0.5 * _continued_log(np.log(y), k, w2, t) - 0.5j * phi * t,
         fc + 1j * phi * fs,
         -xic * fs,
     )
 
 
-def apply_mode_gate(state, gate):
-    """Single-mode squeeze, shear or phase gate; rank is exactly preserved."""
-    xi, phi, phase = _mode_drive(gate)
-    if xi == 0 and phi == 0:
+def _continued_log(log_y, k, w2, t):
+    """log y = log(fc - k fs), continued along the flow from y(0) = 1, from
+    its principal value ``log_y``."""
+    if w2 > 0:
+        # fc and fs are real, so y meets the negative axis only at fs = 0,
+        # y = -1 (omega |t| = pi, 3 pi, ...), crossing it in the sense of -Im(k) t
+        turns = (math.sqrt(w2) * abs(t) / math.pi + 1.0) // 2.0
+        log_y = log_y - 2j * math.pi * np.sign(k.imag * t) * turns
+    return log_y
+
+
+class ModeRun(NamedTuple):
+    """A run of D, S, P and R gates on one mode, fused into one single-mode
+    Gaussian unitary exp(phase) D(beta) G. G is the product of the run's S, P
+    and R gates, with propagator M = exp(K_n) ... exp(K_1); ``nu`` is its
+    entry M21. Each displacement is carried to the end of the run by
+    G D(b) = D(M11 b - M12 conj(b)) G, and merging two displacements,
+    D(b) D(beta) = exp(-i Im(conj(b) beta)) D(b + beta), adds to ``phase``.
+
+    ``steps`` keeps, per S, P or R gate in order, its propagator entries,
+    conj(xi), phi, omega^2 and constant phase: when the run is applied, the
+    Moebius map and the continued log y of each gate are taken at the a that
+    gate meets, so a and the global phase are those the gates give one by one.
+    """
+
+    mode: int
+    steps: tuple
+    nu: complex
+    beta: complex
+    phase: complex
+
+    @staticmethod
+    def make(mode, gates):
+        """Fuse ``gates`` (application order) acting on ``mode``; a Displace
+        contributes its entry beta[mode]. Gates with a zero drive are dropped."""
+        steps = []
+        m11, m21 = 1 + 0j, 0j  # first column of M
+        beta = phase = 0j
+        for gate in gates:
+            if isinstance(gate, Displace):
+                b = complex(gate.beta[mode])
+                phase -= 1j * (b.conjugate() * beta).imag
+                beta += b
+                continue
+            xi, phi, c0 = _mode_drive(gate)
+            if xi == 0 and phi == 0:
+                continue
+            w2 = _omega2(xi, phi)
+            fc, fs = cm._propagator(w2, 1.0)
+            xic = xi.conjugate()
+            g11, g12, g21, g22 = fc + 1j * phi * fs, -xi * fs, -xic * fs, fc - 1j * phi * fs
+            if beta:
+                beta = g11 * beta - g12 * beta.conjugate()
+            m11, m21 = g11 * m11 + g12 * m21, g21 * m11 + g22 * m21
+            steps.append((g11, g12, g21, g22, xic, phi, w2, c0 - 0.5j * phi))
+        return ModeRun(mode, tuple(steps), m21, beta, phase)
+
+
+def _apply_run(state, run):
+    """A fused run as one ``_section_gate`` call. With y_i = M21_i a_i + M22_i
+    the Moebius denominator of gate i at the a_i it meets, the run's is
+    y = prod y_i: b scales by 1/y, kappa = M21 / (2 y), and c is the sum of
+    each gate's continued -log(y_i)/2 (see ``_mode_exponents``)."""
+    mode, steps, nu, beta, c = run
+    if not steps and not beta:
         return state
-    a = complex(state.gauss.A[gate.mode, gate.mode])
-    a_new, b_scale, kappa, c_const, _, nu = _mode_exponents(a, xi, phi)
-    return _section_gate(state, gate.mode, a_new, b_scale, kappa, c_const + phase, nu)
+    a, y_run = complex(state.gauss.A[mode, mode]), 1.0
+    for g11, g12, g21, g22, xic, phi, w2, c0 in steps:
+        y = g21 * a + g22
+        c += c0 - 0.5 * _continued_log(cmath.log(y), xic * a + 1j * phi, w2, 1.0)
+        a = (g11 * a + g12) / y
+        y_run *= y
+    return _section_gate(state, mode, a, 1.0 / y_run, 0.5 * nu / y_run, c, nu, beta)
+
+
+def _fused(gates):
+    """The gates in application order, with each maximal stretch of D, S, P
+    and R gates between other gates replaced by one ModeRun per mode it acts
+    on: gates on different modes commute, so only the order within a mode
+    matters."""
+    out, runs = [], {}
+    for gate in gates:
+        if isinstance(gate, (Displace, Squeeze, Shear, Phase)):
+            modes = np.flatnonzero(gate.beta) if isinstance(gate, Displace) else [gate.mode]
+            for k in modes:
+                runs.setdefault(int(k), []).append(gate)
+            continue
+        out += [ModeRun.make(k, run) for k, run in runs.items()]
+        runs = {}
+        out.append(gate)
+    return out + [ModeRun.make(k, run) for k, run in runs.items()]
 
 
 def apply_create(state, mode):
@@ -323,24 +405,31 @@ def apply_create(state, mode):
 
 
 def apply_gate(state, gate):
+    """One gate. D, S, P and R, alone or fused into a ModeRun, go through the
+    single-mode kernel ``_section_gate``, once per mode they act on."""
+    if isinstance(gate, ModeRun):
+        if not 0 <= gate.mode < state.modes:
+            raise ValueError(f"mode index {gate.mode} out of range for {state.modes} modes")
+        return _apply_run(state, gate)
     validate_gate(gate, state.modes)
     if isinstance(gate, Passive):
         return apply_passive(state, gate)
-    if isinstance(gate, Displace):
-        return apply_displace(state, gate.beta)
-    if isinstance(gate, (Squeeze, Shear, Phase)):
-        return apply_mode_gate(state, gate)
     if isinstance(gate, Create):
         return apply_create(state, gate.mode)
-    raise ValueError(f"unknown gate {gate!r}")
+    if isinstance(gate, Displace):  # a run of one per mode it displaces
+        for run in _fused([gate]):
+            state = _apply_run(state, run)
+        return state
+    return _apply_run(state, ModeRun.make(gate.mode, (gate,)))
 
 
 def apply_gaussian(state, spec):
-    """Fold a Gaussian gate program over the state, first gate first."""
+    """Fold a Gaussian gate program over the state, first gate first, with
+    each stretch of single-mode gates fused (``_fused``)."""
     if spec.modes != state.modes:
         raise ValueError("spec mode count does not match the state")
     rank_in = state.poly.degree()
-    for gate in spec.gate_list:
+    for gate in _fused(spec.gate_list):
         state = apply_gate(state, gate)
     if state.poly.degree() != rank_in:
         raise RuntimeError("Gaussian program changed the stellar rank")

@@ -113,16 +113,24 @@ def project_coherent(state, modes, alphas):
         total = sum(new_coeffs.values())
         return complex(total * np.exp(const))
     B_rest = g.B[rest] - g.A[np.ix_(rest, I)] @ w
-    A_rest = g.A[np.ix_(rest, rest)]
     poly = PolyPart.make(new_coeffs, modes=len(rest)).pruned()
-    return StellarState.make(
-        len(rest), poly, GaussPart.make(A_rest, B_rest, const, check=False)
-    )
+    return StellarState.make(len(rest), poly, _rest_gauss(g, rest, B_rest, const))
+
+
+def _rest_gauss(g, rest, B_rest, C):
+    """GaussPart of the modes ``rest``: a submatrix of the symmetric A, so it
+    is built directly, with no re-symmetrisation."""
+    A_rest = g.A[np.ix_(rest, rest)]
+    B_rest = np.asarray(B_rest, dtype=complex)
+    for arr in (A_rest, B_rest):
+        arr.setflags(write=False)
+    return GaussPart(A_rest, B_rest, complex(C))
 
 
 def project_fock(state, mode, n):
     """Project one mode onto the Fock state |n>: (1/sqrt(n!)) d^n/dz^n F at
-    z_mode = 0, the last entry of ``_fock_projections``. The remaining-mode
+    z_mode = 0, the last entry of ``_fock_projections`` (which stops at the
+    first zero projection, equal to every later one). The remaining-mode
     polynomial degree grows by at most n; projecting the last mode returns the
     complex amplitude.
     """
@@ -150,6 +158,10 @@ def _fock_projections(state, mode, nmax):
     a dense coefficient array with z_k on axis 0 that stops at z_k^nmax (higher
     powers do not reach z_k = 0 within nmax steps). Projection n is its z_k = 0
     slice times the rest-mode Gaussian, which is built once.
+
+    The step is linear, so once P_n is exactly zero every later projection is
+    the zero projection: the sweep stops there, and the list ends with it
+    (shorter than nmax + 1 entries; each missing n equals the last entry).
     """
     mode, nmax = int(mode), int(nmax)
     if not 0 <= mode < state.modes:
@@ -167,7 +179,7 @@ def _fock_projections(state, mode, nmax):
     P = np.moveaxis(P, mode, 0)[: nmax + 1]
     down = np.arange(1, P.shape[0]).reshape((-1,) + (1,) * len(rest))
     shifts = _linear_shifts(ell)
-    gauss = GaussPart.make(g.A[np.ix_(rest, rest)], g.B[rest], g.C, check=False)
+    gauss = _rest_gauss(g, rest, g.B[rest], g.C)
     out = []
     for n in range(nmax + 1):
         if n:
@@ -180,6 +192,8 @@ def _fock_projections(state, mode, nmax):
             StellarState(len(rest), _poly_of_array(P[0]), gauss) if rest
             else complex(P[0] * np.exp(g.C))
         )
+        if not P.any():
+            break
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from hqcsim import circuits as circ
 from hqcsim import io as hio
+from hqcsim import multimode as mm
 from hqcsim import states as st
 from hqcsim.sampling import SamplerConfig
 
@@ -263,6 +264,49 @@ class TestRun:
         assert len(counted) == calls * cfg.shots
         assert res.rows == reference.rows
         assert len(res.summaries) == calls * cfg.shots
+
+    def test_gate_layer_fused_and_instantiated_once(self, monkeypatch):
+        # a gate_deep layer: beamsplitter, then S P R D on each of 2 modes
+        entries = [{"type": "beamsplitter", "modes": [0, 1]}]
+        for mode in (0, 1):
+            entries += [
+                {"type": "squeeze", "mode": mode, "xi": [0.05, 0.02]},
+                {"type": "shear", "mode": mode, "s": -0.03},
+                {"type": "phase", "mode": mode, "phi": 2.5},
+                {"type": "displace", "mode": mode, "amount": [0.1, -0.05]},
+            ]
+        entries.append({"measure": "discrete", "modes": [0, 1], "name": "n"})
+        doc = make_doc(2, {"kind": "fock_pattern", "pattern": [2, 1]}, entries)
+        spec = circ.parse_circuit(json.dumps(doc))
+        cfg = SamplerConfig(seed=4, shots=3, cutoff=12)
+        reference = circ.run_circuit(spec, cfg)
+        kernel, instantiate = mm._section_gate, circ._instantiate
+        kernel_calls, instantiated = [], []
+        monkeypatch.setattr(mm, "_section_gate",
+                            lambda *a, **k: kernel_calls.append(a[1]) or kernel(*a, **k))
+        monkeypatch.setattr(circ, "_instantiate",
+                            lambda *a: instantiated.append(a[0]) or instantiate(*a))
+        res = circ.run_circuit(spec, cfg)
+        assert res.rows == reference.rows
+        assert sorted(kernel_calls) == [0] * 3 + [1] * 3  # one per mode and shot
+        assert len(instantiated) == len(spec.gates)  # once, not once per shot
+
+    def test_adaptive_gate_instantiated_every_shot(self, monkeypatch):
+        doc = make_doc(
+            2, {"kind": "fock_pattern", "pattern": [1, 0]},
+            [{"type": "beamsplitter", "modes": [0, 1]},
+             {"measure": "discrete", "modes": [0], "name": "n"},
+             {"type": "squeeze", "mode": 1, "xi": [0.1, 0.0]},
+             {"type": "phase", "mode": 1, "phi": {"terms": [{"ref": "n", "coeff": [1.0, 0]}]}},
+             {"measure": "discrete", "modes": [1], "name": "m"}],
+        )
+        spec = circ.parse_circuit(json.dumps(doc))
+        instantiate = circ._instantiate
+        instantiated = []
+        monkeypatch.setattr(circ, "_instantiate",
+                            lambda *a: instantiated.append(a[0].kind) or instantiate(*a))
+        circ.run_circuit(spec, SamplerConfig(seed=1, shots=4, cutoff=8))
+        assert sorted(instantiated) == ["passive", "phase", "phase", "phase", "phase", "squeeze"]
 
     def test_rank_bookkeeping_rank_preserving(self):
         # gates keep the rank, the continuous measurement cannot raise it

@@ -287,6 +287,34 @@ class TestEvolveAndTrace:
         assert all(len(f) <= 25 for f in lines[1].split(","))
 
 
+    @pytest.mark.parametrize("route", ["closed", "ode"])
+    @pytest.mark.parametrize("steps", ["1", "0", "-3"])
+    def test_trajectory_needs_two_steps(self, fock2_path, tmp_path, capsys, route, steps):
+        from hqcsim import cli
+
+        out = tmp_path / "traj.csv"
+        rc = cli.main(["evolve", fock2_path, "--gate", "S", "--re", "0.2", "--trajectory",
+                       "--route", route, "--steps", steps, "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--steps must be at least 2" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_cm_trace_needs_a_step(self, tmp_path, capsys, steps):
+        from hqcsim import cli
+
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"q0": [[1, 0], [-1, 0]], "p0": [[0, 0], [0, 0]],
+                                    "g": [1, 0]}))
+        out = tmp_path / "cm.csv"
+        rc = cli.main(["cm-trace", str(path), "--steps", steps, "--out", str(out)])
+        assert rc == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--steps must be at least 1" in err
+        assert not out.exists()
+
+
 class TestTable3Cli:
     def test_all_rows(self):
         r = run_cli("table3", "--modes", "3", "--photons", "2")

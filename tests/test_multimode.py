@@ -1,5 +1,6 @@
 """Multimode Gaussian action, decompositions, and entanglement analysis."""
 
+from math import comb
 from unittest import mock
 
 import numpy as np
@@ -234,11 +235,29 @@ class TestShearPhaseMode:
         assert out.poly.coeffs[(2, 0)] == pytest.approx(-1 / np.sqrt(2))
 
 
-def _section_gate_reference(state, mode, a_new, b_scale, kappa, c_const, nu):
+def _shift_variable(poly, mode, shift):
+    """P with z_mode replaced by z_mode + shift, monomial by monomial: the dict
+    displacement that the kernel's delta term replaced."""
+    if shift == 0:
+        return poly
+    out = {}
+    for idx, c in poly.coeffs.items():
+        p = idx[mode]
+        pw = 1.0 + 0j
+        for j in range(p, -1, -1):
+            new = list(idx)
+            new[mode] = j
+            out[tuple(new)] = out.get(tuple(new), 0) + c * comb(p, j) * pw
+            pw *= shift
+    return st.PolyPart.make(out).pruned()
+
+
+def _section_gate_reference(state, mode, a_new, b_scale, kappa, c_const, nu, beta=0j):
     """The dict-polynomial section engine: (mu z_k + nu (d/dz_k + l))^d built
     by repeated ``PolyPart.multiplied`` calls, entry by entry exponent loops,
-    with mu = b_scale + nu a_new (det exp(tK) = 1). The reference for the
-    dense transport kernel of ``multimode._section_gate``."""
+    with mu = b_scale + nu a_new (det exp(tK) = 1), then D(beta) on mode k as
+    the exponent update of the whole vector and ``_shift_variable``. The
+    reference for the dense transport kernel of ``multimode._section_gate``."""
     mu = b_scale + nu * a_new
     m = state.modes
     k = mode
@@ -281,17 +300,25 @@ def _section_gate_reference(state, mode, a_new, b_scale, kappa, c_const, nu):
     out_poly = st.PolyPart.make({})
     for d, rest in by_power.items():
         out_poly = poly_added(out_poly, st.PolyPart.make(rest).multiplied(powers[d]))
-    return st.StellarState.make(m, out_poly.pruned(), gauss2)
+    bvec = np.zeros(m, dtype=complex)
+    bvec[k] = beta
+    bc = np.conj(bvec)
+    A2 = gauss2.A
+    B3 = gauss2.B + bvec + A2 @ bc
+    C3 = gauss2.C - gauss2.B @ bc - 0.5 * bc @ A2 @ bc - 0.5 * np.sum(np.abs(bvec) ** 2)
+    out_poly = _shift_variable(out_poly.pruned(), k, -bc[k])
+    return st.StellarState.make(m, out_poly, st.GaussPart.make(A2, B3, C3, check=False))
 
 
 def _section_gates(rng, modes, strength=1.0):
-    """S, P and R on every mode, with random parameters."""
+    """S, P, R and D on every mode, with random parameters."""
     gates = []
     for k in range(modes):
         gates += [
             Squeeze(k, 0.5 * strength * np.exp(1j * rng.uniform(0, 2 * np.pi))),
             Shear(k, strength * float(rng.uniform(-0.6, 0.6))),
             Phase(k, float(rng.uniform(0, 2 * np.pi))),
+            Displace.single(k, 0.4 * strength * np.exp(1j * rng.uniform(0, 2 * np.pi)), modes),
         ]
     return gates
 
@@ -320,6 +347,98 @@ class TestSectionKernel:
         s = st.normalized(random_state(rng, modes, rank, amax=0.25))
         for gate in _section_gates(rng, modes, strength=0.5):
             assert gate_overlap_vs_oracle(s, gate, cutoff) > 1 - ORACLE_TOL
+
+
+def _group_gate(rng, kind, modes):
+    k = int(rng.integers(modes))
+    if kind == "D":
+        return Displace.single(k, 0.3 * np.exp(2j * np.pi * rng.uniform()), modes)
+    if kind == "X":  # one displacement on every mode
+        return Displace.make(0.3 * np.exp(2j * np.pi * rng.uniform(size=modes)))
+    if kind == "S":
+        return Squeeze(k, 0.12 * np.exp(2j * np.pi * rng.uniform()))
+    if kind == "P":
+        return Shear(k, float(rng.uniform(-0.15, 0.15)))
+    return Phase(k, float(rng.uniform(-9.0, 9.0)))
+
+
+class TestModeRuns:
+    """A stretch of D, S, P and R gates is fused into one kernel call per mode
+    (``multimode._fused``); it equals the gates applied one at a time."""
+
+    @settings(max_examples=30)
+    @given(hst.integers(1, 3), hst.integers(0, 4),
+           hst.lists(hst.sampled_from("DXSPR"), min_size=1, max_size=6),
+           hst.integers(0, 2**32 - 1))
+    def test_group_matches_sequential_and_oracle(self, modes, rank, kinds, seed):
+        rng = np.random.default_rng(seed)
+        s = st.normalized(st.StellarState.make(
+            modes, random_poly(rng, modes, rank),
+            random_admissible_gauss(rng, modes, 0.25, bscale=0.25)))
+        gates = [_group_gate(rng, kind, modes) for kind in kinds]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return kernel(*args, **kwargs)
+
+        kernel = mm._section_gate
+        with mock.patch.object(mm, "_section_gate", counting):
+            got = mm.apply_gaussian(s, mm.GaussianUnitarySpec.make(modes, gates))
+        assert len(calls) == len(set(calls)) <= modes
+        one_by_one = s
+        for gate in gates:
+            one_by_one = mm.apply_gate(one_by_one, gate)
+        assert_states_close(got, one_by_one, rel=1e-12)
+        # the truncated oracle is wrong near its cutoff: compare a window below
+        cutoff, window = ((80, 60), (40, 30), (24, 16))[modes - 1]
+        arr = st.to_fock_array(s, cutoff, warn_tail=False)
+        for gate in gates:
+            arr = fs.fock_oracle_apply(arr, gate, loss_tol=1.0)
+        oracle = fs.FockBasis(modes, window).vector(arr)
+        assert vectors_overlap(oracle, fock_vector(got, window)) > 1 - ORACLE_TOL
+
+    def test_run_phase_matches_sequential(self, rng):
+        # large R angles and merged displacements: C (the global phase) included
+        s = random_state(rng, 2, 3)
+        gates = [Displace.single(0, 0.4 - 0.3j, 2), Phase(0, 8.7), Squeeze(0, 0.5j),
+                 Displace.single(0, -0.2 + 0.5j, 2), Shear(0, -0.7), Phase(0, -7.9),
+                 Displace.make([0.3j, 0.1])]
+        run = mm._fused(gates)
+        assert [type(g).__name__ for g in run] == ["ModeRun", "ModeRun"]
+        got = s
+        for r in run:
+            got = mm.apply_gate(got, r)
+        ref = s
+        for gate in gates:
+            ref = mm.apply_gate(ref, gate)
+        assert_states_close(got, ref, rel=1e-12)
+
+    def test_passive_splits_runs(self):
+        bs = Passive.make(beamsplitter_matrix())
+        gates = [Squeeze(0, 0.2), Phase(1, 0.3), bs, Shear(0, 0.1), Squeeze(0, 0.2)]
+        kinds = [(type(g).__name__, getattr(g, "mode", None)) for g in mm._fused(gates)]
+        assert kinds == [("ModeRun", 0), ("ModeRun", 1), ("Passive", None), ("ModeRun", 0)]
+
+    def test_gate_deep_layer_is_two_kernel_calls(self, rng):
+        # a beamsplitter, then S, P, R and D on each of two modes
+        s = st.normalized(random_state(rng, 2, 3, amax=0.3))
+        gates = [Passive.make(beamsplitter_matrix())]
+        for k in (0, 1):
+            gates += [Squeeze(k, 0.05j), Shear(k, 0.03), Phase(k, 1.1),
+                      Displace.single(k, 0.1 - 0.05j, 2)]
+        with mock.patch.object(mm, "_section_gate", wraps=mm._section_gate) as kernel:
+            mm.apply_gaussian(s, mm.GaussianUnitarySpec.make(2, gates))
+        assert kernel.call_count == 2
+
+    def test_displacement_is_one_kernel_call_per_nonzero_entry(self, rng):
+        s = random_state(rng, 3, 2)
+        with mock.patch.object(mm, "_section_gate", wraps=mm._section_gate) as kernel:
+            out = mm.apply_displace(s, [0.3, 0.0, -0.2j])
+        assert kernel.call_count == 2
+        with mock.patch.object(mm, "_section_gate", _section_gate_reference):
+            ref = mm.apply_displace(s, [0.3, 0.0, -0.2j])
+        assert_states_close(out, ref)
 
 
 class TestApplyGaussian:

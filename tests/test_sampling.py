@@ -301,6 +301,39 @@ class TestFockSweep:
                 last = sp.project_fock(s, mode, n)  # the last entry of a shorter sweep
                 assert last == got if isinstance(got, complex) else last.poly == got.poly
 
+    def test_stops_at_first_zero_projection(self, rng):
+        # a Fock input through a passive gate has A = B = 0, so P_n vanishes
+        # once n passes the photons in the mode
+        s = mm.apply_passive(st.from_fock_superposition({(2, 1, 0): 1.0, (0, 1, 1): 0.5}, 3),
+                             Passive.make(random_unitary(rng, 3)))
+        for mode in range(3):
+            sweep = sp._fock_projections(s, mode, self.N)
+            assert len(sweep) == 5 and sweep[-1].poly.is_zero()  # total degree 3
+            assert not any(p.poly.is_zero() for p in sweep[:-1])
+            for n in range(self.N + 1):
+                got = sweep[min(n, len(sweep) - 1)]
+                assert_states_close(got, _project_fock_reference(s, mode, n))
+                assert sp.project_fock(s, mode, n).poly == got.poly
+
+    def test_engine_skips_zero_projections(self, rng, monkeypatch):
+        from hqcsim import circuits as circ
+
+        s = mm.apply_passive(st.from_fock_superposition({(1, 1, 1): 1.0}, 3),
+                             Passive.make(random_unitary(rng, 3)))
+        cfg = sp.SamplerConfig(seed=6, shots=150, cutoff=9)
+        # the full sweep, one from-scratch projection per n
+        monkeypatch.setattr(circ, "_fock_projections", lambda state, mode, nmax: [
+            _project_fock_reference(state, mode, n) for n in range(nmax + 1)])
+        reference = sp.sample_discrete(s, [0, 1, 2], cfg)
+        monkeypatch.undo()
+        norm = circ.norm_squared
+        zero_calls = []
+        monkeypatch.setattr(circ, "norm_squared", lambda state: zero_calls.append(
+            state.poly.is_zero()) or norm(state))
+        got = sp.sample_discrete(s, [0, 1, 2], cfg)
+        assert [o.ns for o in got] == [o.ns for o in reference]
+        assert zero_calls and not any(zero_calls)
+
     def test_two_mode_squeezed_ranks(self):
         sweep = sp._fock_projections(_two_mode_squeezed(0.5), 0, self.N)
         assert [st.stellar_rank(p) for p in sweep] == list(range(self.N + 1))
