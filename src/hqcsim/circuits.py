@@ -11,7 +11,12 @@ own counter-based substream, so its outcomes are bit-reproducible for a fixed
 Between measurements, each run of single-mode gates (displace, squeeze, shear,
 phase) on a mode is fused into one ``multimode.ModeRun`` and applied by one
 kernel call. A gate with constant parameters is instantiated once per run, not
-once per shot, and a stretch of constant gates is fused once.
+once per shot. A stretch of constant gates on m active modes is one Gaussian
+unitary: it is compiled once per run to its Bloch-Messiah form, a passive
+gate, one ModeRun per mode and a passive gate (``multimode._compact``), when
+that is shorter than its fused gates. The compiled stretch drops a global
+phase, which no outcome reads. A stretch with an adaptive gate is fused anew
+for each shot, and ``final_state`` applies the fused gates.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .gates import (
     Squeeze,
     beamsplitter_matrix,
 )
-from .multimode import GaussianUnitarySpec, _fused, apply_gate, apply_gaussian
+from .multimode import GaussianUnitarySpec, _compact, _fused, apply_gate, apply_gaussian
 from .sampling import (
     MIN_ACCEPT_RATE,
     _RejectionPlan,
@@ -442,12 +447,15 @@ class _ShotEngine:
         return gate
 
     def _stretch(self, positions, record, active):
-        """The gates at ``positions``, instantiated for this shot and fused."""
+        """The gates at ``positions``, instantiated for this shot and fused; a
+        stretch of constant gates is compiled once (``_compact``)."""
         gates = self.fused_cache.get(positions)
         if gates is None:
-            gates = _fused([self._gate(pos, record, active) for pos in positions])
+            gates = [self._gate(pos, record, active) for pos in positions]
             if all(pos in self.gate_cache for pos in positions):
-                self.fused_cache[positions] = gates
+                gates = self.fused_cache[positions] = _compact(gates, len(active))
+            else:
+                gates = _fused(gates)
         return gates
 
     def _measure_discrete(self, state, active, decl, rng, cache_key):

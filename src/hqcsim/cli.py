@@ -61,6 +61,9 @@ def _load_circuit(path):
 
 
 def _run_and_write(spec, args, final_summary=False):
+    for flag, value in (("--shots", args.shots), ("--cutoff", args.cutoff)):
+        if value < 0:
+            raise ValueError(f"{flag} must be non-negative, got {value}")
     cfg = sp.SamplerConfig(seed=args.seed, shots=args.shots, cutoff=args.cutoff)
     result = circ.run_circuit(spec, cfg, final_summary=final_summary)
     if args.format == "csv":

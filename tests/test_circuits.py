@@ -291,6 +291,42 @@ class TestRun:
         assert sorted(kernel_calls) == [0] * 3 + [1] * 3  # one per mode and shot
         assert len(instantiated) == len(spec.gates)  # once, not once per shot
 
+    @pytest.mark.parametrize("layers, passive_calls, kernel_modes", [(10, 2, (0, 1)), (0, 1, ())])
+    def test_constant_stretch_compiled_once(self, monkeypatch, layers, passive_calls,
+                                            kernel_modes):
+        # gate_deep-shaped layers (a beamsplitter, then S P R D on each of 2
+        # modes) become [V, one ModeRun per mode, U]; a lone beamsplitter stays
+        entries = [{"type": "beamsplitter", "modes": [0, 1]}]
+        for layer in range(layers):
+            for mode in (0, 1):
+                entries += [
+                    {"type": "squeeze", "mode": mode, "xi": [0.05, 0.01 * layer]},
+                    {"type": "shear", "mode": mode, "s": 0.03 * (-1) ** layer},
+                    {"type": "phase", "mode": mode, "phi": 0.7 * layer + mode},
+                    {"type": "displace", "mode": mode, "amount": [0.1, -0.01 * layer]},
+                ]
+            entries.append({"type": "beamsplitter", "modes": [0, 1]})
+        entries.append({"measure": "discrete", "modes": [0, 1], "name": "n"})
+        doc = make_doc(2, {"kind": "fock_pattern", "pattern": [2, 1]}, entries)
+        spec = circ.parse_circuit(json.dumps(doc))
+        cfg = SamplerConfig(seed=4, shots=3, cutoff=24)
+        with monkeypatch.context() as m:
+            m.setattr(circ, "_compact", lambda gates, modes: mm._fused(gates))
+            reference = circ.run_circuit(spec, cfg)
+        compact, passive, kernel = circ._compact, mm.apply_passive, mm._section_gate
+        compiled, passive_seen, kernel_seen = [], [], []
+        monkeypatch.setattr(circ, "_compact",
+                            lambda *a: compiled.append(a) or compact(*a))
+        monkeypatch.setattr(mm, "apply_passive",
+                            lambda *a: passive_seen.append(a) or passive(*a))
+        monkeypatch.setattr(mm, "_section_gate",
+                            lambda *a, **k: kernel_seen.append(a[1]) or kernel(*a, **k))
+        res = circ.run_circuit(spec, cfg)
+        assert res.rows == reference.rows
+        assert len(compiled) == 1
+        assert len(passive_seen) == passive_calls * cfg.shots
+        assert sorted(kernel_seen) == sorted(kernel_modes * cfg.shots)  # one call per mode
+
     def test_adaptive_gate_instantiated_every_shot(self, monkeypatch):
         doc = make_doc(
             2, {"kind": "fock_pattern", "pattern": [1, 0]},

@@ -76,6 +76,27 @@ class TestRun:
         assert r.returncode == 1
         assert "error" in r.stderr
 
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--shots", "-3"], "--shots must be non-negative, got -3"),
+        (["--cutoff", "-1"], "--cutoff must be non-negative, got -1"),
+    ])
+    def test_negative_shots_or_cutoff_rejected(self, hom_path, fock2_path, capsys,
+                                               command, flags, message):
+        from hqcsim import cli
+
+        target = hom_path if command == "run" else fock2_path
+        assert cli.main([command, target, *flags]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_zero_shots_is_an_empty_run(self, hom_path, capsys):
+        from hqcsim import cli
+
+        assert cli.main(["run", hom_path, "--shots", "0", "--seed", "3"]) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"rows": [], "seed": 3, "shots": 0}
+
 
 def test_import_leaves_scipy_unloaded():
     # scipy is imported where it is used; the CLI and the stellar routes run without it
@@ -106,6 +127,44 @@ def test_closed_routes_leave_scipy_optimize_unloaded(tmp_path):
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert r.stdout.strip() == "False"
+
+
+def test_compiled_stretch_leaves_scipy_unloaded(tmp_path, rng):
+    # equal squeezers make the Bloch-Messiah form of the stretch refine a
+    # degenerate block by a Takagi factorization, which needs no scipy
+    from unittest import mock
+
+    from hqcsim import circuits as circ
+    from hqcsim import multimode as mm
+    from conftest import random_unitary
+
+    U = random_unitary(rng, 2)
+    entries = [{"type": "squeeze", "mode": 0, "xi": [0.3, 0]},
+               {"type": "squeeze", "mode": 1, "xi": [0, 0.3]},
+               {"type": "passive", "matrix": [[[U[i, j].real, U[i, j].imag] for j in range(2)]
+                                              for i in range(2)]}]
+    for layer in range(3):
+        entries += [{"type": "beamsplitter", "modes": [0, 1]},
+                    {"type": "displace", "mode": 0, "amount": [0.1, 0.05 * layer]},
+                    {"type": "displace", "mode": 1, "amount": [-0.05, 0.1]}]
+    entries.append({"measure": "discrete", "modes": [0, 1], "name": "n"})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"schema": "hqc-circuit/1", "modes": 2,
+                                "prep": {"kind": "fock_pattern", "pattern": [1, 0]},
+                                "circuit": entries}))
+    spec = circ.parse_circuit(path.read_text())
+    gates = [circ._instantiate(decl, {}, [0, 1]) for decl in spec.gates]
+    with mock.patch.object(mm, "takagi", wraps=mm.takagi) as takagi:
+        assert len(mm._compact(gates, 2)) == 4
+    assert takagi.call_count == 1
+    code = (
+        "import sys\nfrom hqcsim import cli\n"
+        f"assert cli.main(['run', {str(path)!r}, '--shots', '5', '--out', "
+        f"{str(tmp_path / 'o.json')!r}]) == 0\n"
+        "print(sorted(k for k in sys.modules if k.startswith('scipy')))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert r.stdout.strip() == "[]"
 
 
 class TestParserReuse:

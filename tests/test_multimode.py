@@ -441,6 +441,71 @@ class TestModeRuns:
         assert_states_close(out, ref)
 
 
+def _applied(state, gates):
+    for gate in gates:
+        state = mm.apply_gate(state, gate)
+    return state
+
+
+class TestCompact:
+    """A stretch of more than m + 2 fused gates on m modes is compiled to its
+    Bloch-Messiah form (``multimode._compact``): the same state up to a
+    global phase, in at most m + 2 kernel calls."""
+
+    @settings(max_examples=40)
+    @given(hst.integers(1, 3), hst.integers(0, 3),
+           hst.lists(hst.lists(hst.sampled_from("DXSPR"), max_size=3), min_size=1, max_size=8),
+           hst.integers(0, 2**32 - 1))
+    def test_matches_fused_and_oracle(self, modes, rank, layers, seed):
+        rng = np.random.default_rng(seed)
+        s = st.normalized(st.StellarState.make(
+            modes, random_poly(rng, modes, rank),
+            random_admissible_gauss(rng, modes, 0.25, bscale=0.25)))
+        gates = []
+        for kinds in layers:
+            gates.append(Passive.make(random_unitary(rng, modes)))
+            gates += [_group_gate(rng, kind, modes) for kind in kinds]
+        fused = mm._fused(gates)
+        compact = mm._compact(gates, modes)
+        assert len(compact) <= modes + 2 or len(compact) == len(fused)
+        assert len(compact) <= len(fused)
+        got, ref = _applied(s, compact), _applied(s, fused)
+        # A, B, P and Re C agree; Im C is the global phase the form drops
+        assert_states_close(got.scaled(1j * (ref.gauss.C - got.gauss.C).imag), ref, rel=1e-12)
+        cutoff, window = ((80, 60), (40, 30), (24, 16))[modes - 1]
+        arr = st.to_fock_array(s, cutoff, warn_tail=False)
+        for gate in gates:
+            arr = fs.fock_oracle_apply(arr, gate, loss_tol=1.0)
+        oracle = fs.FockBasis(modes, window).vector(arr)
+        assert vectors_overlap(oracle, fock_vector(got, window)) > 1 - ORACLE_TOL
+
+    @pytest.mark.parametrize("fault", ["wrong program", "failed factorization"])
+    def test_unverified_form_keeps_fused(self, rng, monkeypatch, fault):
+        gates = []
+        for _ in range(3):
+            gates += [Passive.make(random_unitary(rng, 2)), Squeeze(0, 0.2j),
+                      Displace.make([0.1, 0.2])]
+        form = mm._bloch_messiah_gates
+
+        def faulty(*args):
+            if fault == "failed factorization":
+                raise RuntimeError("takagi factorization failed")
+            return form(*args)[:-1]  # U left out
+
+        monkeypatch.setattr(mm, "_bloch_messiah_gates", faulty)
+        compact = mm._compact(gates, 2)
+        assert [type(g) for g in compact] == [type(g) for g in mm._fused(gates)]
+
+    def test_short_stretch_stays_fused(self):
+        # m + 2 fused entries or fewer: a layer, and a lone passive gate
+        bs = Passive.make(beamsplitter_matrix())
+        layer = [bs, Squeeze(0, 0.1), Phase(1, 0.4), Displace.make([0.1, 0.2j])]
+        for gates in (layer, [bs]):
+            compact = mm._compact(gates, 2)
+            assert [type(g) for g in compact] == [type(g) for g in mm._fused(gates)]
+            assert compact[0] is bs
+
+
 class TestApplyGaussian:
     def test_empty_spec_identity(self, rng):
         s = random_state(rng, 2, 2)
@@ -528,11 +593,9 @@ class TestTakagi:
         np.testing.assert_allclose(W @ np.diag(s) @ W.T, A, atol=1e-10)
 
     def test_failed_factorization_names_residual(self, rng, monkeypatch):
-        import scipy.linalg
-
         X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         # a wrong square root of each block makes W diag(s) W^T miss A
-        monkeypatch.setattr(scipy.linalg, "sqrtm", lambda M: 2.0 * np.eye(M.shape[0]))
+        monkeypatch.setattr(mm, "_sqrt_unitary", lambda M: 2.0 * np.eye(M.shape[0]))
         with pytest.raises(RuntimeError, match=r"residual max\|W diag\(s\) W\^T - A\| = "):
             mm.takagi(0.3 * (X + X.T))
 
@@ -642,7 +705,59 @@ class TestSchmidt:
         assert agree == 20
 
 
+def _bogoliubov_reference(spec):
+    """(E, F, d) folded gate by gate with dense per-gate actions: the
+    reference for ``multimode.bogoliubov``, which folds the fused runs."""
+    m = spec.modes
+
+    def identity():
+        return (np.eye(m, dtype=complex), np.zeros((m, m), dtype=complex),
+                np.zeros(m, dtype=complex))
+
+    E, F, d = identity()
+    for gate in spec.gate_list:
+        e, f, dl = identity()
+        if isinstance(gate, Passive):
+            e = np.array(gate.U)
+        elif isinstance(gate, Displace):
+            dl = -np.conj(gate.beta)
+        else:
+            xi, phi, _ = mm._mode_drive(gate)
+            *_, e[gate.mode, gate.mode], f[gate.mode, gate.mode] = mm._mode_exponents(0j, xi, phi)
+        E, F, d = E @ e + F @ np.conj(f), E @ f + F @ np.conj(e), E @ dl + F @ np.conj(dl) + d
+    return E, F, d
+
+
+def _action_error(got, ref):
+    return max(float(np.abs(g - r).max()) for g, r in zip(got, ref))
+
+
 class TestBlochMessiah:
+    def test_bogoliubov_matches_gate_by_gate_fold(self, rng):
+        for m in (1, 2, 3):
+            for _ in range(5):
+                spec = mm.GaussianUnitarySpec.make(m, [_random_gate(rng, m) for _ in range(12)])
+                ref = _bogoliubov_reference(spec)
+                assert _action_error(mm.bogoliubov(spec), ref) <= 1e-13 * np.abs(ref[0]).max()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("r", [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_action_at_small_squeezing(self, rng, m, r, degenerate):
+        # sinh r is read from the SVD of F, so a small r keeps its precision
+        for _ in range(3):
+            strengths = np.full(m, r) if degenerate else r * rng.uniform(0.3, 1.0, m)
+            spec = mm.GaussianUnitarySpec.make(m, [
+                Passive.make(random_unitary(rng, m)),
+                *(Squeeze(j, complex(strengths[j] * np.exp(2j * np.pi * rng.uniform())))
+                  for j in range(m)),
+                Displace.make(rng.normal(size=m) + 1j * rng.normal(size=m)),
+                Passive.make(random_unitary(rng, m)),
+            ])
+            ref = _bogoliubov_reference(spec)
+            got = mm.bogoliubov(mm.bloch_messiah(spec))
+            assert _action_error(got, ref) <= 1e-13 * max(1.0, np.abs(ref[0]).max())
+
     def test_random_program(self, rng):
         spec = mm.GaussianUnitarySpec.make(
             2,
