@@ -12,11 +12,12 @@ Between measurements, each run of single-mode gates (displace, squeeze, shear,
 phase) on a mode is fused into one ``multimode.ModeRun`` and applied by one
 kernel call. A gate with constant parameters is instantiated once per run, not
 once per shot. A stretch of constant gates on m active modes is one Gaussian
-unitary: it is compiled once per run to its Bloch-Messiah form, a passive
-gate, one ModeRun per mode and a passive gate (``multimode._compact``), when
-that is shorter than its fused gates. The compiled stretch drops a global
-phase, which no outcome reads. A stretch with an adaptive gate is fused anew
-for each shot, and ``final_state`` applies the fused gates.
+unitary: if its fused gates hold two or more passive gates, it is compiled
+once per run to its Bloch-Messiah form, a passive gate, one ModeRun per mode
+and a passive gate (``multimode._compact``), when that is cheaper. The
+compiled stretch drops a global phase, which no outcome reads. A stretch with
+an adaptive gate is fused anew for each shot, and ``final_state`` applies the
+fused gates.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ single-mode gates between multimode gates (``_fused``), so the stretch costs one
 kernel call per mode. A single gate is a run of one. The circuit engine goes
 further for a stretch it applies on every shot: any Gaussian stretch is one
 Bloch-Messiah program, a passive gate, one D+S run per mode and a passive
-gate (``_compact``), built once from the stretch's Bogoliubov action.
+gate (``_compact``), built once from the stretch's Bogoliubov action and
+used in place of a stretch with more passive gates.
 """
 
 from __future__ import annotations
@@ -642,7 +643,8 @@ def bogoliubov(spec):
 
 def _bloch_messiah_gates(E, F, d):
     """[Passive V, Displace(beta), Squeeze..., Passive U] with the Bogoliubov
-    action (E, F, d): G = U S(xi) D(beta) V, up to a global phase.
+    action (E, F, d): G = U S(xi) D(beta) V, up to a global phase. Without
+    squeezing V is left out: [Displace(beta), Passive U].
 
     In the fold convention of ``_action``, that program has E = V C U with
     C = diag(cosh r), F = -V diag(e^{-i theta} sinh r) conj(U) and
@@ -676,6 +678,8 @@ def _bloch_messiah_gates(E, F, d):
         Squeeze(j, complex(r[j] * np.exp(-1j * np.angle(S[j, j]))))
         for j in range(m) if s[j] > 1e-14 * scale
     ]
+    if not squeezers:  # F = 0 leaves V free: take V = I, so U = E and d = -conj(beta)
+        return [Displace.make(-np.conj(d)), Passive.make(_unitary_project(E))]
     return [
         Passive.make(_unitary_project(V)),
         Displace.make(-np.conj(V.conj().T @ d)),
@@ -692,22 +696,32 @@ def bloch_messiah(spec):
     return GaussianUnitarySpec.make(spec.modes, _bloch_messiah_gates(*bogoliubov(spec)))
 
 
+def _cost(gates):
+    """Sort key for the kernel cost of fused gates: a passive gate rewrites
+    every coefficient of the state and costs about one ModeRun per mode, so
+    the passive count comes first, then the entry count."""
+    return sum(isinstance(g, Passive) for g in gates), len(gates)
+
+
 def _compact(gates, m):
     """The gates of a stretch on m modes, fused (``_fused``) and, if that
-    leaves more than m + 2 entries, compiled to their Bloch-Messiah form.
+    holds two or more passive gates, compiled to their Bloch-Messiah form.
 
     The stretch is one Gaussian unitary, so [Passive V, one D+S ModeRun per
-    mode, Passive U] applies it in at most m + 2 kernel calls. That program is
-    built from the stretch's Bogoliubov action, folded once, and kept only if
-    its own action matches to 1e-12 relative and it is shorter; otherwise the
-    fused gates are returned. The global phase the form leaves out is dropped:
-    the state's A, B, P and Re C are those of the fused gates, and Im C moves
-    by a constant, which no norm or outcome probability reads. Compiling costs
+    mode, Passive U] applies it with two passive gates and at most m
+    ModeRuns, and without squeezing [ModeRun..., Passive U] with one. A
+    stretch with fewer than two passive gates cannot lose one, so it stays
+    fused. The program is built from the stretch's Bogoliubov action, folded
+    once, and kept only if its own action matches to 1e-12 relative and it is
+    cheaper (``_cost``); otherwise the fused gates are returned. The global
+    phase the form leaves out is dropped: the state's A, B, P and Re C are
+    those of the fused gates, and Im C moves by a constant, which no norm or
+    outcome probability reads. Compiling costs
     about one application of the fused stretch to a rank-0 state, so it pays
     for a stretch that is applied many times.
     """
     fused = _fused(gates)
-    if len(fused) <= m + 2:
+    if _cost(fused)[0] < 2:
         return fused
     E, F, d = _action(fused, m)
     try:
@@ -717,7 +731,7 @@ def _compact(gates, m):
     E2, F2, d2 = _action(program, m)
     err = max(np.abs(E2 - E).max(), np.abs(F2 - F).max(), np.abs(d2 - d).max())
     ok = err <= 1e-12 * max(1.0, np.abs(E).max(), np.abs(d).max())  # False on NaN
-    return program if ok and len(program) < len(fused) else fused
+    return program if ok and _cost(program) < _cost(fused) else fused
 
 
 def _unitary_project(U):

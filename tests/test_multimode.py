@@ -447,10 +447,14 @@ def _applied(state, gates):
     return state
 
 
+def _passives(gates):
+    return sum(isinstance(g, Passive) for g in gates)
+
+
 class TestCompact:
-    """A stretch of more than m + 2 fused gates on m modes is compiled to its
-    Bloch-Messiah form (``multimode._compact``): the same state up to a
-    global phase, in at most m + 2 kernel calls."""
+    """A stretch whose fused gates hold two or more passive gates is compiled
+    to its Bloch-Messiah form (``multimode._compact``): the same state up to
+    a global phase, with at most two passive gates and m + 2 kernel calls."""
 
     @settings(max_examples=40)
     @given(hst.integers(1, 3), hst.integers(0, 3),
@@ -467,8 +471,9 @@ class TestCompact:
             gates += [_group_gate(rng, kind, modes) for kind in kinds]
         fused = mm._fused(gates)
         compact = mm._compact(gates, modes)
-        assert len(compact) <= modes + 2 or len(compact) == len(fused)
-        assert len(compact) <= len(fused)
+        if [type(g) for g in compact] != [type(g) for g in fused]:
+            assert _passives(fused) >= 2 and _passives(compact) <= 2
+            assert len(compact) <= modes + 2 and mm._cost(compact) < mm._cost(fused)
         got, ref = _applied(s, compact), _applied(s, fused)
         # A, B, P and Re C agree; Im C is the global phase the form drops
         assert_states_close(got.scaled(1j * (ref.gauss.C - got.gauss.C).imag), ref, rel=1e-12)
@@ -496,14 +501,32 @@ class TestCompact:
         compact = mm._compact(gates, 2)
         assert [type(g) for g in compact] == [type(g) for g in mm._fused(gates)]
 
-    def test_short_stretch_stays_fused(self):
-        # m + 2 fused entries or fewer: a layer, and a lone passive gate
+    def test_one_passive_stretch_stays_fused(self):
+        # a layer, a lone passive gate, and runs on both sides of one passive
+        # gate ([R0, R1, P, R0, R1]): the form [V, runs, U] would add a passive
         bs = Passive.make(beamsplitter_matrix())
         layer = [bs, Squeeze(0, 0.1), Phase(1, 0.4), Displace.make([0.1, 0.2j])]
-        for gates in (layer, [bs]):
+        sandwich = [Squeeze(0, 0.3), Squeeze(1, 0.2j), bs, Displace.make([0.1, 0.2j]),
+                    Phase(0, 0.4), Phase(1, -0.3)]
+        for gates in (layer, [bs], sandwich):
             compact = mm._compact(gates, 2)
             assert [type(g) for g in compact] == [type(g) for g in mm._fused(gates)]
-            assert compact[0] is bs
+            assert bs in compact
+
+    def test_unsqueezed_stretch_is_one_passive(self, rng):
+        # F = 0: no identity passive V, just the displacement runs and U
+        m = 3
+        gates = []
+        for _ in range(3):
+            gates += [Passive.make(random_unitary(rng, m)),
+                      Displace.make(rng.normal(size=m) + 1j * rng.normal(size=m)),
+                      Phase(1, 0.7)]
+        compact = mm._compact(gates, m)
+        assert [type(g) for g in compact] == [mm.ModeRun] * m + [Passive]
+        s = st.normalized(st.StellarState.make(
+            m, random_poly(rng, m, 2), random_admissible_gauss(rng, m, 0.25, bscale=0.25)))
+        got, ref = _applied(s, compact), _applied(s, mm._fused(gates))
+        assert_states_close(got.scaled(1j * (ref.gauss.C - got.gauss.C).imag), ref, rel=1e-12)
 
 
 class TestApplyGaussian:
