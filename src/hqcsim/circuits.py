@@ -15,9 +15,9 @@ once per shot. A stretch of constant gates on m active modes is one Gaussian
 unitary: if its fused gates hold two or more passive gates, it is compiled
 once per run to its Bloch-Messiah form, a passive gate, one ModeRun per mode
 and a passive gate (``multimode._compact``), when that is cheaper. The
-compiled stretch drops a global phase, which no outcome reads. A stretch with
-an adaptive gate is fused anew for each shot, and ``final_state`` applies the
-fused gates.
+compiled stretch gives the fused gates' state, global phase included. A
+stretch with an adaptive gate is fused anew for each shot, and
+``final_state`` applies the fused gates.
 """
 
 from __future__ import annotations

@@ -107,16 +107,16 @@ def cmd_rank(args):
     return EXIT_OK
 
 
-def _parse_partition(text, modes):
-    left, right = text.split("|")
-    I = tuple(int(v) for v in left.split(",") if v != "")
-    J = tuple(int(v) for v in right.split(",") if v != "")
-    return I, J
+def _parse_partition(text):
+    sides = text.split("|")
+    if len(sides) != 2:
+        raise ValueError(f"--partition takes the form I|J, e.g. 0,1|2, not {text!r}")
+    return tuple(tuple(int(v) for v in side.split(",") if v != "") for side in sides)
 
 
 def cmd_schmidt(args):
     state = hio.load_state(args.state)
-    part = _parse_partition(args.partition, state.modes)
+    part = _parse_partition(args.partition)
     form = mm.schmidt_form(state, part)
     doc = {
         "partition": [list(form.partition[0]), list(form.partition[1])],
@@ -288,7 +288,7 @@ def build_parser():
     p = sub.add_parser("schmidt", help="Schmidt/separability report")
     _add_common(p, suppress=True)
     p.add_argument("state")
-    p.add_argument("--partition", required=True, help="e.g. 0,1|2")
+    p.add_argument("--partition", required=True, help="I|J, e.g. 0,1|2")
     p.set_defaults(func=cmd_schmidt)
 
     p = sub.add_parser("decompose", help="normal form P, U S D program")

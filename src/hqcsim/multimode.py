@@ -12,23 +12,22 @@ z_k -> alpha z_k + nu d/dz_k + u, normal ordered against the new Gaussian,
 where u = nu s' + delta is the section coefficient s' scaled by nu plus the
 displacement's constant delta = -alpha conj(beta), on dense coefficient arrays.
 
-Squeeze, shear and phase gates are the t = 1 flows of single-mode Gaussian
-drives (``_mode_drive``), so one 2x2 propagator (``_mode_exponents``) gives
-their exponent updates and their transport (mu, nu), here, in the Bogoliubov
-action and in the closed forms of ``dynamics``. A run of D, S, P and R gates
-on one mode composes to one propagator and one trailing displacement
-(``ModeRun``): ``apply_gaussian`` and the circuit engine fuse each stretch of
-single-mode gates between multimode gates (``_fused``), so the stretch costs one
-kernel call per mode. A single gate is a run of one. The circuit engine goes
-further for a stretch it applies on every shot: any Gaussian stretch is one
-Bloch-Messiah program, a passive gate, one D+S run per mode and a passive
-gate (``_compact``), built once from the stretch's Bogoliubov action and
-used in place of a stretch with more passive gates.
+An SU(1,1) element moves the mode's exponent a by its Moebius map
+(``_moebius``). Squeeze, shear and phase gates are the t = 1 flows of
+single-mode Gaussian drives (``_mode_drive``), with one 2x2 propagator
+(``_mode_exponents``) here, in the Bogoliubov action and in the closed forms
+of ``dynamics``. A run of D, S, P and R gates on one mode is one such element,
+one trailing displacement and one constant (``ModeRun``), so it costs one
+kernel call: ``apply_gaussian`` and the circuit engine fuse each stretch of
+single-mode gates between multimode gates (``_fused``). The circuit engine
+goes further for a stretch it applies on every shot: any Gaussian stretch is
+one Bloch-Messiah program, a passive gate, one D+S run per mode and a passive
+gate (``_compact``), built once from the stretch's Bogoliubov action, global
+phase included, and used in place of a stretch with more passive gates.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -284,106 +283,96 @@ def _omega2(xi, phi):
     return (phi - r) * (phi + r)
 
 
+def _moebius(a, mu, nu):
+    """(a_new, b_scale, kappa, dc) of the SU(1,1) element M = [[mu, conj(nu)],
+    [nu, conj(mu)]] on a mode with diagonal exponent a (see ``_section_gate``).
+
+    With y = nu a + conj(mu), a moves by the Moebius map of M, b scales by 1/y
+    and kappa = nu / (2 y). dc = -log1p(nu a / conj(mu))/2 is -log(y)/2 less
+    its value at a = 0; it needs no branch choice, as |nu a / conj(mu)| < |a| < 1.
+    Broadcasts over a, mu and nu.
+    """
+    muc = mu.conjugate()
+    y = nu * a + muc
+    return (mu * a + nu.conjugate()) / y, 1.0 / y, 0.5 * nu / y, -0.5 * np.log1p(nu * a / muc)
+
+
 def _mode_exponents(a, xi, phi, t=1.0):
     """Flow of exp(tK), K = [[i phi, -xi], [-conj(xi), -i phi]], on a mode with
     diagonal exponent a: (a_new, b_scale, kappa, c_const, mu, nu); all but mu are
     the arguments of ``_section_gate``.
 
-    exp(tK) = fc I + fs K, with (fc, fs) from ``calogero._propagator``. a moves
-    by its Moebius map with denominator y = fc - (conj(xi) a + i phi) fs, b
-    scales by 1/y, kappa = -conj(xi) fs / (2 y), c_const = -log(y)/2 - i phi t/2
-    with log y continued from y(0) = 1, and (mu, nu) is the first row of exp(tK).
-    Broadcasts over a and t.
+    exp(tK) = fc I + fs K, with (fc, fs) from ``calogero._propagator``, is the
+    SU(1,1) element with first column (mu, nu) = (fc + i phi fs, -conj(xi) fs):
+    ``_moebius`` gives its map of a, b and kappa. c_const = -log(y)/2 - i phi t/2
+    with log y continued along the flow from y = 1 at t = 0: the continued log
+    of y at a = 0, conj(mu), plus the log1p term of ``_moebius``. Broadcasts
+    over a and t.
     """
     w2 = _omega2(xi, phi)
     fc, fs = cm._propagator(w2, t)
-    xic = xi.conjugate()
-    k = xic * a + 1j * phi
-    y = fc - k * fs
-    return (
-        (fc * a + fs * (1j * phi * a - xi)) / y,
-        1.0 / y,
-        -0.5 * xic * fs / y,
-        -0.5 * _continued_log(np.log(y), k, w2, t) - 0.5j * phi * t,
-        fc + 1j * phi * fs,
-        -xic * fs,
-    )
-
-
-def _continued_log(log_y, k, w2, t):
-    """log y = log(fc - k fs), continued along the flow from y(0) = 1, from
-    its principal value ``log_y``."""
+    mu, nu = fc + 1j * phi * fs, -xi.conjugate() * fs
+    a_new, b_scale, kappa, dc = _moebius(a, mu, nu)
+    log_y = np.log(fc - 1j * phi * fs)
     if w2 > 0:
-        # fc and fs are real, so y meets the negative axis only at fs = 0,
-        # y = -1 (omega |t| = pi, 3 pi, ...), crossing it in the sense of -Im(k) t
+        # fc and fs are real, so y(0) meets the negative axis only at fs = 0,
+        # y = -1 (omega |t| = pi, 3 pi, ...), crossing it in the sense of -phi t
         turns = (math.sqrt(w2) * abs(t) / math.pi + 1.0) // 2.0
-        log_y = log_y - 2j * math.pi * np.sign(k.imag * t) * turns
-    return log_y
+        log_y = log_y - 2j * math.pi * np.sign(phi * t) * turns
+    return a_new, b_scale, kappa, -0.5 * log_y - 0.5j * phi * t + dc, mu, nu
 
 
 class ModeRun(NamedTuple):
-    """A run of D, S, P and R gates on one mode, fused into one single-mode
-    Gaussian unitary exp(phase) D(beta) G. G is the product of the run's S, P
-    and R gates, with propagator M = exp(K_n) ... exp(K_1); ``mu`` and ``nu``
-    are its entries M11 and M21. Each displacement is carried to the end of
-    the run by G D(b) = D(M11 b - M12 conj(b)) G, and merging two displacements,
-    D(b) D(beta) = exp(-i Im(conj(b) beta)) D(b + beta), adds to ``phase``.
+    """A run of D, S, P and R gates on one mode as one single-mode Gaussian
+    unitary: D(beta) G times a phase. G is an SU(1,1) element, the product
+    M = exp(K_n) ... exp(K_1) of the S, P and R propagators, held as its first
+    column (mu, nu); M12 = conj(nu) and M22 = conj(mu) follow. Each
+    displacement is carried to the end of the run by
+    G D(b) = D(mu b - conj(nu) conj(b)) G.
 
-    ``steps`` keeps, per S, P or R gate in order, its propagator entries,
-    conj(xi), phi, omega^2 and constant phase: when the run is applied, the
-    Moebius map and the continued log y of each gate are taken at the a that
-    gate meets, so a and the global phase are those the gates give one by one.
+    ``c`` is the run's constant at a = 0: the phases -i Im(conj(b) beta) of
+    merging displacements, D(b) D(beta), each gate's identity term, and
+    -log(y)/2 for y = nu a + conj(mu), log y continued gate by gate. At any
+    other a the run adds the log1p term of ``_moebius``, so one application
+    gives the a and the global phase the gates give one by one.
     """
 
     mode: int
-    steps: tuple
     mu: complex
     nu: complex
     beta: complex
-    phase: complex
+    c: complex
 
     @staticmethod
     def make(mode, gates):
         """Fuse ``gates`` (application order) acting on ``mode``; a Displace
         contributes its entry beta[mode]. Gates with a zero drive are dropped."""
-        steps = []
-        m11, m21 = 1 + 0j, 0j  # first column of M
-        beta = phase = 0j
+        mu, nu = 1 + 0j, 0j
+        a = beta = c = 0j
         for gate in gates:
             if isinstance(gate, Displace):
                 b = complex(gate.beta[mode])
-                phase -= 1j * (b.conjugate() * beta).imag
+                c -= 1j * (b.conjugate() * beta).imag
                 beta += b
                 continue
-            xi, phi, c0 = _mode_drive(gate)
+            xi, phi, c_id = _mode_drive(gate)
             if xi == 0 and phi == 0:
                 continue
-            w2 = _omega2(xi, phi)
-            fc, fs = cm._propagator(w2, 1.0)
-            xic = xi.conjugate()
-            g11, g12, g21, g22 = fc + 1j * phi * fs, -xi * fs, -xic * fs, fc - 1j * phi * fs
-            if beta:
-                beta = g11 * beta - g12 * beta.conjugate()
-            m11, m21 = g11 * m11 + g12 * m21, g21 * m11 + g22 * m21
-            steps.append((g11, g12, g21, g22, xic, phi, w2, c0 - 0.5j * phi))
-        return ModeRun(mode, tuple(steps), m11, m21, beta, phase)
+            a, _, _, c_const, g_mu, g_nu = _mode_exponents(a, xi, phi)
+            c += c_id + c_const
+            beta = g_mu * beta - g_nu.conjugate() * beta.conjugate()
+            mu, nu = g_mu * mu + g_nu.conjugate() * nu, g_nu * mu + g_mu.conjugate() * nu
+        return ModeRun(mode, complex(mu), complex(nu), beta, complex(c))
 
 
 def _apply_run(state, run):
-    """A fused run as one ``_section_gate`` call. With y_i = M21_i a_i + M22_i
-    the Moebius denominator of gate i at the a_i it meets, the run's is
-    y = prod y_i: b scales by 1/y, kappa = M21 / (2 y), and c is the sum of
-    each gate's continued -log(y_i)/2 (see ``_mode_exponents``)."""
-    mode, steps, _, nu, beta, c = run
-    if not steps and not beta:
-        return state
-    a, y_run = complex(state.gauss.A[mode, mode]), 1.0
-    for g11, g12, g21, g22, xic, phi, w2, c0 in steps:
-        y = g21 * a + g22
-        c += c0 - 0.5 * _continued_log(cmath.log(y), xic * a + 1j * phi, w2, 1.0)
-        a = (g11 * a + g12) / y
-        y_run *= y
-    return _section_gate(state, mode, a, 1.0 / y_run, 0.5 * nu / y_run, c, nu, beta)
+    """A fused run as one ``_section_gate`` call; a run with M = I and no
+    displacement only scales the state by exp(c)."""
+    mode, mu, nu, beta, c = run
+    if mu == 1 and not nu and not beta:
+        return state.scaled(c) if c else state
+    a_new, b_scale, kappa, dc = _moebius(complex(state.gauss.A[mode, mode]), mu, nu)
+    return _section_gate(state, mode, a_new, b_scale, kappa, c + dc, nu, beta)
 
 
 def _fused(gates):
@@ -452,35 +441,37 @@ def _sqrt_unitary(M):
     return (P * np.sqrt(lam)) @ np.linalg.inv(P)
 
 
-def takagi(A, rounding=13):
+def _equal_blocks(s):
+    """Slices of the blocks of equal values in the descending ``s``: a block ends
+    at a gap wider than 1e-13 s[0], so the grouping does not depend on scale."""
+    cuts = [0, *(np.flatnonzero(s[:-1] - s[1:] > 1e-13 * s[0]) + 1), s.size]
+    return [slice(i, j) for i, j in zip(cuts, cuts[1:])]
+
+
+def takagi(A):
     """Autonne-Takagi factorization A = W diag(s) W^T of a complex symmetric A.
 
     Returns (s, W) with s real non-negative descending and W unitary.
     Degenerate singular values are handled subspace by subspace: with the SVD
-    A = v diag(s) w^dag, the block v^T w of equal s is a symmetric unitary,
-    and W takes the conjugate of its principal square root. Raises
-    RuntimeError, naming the residual max|W diag(s) W^T - A|, when the
-    factorization misses A by more than 1e-8 (relative to max(1, max|A|)).
+    A = v diag(s) w^dag, the block v^T w of equal s (``_equal_blocks``) is a
+    symmetric unitary, and W takes the conjugate of its principal square root.
+    Raises RuntimeError, naming the residual max|W diag(s) W^T - A|, when the
+    factorization misses A by more than 1e-8 max|A|.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     if np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, np.max(np.abs(A))):
         raise ValueError("takagi requires a symmetric matrix")
-    if np.allclose(A, 0):
+    if not A.any():
         return np.zeros(n), np.eye(n, dtype=complex)
     v, s, wh = np.linalg.svd(A)
     w = wh.conj().T
-    rounded = np.round(s, rounding)
     Q = np.zeros((n, n), dtype=complex)
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or rounded[i] != rounded[start]:
-            blk = slice(start, i)
-            Q[blk, blk] = _sqrt_unitary(v[:, blk].T @ w[:, blk])
-            start = i
+    for blk in _equal_blocks(s):
+        Q[blk, blk] = _sqrt_unitary(v[:, blk].T @ w[:, blk])
     W = v @ np.conj(Q)
     residual = np.max(np.abs(W @ np.diag(s) @ W.T - A))
-    if residual > 1e-8 * max(1.0, np.max(np.abs(A))):
+    if residual > 1e-8 * np.max(np.abs(A)):
         raise RuntimeError(
             f"takagi factorization failed: residual max|W diag(s) W^T - A| = {residual:.3e}"
         )
@@ -662,15 +653,11 @@ def _bloch_messiah_gates(E, F, d):
     # equal singular values leave V free up to a unitary X on their block,
     # where S is sinh r times a symmetric unitary: V X maps S to
     # X^dag S conj(X), which the block's Takagi factor X makes diagonal
-    start = 0
-    for i in range(1, m + 1):
-        if i == m or s[i - 1] - s[i] > 1e-13 * scale:
-            blk = slice(start, i)
-            if i - start > 1 and s[start] > 1e-14 * scale:
-                sub = S[blk, blk]
-                _, X = takagi((sub + sub.T) / (2.0 * np.abs(sub).max()))
-                V[:, blk] = V[:, blk] @ X
-            start = i
+    for blk in _equal_blocks(s):
+        if blk.stop - blk.start > 1 and s[blk.start] > 1e-14 * scale:
+            sub = S[blk, blk]
+            _, X = takagi((sub + sub.T) / 2.0)
+            V[:, blk] = V[:, blk] @ X
     U = (V.conj().T @ E) / C[:, None]
     S = -V.conj().T @ F @ U.T
     r = np.arcsinh(s)
@@ -713,12 +700,12 @@ def _compact(gates, m):
     stretch with fewer than two passive gates cannot lose one, so it stays
     fused. The program is built from the stretch's Bogoliubov action, folded
     once, and kept only if its own action matches to 1e-12 relative and it is
-    cheaper (``_cost``); otherwise the fused gates are returned. The global
-    phase the form leaves out is dropped: the state's A, B, P and Re C are
-    those of the fused gates, and Im C moves by a constant, which no norm or
-    outcome probability reads. Compiling costs
-    about one application of the fused stretch to a rank-0 state, so it pays
-    for a stretch that is applied many times.
+    cheaper (``_cost``); otherwise the fused gates are returned. The form
+    fixes the unitary up to a global phase, which is the same on every state:
+    it is measured once, from both programs applied to the vacuum, and joins
+    the c of a ModeRun, so the program gives the fused gates' state, C
+    included. Compiling costs about two applications of the fused stretch to
+    a rank-0 state, so it pays for a stretch that is applied many times.
     """
     fused = _fused(gates)
     if _cost(fused)[0] < 2:
@@ -731,7 +718,16 @@ def _compact(gates, m):
     E2, F2, d2 = _action(program, m)
     err = max(np.abs(E2 - E).max(), np.abs(F2 - F).max(), np.abs(d2 - d).max())
     ok = err <= 1e-12 * max(1.0, np.abs(E).max(), np.abs(d).max())  # False on NaN
-    return program if ok and _cost(program) < _cost(fused) else fused
+    if not (ok and _cost(program) < _cost(fused)):
+        return fused
+    vacuum = StellarState.vacuum(m)
+    offset = (functools.reduce(apply_gate, fused, vacuum).gauss.C
+              - functools.reduce(apply_gate, program, vacuum).gauss.C)
+    for i, gate in enumerate(program):
+        if isinstance(gate, ModeRun):
+            program[i] = gate._replace(c=gate.c + offset)
+            return program
+    return [ModeRun(0, 1 + 0j, 0j, 0j, offset), *program]  # a phase-only element
 
 
 def _unitary_project(U):

@@ -1,12 +1,15 @@
 """CLI contract: subcommands, determinism, exit codes, file formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hqcsim
 from hqcsim import io as hio
 from hqcsim import states as st
 
@@ -21,9 +24,14 @@ HOM = {
 }
 
 
-def run_cli(*args, env_extra=None):
-    import os
+@pytest.fixture(autouse=True)
+def _package_importable(monkeypatch):
+    """Subprocesses import the hqcsim under test, installed or not."""
+    paths = [str(Path(hqcsim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(p for p in paths if p))
 
+
+def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -263,6 +271,14 @@ class TestStateCommands:
         doc = json.loads(r.stdout)
         assert doc["schmidt_rank"] == 2
         assert doc["separable"] is False
+
+    @pytest.mark.parametrize("partition", ["0,1", "0|1|2"])
+    def test_schmidt_names_partition_form(self, tmp_path, partition):
+        path = tmp_path / "s.json"
+        hio.save_state(st.from_fock_superposition({(1, 0, 1): 1.0}, 3), path)
+        r = run_cli("schmidt", str(path), "--partition", partition)
+        assert r.returncode == 1
+        assert "I|J, e.g. 0,1|2" in r.stderr
 
     def test_decompose(self, tmp_path):
         s = st.StellarState.make(

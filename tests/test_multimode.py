@@ -359,22 +359,22 @@ def _group_gate(rng, kind, modes):
         return Squeeze(k, 0.12 * np.exp(2j * np.pi * rng.uniform()))
     if kind == "P":
         return Shear(k, float(rng.uniform(-0.15, 0.15)))
-    return Phase(k, float(rng.uniform(-9.0, 9.0)))
+    return Phase(k, float(rng.uniform(-12.0, 12.0)))  # past +-3 pi
 
 
 class TestModeRuns:
     """A stretch of D, S, P and R gates is fused into one kernel call per mode
     (``multimode._fused``); it equals the gates applied one at a time."""
 
-    @settings(max_examples=30)
+    @settings(max_examples=40)
     @given(hst.integers(1, 3), hst.integers(0, 4),
-           hst.lists(hst.sampled_from("DXSPR"), min_size=1, max_size=6),
-           hst.integers(0, 2**32 - 1))
-    def test_group_matches_sequential_and_oracle(self, modes, rank, kinds, seed):
+           hst.lists(hst.sampled_from("DXSPR"), min_size=1, max_size=12),
+           hst.sampled_from([0.25, 0.95]), hst.integers(0, 2**32 - 1))
+    def test_group_matches_sequential_and_oracle(self, modes, rank, kinds, amax, seed):
         rng = np.random.default_rng(seed)
         s = st.normalized(st.StellarState.make(
             modes, random_poly(rng, modes, rank),
-            random_admissible_gauss(rng, modes, 0.25, bscale=0.25)))
+            random_admissible_gauss(rng, modes, amax, bscale=0.25)))
         gates = [_group_gate(rng, kind, modes) for kind in kinds]
         calls = []
 
@@ -390,6 +390,8 @@ class TestModeRuns:
         for gate in gates:
             one_by_one = mm.apply_gate(one_by_one, gate)
         assert_states_close(got, one_by_one, rel=1e-12)
+        if amax > 0.25 or len(gates) > 6:
+            return  # too much squeezing for the truncated oracle
         # the truncated oracle is wrong near its cutoff: compare a window below
         cutoff, window = ((80, 60), (40, 30), (24, 16))[modes - 1]
         arr = st.to_fock_array(s, cutoff, warn_tail=False)
@@ -413,6 +415,14 @@ class TestModeRuns:
         for gate in gates:
             ref = mm.apply_gate(ref, gate)
         assert_states_close(got, ref, rel=1e-12)
+
+    def test_cancelled_displacements_keep_area_phase(self):
+        # D(-1 - i) D(i) D(1) = exp(i) I: the run is the identity times its phase
+        s = st.from_fock_superposition({(1,): 1.0}, 1)
+        gates = [Displace.make([1.0]), Displace.make([1j]), Displace.make([-1 - 1j])]
+        got = mm.apply_gaussian(s, mm.GaussianUnitarySpec.make(1, gates))
+        assert_states_close(got, _applied(s, gates), rel=1e-12)
+        assert got.gauss.C == pytest.approx(1j)
 
     def test_passive_splits_runs(self):
         bs = Passive.make(beamsplitter_matrix())
@@ -453,8 +463,8 @@ def _passives(gates):
 
 class TestCompact:
     """A stretch whose fused gates hold two or more passive gates is compiled
-    to its Bloch-Messiah form (``multimode._compact``): the same state up to
-    a global phase, with at most two passive gates and m + 2 kernel calls."""
+    to its Bloch-Messiah form (``multimode._compact``): the same state, with
+    at most two passive gates and m + 2 kernel calls."""
 
     @settings(max_examples=40)
     @given(hst.integers(1, 3), hst.integers(0, 3),
@@ -475,8 +485,7 @@ class TestCompact:
             assert _passives(fused) >= 2 and _passives(compact) <= 2
             assert len(compact) <= modes + 2 and mm._cost(compact) < mm._cost(fused)
         got, ref = _applied(s, compact), _applied(s, fused)
-        # A, B, P and Re C agree; Im C is the global phase the form drops
-        assert_states_close(got.scaled(1j * (ref.gauss.C - got.gauss.C).imag), ref, rel=1e-12)
+        assert_states_close(got, ref, rel=1e-12)
         cutoff, window = ((80, 60), (40, 30), (24, 16))[modes - 1]
         arr = st.to_fock_array(s, cutoff, warn_tail=False)
         for gate in gates:
@@ -526,7 +535,7 @@ class TestCompact:
         s = st.normalized(st.StellarState.make(
             m, random_poly(rng, m, 2), random_admissible_gauss(rng, m, 0.25, bscale=0.25)))
         got, ref = _applied(s, compact), _applied(s, mm._fused(gates))
-        assert_states_close(got.scaled(1j * (ref.gauss.C - got.gauss.C).imag), ref, rel=1e-12)
+        assert_states_close(got, ref, rel=1e-12)
 
 
 class TestApplyGaussian:
@@ -614,6 +623,15 @@ class TestTakagi:
         A = np.diag([0.5, 0.5])
         s, W = mm.takagi(A)
         np.testing.assert_allclose(W @ np.diag(s) @ W.T, A, atol=1e-10)
+
+    def test_tiny_matrix_keeps_relative_precision(self, rng):
+        X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        A = 1e-9 * (X + X.T)
+        s, W = mm.takagi(A)
+        assert np.abs(W @ np.diag(s) @ W.T - A).max() <= 1e-12 * np.abs(A).max()
+        state = st.StellarState.make(3, st.PolyPart.one(3), st.GaussPart.make(A, np.zeros(3), 0))
+        _, spec = mm.decompose_normal(state)
+        assert sum(isinstance(g, Squeeze) for g in spec.gate_list) == 3
 
     def test_failed_factorization_names_residual(self, rng, monkeypatch):
         X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
