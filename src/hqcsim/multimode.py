@@ -460,7 +460,7 @@ def takagi(A):
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
-    if np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, np.max(np.abs(A))):
+    if np.max(np.abs(A - A.T)) > 1e-12 * np.max(np.abs(A)):
         raise ValueError("takagi requires a symmetric matrix")
     if not A.any():
         return np.zeros(n), np.eye(n, dtype=complex)

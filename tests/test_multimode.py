@@ -366,11 +366,11 @@ class TestModeRuns:
     """A stretch of D, S, P and R gates is fused into one kernel call per mode
     (``multimode._fused``); it equals the gates applied one at a time."""
 
-    @settings(max_examples=40)
-    @given(hst.integers(1, 3), hst.integers(0, 4),
-           hst.lists(hst.sampled_from("DXSPR"), min_size=1, max_size=12),
-           hst.sampled_from([0.25, 0.95]), hst.integers(0, 2**32 - 1))
-    def test_group_matches_sequential_and_oracle(self, modes, rank, kinds, amax, seed):
+    @staticmethod
+    def _fused_and_sequential(modes, rank, kinds, amax, seed):
+        """A random state and gates, and the state from the fused group (which
+        must make at most one kernel call per mode), checked against the
+        gates applied one at a time."""
         rng = np.random.default_rng(seed)
         s = st.normalized(st.StellarState.make(
             modes, random_poly(rng, modes, rank),
@@ -390,8 +390,14 @@ class TestModeRuns:
         for gate in gates:
             one_by_one = mm.apply_gate(one_by_one, gate)
         assert_states_close(got, one_by_one, rel=1e-12)
-        if amax > 0.25 or len(gates) > 6:
-            return  # too much squeezing for the truncated oracle
+        return s, gates, got
+
+    @settings(max_examples=30)
+    @given(hst.integers(1, 3), hst.integers(0, 4),
+           hst.lists(hst.sampled_from("DXSPR"), min_size=1, max_size=6),
+           hst.integers(0, 2**32 - 1))
+    def test_group_matches_sequential_and_oracle(self, modes, rank, kinds, seed):
+        s, gates, got = self._fused_and_sequential(modes, rank, kinds, 0.25, seed)
         # the truncated oracle is wrong near its cutoff: compare a window below
         cutoff, window = ((80, 60), (40, 30), (24, 16))[modes - 1]
         arr = st.to_fock_array(s, cutoff, warn_tail=False)
@@ -399,6 +405,15 @@ class TestModeRuns:
             arr = fs.fock_oracle_apply(arr, gate, loss_tol=1.0)
         oracle = fs.FockBasis(modes, window).vector(arr)
         assert vectors_overlap(oracle, fock_vector(got, window)) > 1 - ORACLE_TOL
+
+    @settings(max_examples=30)
+    @given(hst.integers(1, 3), hst.integers(0, 4),
+           hst.lists(hst.sampled_from("DXSPR"), min_size=1, max_size=12),
+           hst.sampled_from([0.25, 0.95]), hst.integers(0, 2**32 - 1))
+    def test_long_group_matches_sequential(self, modes, rank, kinds, amax, seed):
+        # up to 12 gates and |a| up to 0.95: too much squeezing for the
+        # truncated oracle, so only the one-by-one route is compared
+        self._fused_and_sequential(modes, rank, kinds, amax, seed)
 
     def test_run_phase_matches_sequential(self, rng):
         # large R angles and merged displacements: C (the global phase) included
@@ -537,6 +552,21 @@ class TestCompact:
         got, ref = _applied(s, compact), _applied(s, mm._fused(gates))
         assert_states_close(got, ref, rel=1e-12)
 
+    def test_cancelled_displacements_compile_to_phase(self, rng):
+        # D(-1 - i) swap D(i) swap D(1) = exp(i) I: the program has no ModeRun
+        # of its own, so a phase-only ModeRun carries the area phase
+        swap = Passive.make(np.array([[0, 1], [1, 0]]))
+        gates = [Displace.make([1, 0]), swap, Displace.make([0, 1j]), swap,
+                 Displace.make([-1 - 1j, 0])]
+        compact = mm._compact(gates, 2)
+        assert [type(g) for g in compact] == [mm.ModeRun, Passive]
+        run = compact[0]
+        assert (run.mu, run.nu, run.beta) == (1, 0, 0)
+        s = random_state(rng, 2, 2)
+        got, ref = _applied(s, compact), _applied(s, mm._fused(gates))
+        assert_states_close(got, ref, rel=1e-12)
+        assert abs(got.gauss.C - s.gauss.C - 1j) < 1e-12
+
 
 class TestApplyGaussian:
     def test_empty_spec_identity(self, rng):
@@ -632,6 +662,13 @@ class TestTakagi:
         state = st.StellarState.make(3, st.PolyPart.one(3), st.GaussPart.make(A, np.zeros(3), 0))
         _, spec = mm.decompose_normal(state)
         assert sum(isinstance(g, Squeeze) for g in spec.gate_list) == 3
+
+    def test_small_asymmetric_matrix_rejected(self, rng):
+        # asymmetry 1e-4 relative to max|A|, far below 1e-12 absolute
+        X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        Y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        with pytest.raises(ValueError, match="symmetric"):
+            mm.takagi(1e-9 * (X + X.T) + 1e-13 * (Y - Y.T))
 
     def test_failed_factorization_names_residual(self, rng, monkeypatch):
         X = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
