@@ -276,45 +276,6 @@ def measurement_circuit(modes, kind, measured, prep=None):
     return parse_circuit(doc)
 
 
-def circuit_to_dict(spec):
-    entries = []
-    for item in spec.program:
-        if isinstance(item, MeasureDecl):
-            entries.append(
-                {"measure": item.kind, "modes": list(item.modes), "name": item.name}
-            )
-            continue
-        if item.kind == "passive":
-            entries.append(
-                {
-                    "type": "passive",
-                    "matrix": [
-                        [[item.matrix[i, j].real, item.matrix[i, j].imag]
-                         for j in range(spec.modes)]
-                        for i in range(spec.modes)
-                    ],
-                }
-            )
-            continue
-        key = {"displace": "amount", "squeeze": "xi", "shear": "s", "phase": "phi"}[
-            item.kind
-        ]
-        param = item.params[0]
-        node = {"type": item.kind, "mode": item.modes[0]}
-        if param.is_constant:
-            node[key] = [param.base.real, param.base.imag]
-        else:
-            node[key] = {
-                "base": [param.base.real, param.base.imag],
-                "terms": [
-                    {"ref": name, "index": index, "coeff": [c.real, c.imag]}
-                    for name, index, c in param.terms
-                ],
-            }
-        entries.append(node)
-    return {"schema": SCHEMA, "modes": spec.modes, "prep": spec.prep, "circuit": entries}
-
-
 # ---------------------------------------------------------------------------
 # input preparation
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ the quadratic term of the update populates cross entries of A. The
 displacement then moves B and C. The polynomial goes through one substitution
 z_k -> alpha z_k + nu d/dz_k + u, normal ordered against the new Gaussian,
 where u = nu s' + delta is the section coefficient s' scaled by nu plus the
-displacement's constant delta = -alpha conj(beta), on dense coefficient arrays.
+displacement's constant delta = -alpha conj(beta). P is held as a section in
+z_k, P = sum_p z_k^p Q_p(z_rest): one dense array over the powers p and the
+graded monomials of the other modes (``states._section``), shared with ``sampling``.
 
 An SU(1,1) element moves the mode's exponent a by its Moebius map
 (``_moebius``). Squeeze, shear and phase gates are the t = 1 flows of
@@ -49,8 +51,9 @@ from .states import (
     GaussPart,
     PolyPart,
     StellarState,
-    _linear_shifts,
-    _poly_of_array,
+    _add_linear,
+    _section,
+    _section_poly,
     stellar_rank,
 )
 
@@ -204,11 +207,11 @@ def _section_gate(state, mode, a_new, b_scale, kappa, c_const, nu, beta=0j):
     [d/dz_k, z_k] = 1 and u commutes with both, T^d(1) = d! [x^d]
     exp(x (alpha z_k + u) + x^2 alpha nu / 2) = sum_{q,p} t[d, q, p] u^q z_k^p
     with j = (d - q - p) / 2 and t[d, q, p] = d! / (j! q! p!) (alpha nu / 2)^j
-    alpha^p. On a dense coefficient array with z_k on axis 0,
-    G_q = sum_d t[d, q] Q_d is one contraction and sum_q u^q G_q a Horner pass
-    in u (a scaled copy by nu B'_k + delta plus one shifted slice per coupled
-    spectator, scaled by -nu A'_kj; the array is sized so that the shifts drop
-    only zeros).
+    alpha^p. On the section array Q[d, r] of ``states._section`` (powers of
+    z_k by graded spectator monomials), G_q = sum_d t[d, q] Q_d is one
+    contraction and sum_q u^q G_q a Horner pass in u: a copy scaled by
+    nu B'_k + delta plus -nu A'_kj z_j times it per coupled spectator
+    (``states._add_linear``, which drops only zeros below the total degree).
     """
     m, k, g = state.modes, mode, state.gauss
     A, B, b0 = g.A, g.B, complex(g.B[mode])
@@ -236,33 +239,26 @@ def _section_gate(state, mode, a_new, b_scale, kappa, c_const, nu, beta=0j):
         arr.setflags(write=False)
     gauss2 = GaussPart(A2, B2, complex(C2))
     coeffs = state.poly.coeffs
-    degs = [max(c) for c in zip(*coeffs)]
-    dk = degs[k] if degs else 0
+    dk = max((n[k] for n in coeffs), default=0)
     if dk == 0:  # P does not involve z_k
         return StellarState(m, state.poly, gauss2)
     coupling = (-nu * A2[k]).tolist()  # u = u0 + sum_{j != k} coupling_j z_j
     coupling[k] = 0
-    # a coupled spectator's degree grows by at most dk; the total degree is kept
+    # the spectators' degree grows by at most dk if u couples any; the total is kept
     total = max(map(sum, coeffs))
-    Q = np.zeros([dk + 1 if j == k else min(d + dk, total) + 1 if coupling[j] else d + 1
-                  for j, d in enumerate(degs)], dtype=complex)
-    for idx, c in coeffs.items():
-        Q[idx] = c
-    Q = Q.swapaxes(0, k)  # z_k on axis 0
+    Q, index = _section(state, k, dk, total if any(coupling) else
+                        max(sum(n) - n[k] for n in coeffs))
     qn = dk + 1 if nu or beta else 1  # powers of u in T^d(1)
     coef, j, n = _transport_table(dk, qn)
     t = coef * ((0.5 * alpha * nu) ** n)[j] * alpha ** n
     # einsum, not a BLAS matmul: threaded OpenBLAS stalls for ms on some shapes
-    G = np.einsum("dqp,d...->qp...", t, Q)
-    coupling[k], coupling[0] = coupling[0], 0  # array axes: 0 and k swapped
-    shifts = _linear_shifts(coupling)
+    G = np.einsum("dqp,dr->qpr", t, Q)
     out = G[-1]
     for q in range(qn - 2, -1, -1):
         nxt = G[q] + u0 * out
-        for dst, src, c in shifts:
-            nxt[dst] += c * out[src]
+        _add_linear(nxt, out, coupling, k, index)
         out = nxt
-    poly = _poly_of_array(out.swapaxes(0, k))
+    poly = _section_poly(out, index, k)
     return _assert_rank_preserved(total, StellarState(m, poly, gauss2), "section gate")
 
 
@@ -500,12 +496,6 @@ def decompose_normal(state):
             gate_list.append(Squeeze(j, complex(xi[j])))
     gate_list.append(Passive.make(U))
     return state.poly, GaussianUnitarySpec.make(m, gate_list)
-
-
-def reconstruct_normal(poly, spec):
-    """State P(a^dag) G|0> from a normal form (up to the global prefactor)."""
-    gstate = apply_gaussian(StellarState.vacuum(spec.modes), spec)
-    return gstate.with_poly(poly.multiplied(gstate.poly))
 
 
 def core_state_of(state, residual_tol=1e-8):

@@ -28,10 +28,10 @@ from .states import (
     GaussPart,
     PolyPart,
     StellarState,
+    _add_linear,
     _bargmann_kernel,
-    _linear_shifts,
-    _moment_index,
-    _poly_of_array,
+    _section,
+    _section_poly,
     _wick_moments,
     norm_squared,
     to_fock_array,
@@ -155,9 +155,9 @@ def _fock_projections(state, mode, nmax):
 
     With F = P exp(E) and l = dE/dz_k = B_k - (A z)_k, d^n F = P_n exp(E) with
     P_{n+1} = dP_n/dz_k + l P_n: one derivative step per n on P_n / sqrt(n!),
-    a dense coefficient array with z_k on axis 0 that stops at z_k^nmax (higher
-    powers do not reach z_k = 0 within nmax steps). Projection n is its z_k = 0
-    slice times the rest-mode Gaussian, which is built once.
+    held as a section array (``states._section``) with z_k^p rows up to
+    p = nmax (higher powers do not reach z_k = 0 within nmax steps).
+    Projection n is its row 0 times the rest-mode Gaussian, built once.
 
     The step is linear, so once P_n is exactly zero every later projection is
     the zero projection: the sweep stops there, and the list ends with it
@@ -170,27 +170,26 @@ def _fock_projections(state, mode, nmax):
         raise ValueError("photon number must be non-negative")
     g, m = state.gauss, state.modes
     rest = [k for k in range(m) if k != mode]
-    ell = (-g.A[mode, [mode] + rest]).tolist()  # l = B_k + sum_j ell_j z_j, z_k first
-    # a variable in l gains at most one degree per step
-    degs = [max(c) for c in zip(*state.poly.coeffs)] or [0] * m
-    P = np.zeros([d + 1 + nmax * (a != 0) for d, a in zip(degs, g.A[mode])], dtype=complex)
-    for idx, c in state.poly.coeffs.items():
-        P[idx] = c
-    P = np.moveaxis(P, mode, 0)[: nmax + 1]
-    down = np.arange(1, P.shape[0]).reshape((-1,) + (1,) * len(rest))
-    shifts = _linear_shifts(ell)
+    ell = (-g.A[mode]).tolist()  # l = B_k + sum_j ell_j z_j
+    # a variable in l gains at most one degree per step: z_k's powers, capped
+    # at nmax, and the total degree of the coupled other modes
+    coeffs = state.poly.coeffs
+    dk = max((n[mode] for n in coeffs), default=0)
+    deg = max((sum(n) - n[mode] for n in coeffs), default=0)
+    P, index = _section(state, mode, min(dk + nmax * (ell[mode] != 0), nmax),
+                        deg + nmax * any(ell[j] for j in rest))
+    down = np.arange(1, P.shape[0])[:, None]
     gauss = _rest_gauss(g, rest, g.B[rest], g.C)
     out = []
     for n in range(nmax + 1):
         if n:
             step = g.B[mode] * P
             step[:-1] += down * P[1:]
-            for dst, src, c in shifts:
-                step[dst] += c * P[src]
+            _add_linear(step, P, ell, mode, index)
             P = step / math.sqrt(n)
         out.append(
-            StellarState(len(rest), _poly_of_array(P[0]), gauss) if rest
-            else complex(P[0] * np.exp(g.C))
+            StellarState(len(rest), _section_poly(P[0], index), gauss) if rest
+            else complex(P[0, 0] * np.exp(g.C))
         )
         if not P.any():
             break
@@ -290,14 +289,12 @@ class _RejectionPlan:
         self.B_R, self.B_I, self.C = g.B[R], g.B[I], g.C
         self.K, roots = _bargmann_kernel(A_R, A_R)
         self.log_root = float(np.sum(np.log(roots)).real)
-        # P(w, z_R) = sum_t c_t w^(e_t) z_R^(f_t): the exponents e_t of the
-        # measured variable, and c_t scattered onto the moment index of f_t
+        # P(w, z_R) = sum_p w^p Q_p(z_R): the section in the measured variable,
+        # Q_p over the moment index of the rest modes (pad column dropped)
         terms = self.state.poly.coeffs
-        self.index = _moment_index(len(R), max(sum(n[k] for k in R) for n in terms))
-        self.exps = np.array([[n[self.mode] for n in terms]])
-        self.coef = np.zeros((len(terms), self.index.size), dtype=complex)
-        for t, (n, c) in enumerate(terms.items()):
-            self.coef[t, self.index.pos[tuple(n[k] for k in R)]] = c
+        Q, self.index = _section(self.state, self.mode, max(n[self.mode] for n in terms),
+                                 max(sum(n) - n[self.mode] for n in terms))
+        self.Q = Q[:, :-1]
 
     def target(self, W):
         """Outcome density (up to pi) at conjugated outcomes w, batched: W
@@ -332,7 +329,7 @@ class _RejectionPlan:
         )
         L = np.concatenate([np.conj(BR), BR], axis=1)
         mu = L @ self.K  # K is symmetric
-        p = (W ** self.exps) @ self.coef
+        p = (W ** np.arange(self.Q.shape[0])) @ self.Q
         T = _wick_moments(mu, self.K, self.index, self.index)
         s = np.einsum("na,nab,nb->n", np.conj(p), T, p).real
         with np.errstate(divide="ignore"):  # rounding can leave s <= 0 at a zero

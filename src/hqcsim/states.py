@@ -20,6 +20,7 @@ square root is taken per eigenvalue (see ``inner_product``).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -119,29 +120,16 @@ class PolyPart:
             out[tuple(new)] = c
         return PolyPart(dict(sorted(out.items())))
 
-    def evaluate(self, z):
-        z = np.asarray(z, dtype=complex)
-        total = 0j
-        for idx, c in self.coeffs.items():
-            term = c
-            for k, p in enumerate(idx):
-                if p:
-                    term = term * z[k] ** p
-            total += term
-        return total
-
     def evaluate_grid(self, zgrids):
         """Vectorized evaluation; ``zgrids`` is a list of broadcastable arrays."""
-        total = None
+        total = np.zeros(np.broadcast(*zgrids).shape, dtype=complex)
         for idx, c in self.coeffs.items():
             term = np.asarray(c)
             for k, p in enumerate(idx):
                 if p:
                     term = term * zgrids[k] ** p
-            total = term if total is None else total + term
-        if total is None:
-            return np.zeros(np.broadcast(*zgrids).shape, dtype=complex)
-        return total + np.zeros(np.broadcast(*zgrids).shape, dtype=complex)
+            total += term
+        return total
 
     def pruned(self):
         if not self.coeffs:
@@ -152,24 +140,6 @@ class PolyPart:
         return PolyPart(
             {k: v for k, v in sorted(self.coeffs.items()) if abs(v) >= PRUNE_REL * mx}
         )
-
-
-def _poly_of_array(arr):
-    """PolyPart of a dense coefficient array (arr[n] is the coefficient of z^n),
-    without entries at or below PRUNE_REL * max|c|; C order is sorted order."""
-    mag = np.abs(arr)
-    keep = mag > PRUNE_REL * mag.max()
-    index = zip(*[i.tolist() for i in keep.nonzero()])
-    return PolyPart(dict(zip(index, arr[keep].tolist())))
-
-
-def _linear_shifts(coefs):
-    """(dst, src, c) for each nonzero c_j: ``out[dst] += c * arr[src]`` adds
-    c_j z_j arr to out, for dense coefficient arrays with z_j on axis j."""
-    return [
-        ((slice(None),) * j + (slice(1, None),), (slice(None),) * j + (slice(None, -1),), c)
-        for j, c in enumerate(coefs) if c
-    ]
 
 
 def _symmetrize_exact(A):
@@ -217,10 +187,6 @@ class GaussPart:
                 f"Gaussian part not admissible: max singular value {smax:.9f} >= "
                 f"{1.0 - EPS_ADMISSIBLE}"
             )
-
-    def exponent(self, z):
-        z = np.asarray(z, dtype=complex)
-        return -0.5 * z @ self.A @ z + self.B @ z + self.C
 
     def exponent_grid(self, zgrids):
         m = self.modes
@@ -286,11 +252,11 @@ def from_fock_superposition(amps, modes):
 
 
 def evaluate(state, z):
-    """Pointwise value F(z)."""
+    """Pointwise value F(z): ``evaluate_grid`` at one point."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.size != state.modes:
         raise ValueError(f"point has {z.size} components, state has {state.modes} modes")
-    return state.poly.evaluate(z) * np.exp(state.gauss.exponent(z))
+    return complex(evaluate_grid(state, list(z)))
 
 
 def evaluate_grid(state, zgrids):
@@ -312,17 +278,9 @@ def husimi_density(state, alpha):
 
 def _shell_indices(modes, degree):
     """All multi-indices of the given total degree, lexicographically sorted."""
-    if modes == 1:
-        return [(degree,)]
-    out = []
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-    rec((), degree, modes)
-    return out
+    if modes == 0:
+        return [] if degree else [()]
+    return [(k,) + n for k in range(degree + 1) for n in _shell_indices(modes - 1, degree - k)]
 
 
 def all_indices_upto(modes, cutoff):
@@ -447,7 +405,7 @@ class _MomentIndex:
                 self.down[j, i] = self.pos[n[:j] + (n[j] - 1,) + n[j + 1:]]
         self.shells = []
         lo = 1
-        for d in range(1, degree + 1):
+        for d in range(1, degree + 1 if modes else 1):  # zero modes: one index, ()
             hi = lo + math.comb(d + modes - 1, modes - 1)
             k = np.argmax(self.n[lo:hi] > 0, axis=1)
             p = self.down[k, np.arange(lo, hi)]
@@ -456,6 +414,56 @@ class _MomentIndex:
 
 
 _moment_index = functools.lru_cache(maxsize=64)(_MomentIndex)
+
+
+def _section(state, mode, pmax, degree):
+    """(Q, index) for P = sum_p z_k^p Q_p(z_rest), k = ``mode``: Q[p, r] is the
+    coefficient of z_k^p times monomial r of index = ``_moment_index(m - 1,
+    degree)`` in the other modes, p <= pmax (higher powers are dropped;
+    ``degree`` must cover the rest). Column r = size is the zero pad of
+    ``_MomentIndex.down``."""
+    index = _moment_index(state.modes - 1, degree)
+    Q = np.zeros((pmax + 1, index.size + 1), dtype=complex)
+    for n, c in state.poly.coeffs.items():
+        if n[mode] <= pmax:
+            Q[n[mode], index.pos[n[:mode] + n[mode + 1:]]] = c
+    return Q, index
+
+
+@functools.lru_cache(maxsize=64)
+def _section_keys(index, mode, rows):
+    """The multi-indices of a section array's entries (``_section_poly``) in
+    sorted order, and their positions in the flattened array."""
+    keys = index.pos.items()
+    if mode is not None:
+        width = index.size + 1
+        keys = [(n[:mode] + (p,) + n[mode:], p * width + r) for p in range(rows) for n, r in keys]
+    keys = sorted(keys)
+    return [n for n, _ in keys], np.array([r for _, r in keys], dtype=np.intp)
+
+
+def _section_poly(Q, index, mode=None):
+    """The PolyPart of a section array (the inverse of ``_section``), without
+    entries at or below PRUNE_REL * max|Q|: over all modes, or, with ``mode``
+    None, over the other modes from the single row Q."""
+    keys, flat = _section_keys(index, mode, len(Q))
+    vals = Q.take(flat)
+    mag = np.abs(vals)
+    keep = mag > PRUNE_REL * mag.max()
+    return PolyPart(dict(zip(itertools.compress(keys, keep.tolist()), vals[keep].tolist())))
+
+
+def _add_linear(out, Q, coefs, mode, index):
+    """out += sum_j coefs[j] z_j Q for section arrays of ``mode`` (``_section``),
+    ``coefs`` a list over all modes: z_k moves Q one row up and any other z_j
+    gathers Q through ``index.down``; terms beyond either bound drop."""
+    if coefs[mode]:
+        out[1:] += coefs[mode] * Q[:-1]
+    for down, c in zip(index.down, coefs[:mode] + coefs[mode + 1:]):
+        if c:
+            # not c * gather: numpy would multiply in place into a temporary of
+            # 256 KiB or more, which rounds otherwise, so entries would depend on size
+            out[:, :-1] += np.multiply(Q.take(down, axis=1), c)
 
 
 def _wick_moments(mu, K, rows, cols):
@@ -584,14 +592,10 @@ def zeros_of(state):
     """Roots of the polynomial part of a single-mode state, with multiplicity."""
     if state.modes != 1:
         raise ValueError("zeros_of is defined for single-mode states only")
-    n = stellar_rank(state)
-    if n == 0:
+    if stellar_rank(state) == 0:
         raise ValueError("rank-0 state has no stellar zeros")
-    coeffs = np.zeros(n + 1, dtype=complex)
-    for (k,), c in state.poly.coeffs.items():
-        coeffs[k] = c
     # companion-matrix root finding (descending order for np.roots)
-    return np.roots(coeffs[::-1])
+    return np.roots(poly_coeffs_1m(state)[::-1])
 
 
 def poly_coeffs_1m(state):

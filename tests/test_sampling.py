@@ -1,6 +1,7 @@
 """Measurement rules, projections, permanents, boson-sampling probabilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,21 @@ class TestFockAmplitude:
             got = abs(sp.fock_amplitude(s, out)) ** 2
             assert got == pytest.approx(sp.boson_sampling_prob(U, pattern, out), abs=1e-12)
 
+    def test_eight_mode_amplitude_memory(self, rng):
+        # 6 photons over 8 modes: memory must follow the 1716 monomials of
+        # degree 6, not the 7^8 products of the per-mode degrees
+        pattern, out = (1, 1, 1, 1, 1, 1, 0, 0), (1, 0, 1, 0, 1, 0, 1, 2)
+        U = random_unitary(rng, 8)
+        s = mm.apply_passive(st.from_fock_superposition({pattern: 1.0}, 8), Passive.make(U))
+        tracemalloc.start()
+        try:
+            amp = sp.fock_amplitude(s, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(amp) ** 2 == pytest.approx(sp.boson_sampling_prob(U, pattern, out), rel=1e-12)
+        assert peak < 20e6
+
     def test_rejects_bad_pattern(self):
         s = st.StellarState.vacuum(2)
         with pytest.raises(ValueError, match="1 photon counts for 2 modes"):
@@ -277,11 +293,13 @@ class TestFockSweep:
 
     N = 14
 
-    @pytest.mark.parametrize("case", ["three_modes", "last_mode", "two_mode_squeezed",
-                                      "photon_added_squeezed"])
+    @pytest.mark.parametrize("case", ["three_modes", "four_modes", "last_mode",
+                                      "two_mode_squeezed", "photon_added_squeezed"])
     def test_matches_from_scratch(self, rng, case):
         if case == "three_modes":
             s = random_state(rng, 3, 3)
+        elif case == "four_modes":
+            s = random_state(rng, 4, 3)
         elif case == "last_mode":  # projections are complex amplitudes
             s = random_state(rng, 1, 4)
         elif case == "two_mode_squeezed":  # projection n has rank n
@@ -357,7 +375,7 @@ def _projected_mass(state, modes, alphas):
 
 class TestRejectionPlan:
     @settings(max_examples=30)
-    @given(hst.integers(1, 3), hst.integers(0, 3), hst.data(), hst.integers(0, 2**32 - 1))
+    @given(hst.integers(1, 4), hst.integers(0, 3), hst.data(), hst.integers(0, 2**32 - 1))
     def test_marginal_matches_projection(self, modes, rank, data, seed):
         # modes = 1 measures the last mode: the full-measurement target
         mode = data.draw(hst.integers(0, modes - 1))

@@ -221,6 +221,30 @@ class TestInnerProduct:
         assert st.norm_squared(zero) == 0
 
 
+class TestSection:
+    """The section layout: z_k powers by graded monomials of the other modes."""
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_round_trip_and_linear_product(self, rng, modes):
+        s = random_state(rng, modes, 3)
+        for k in range(modes):
+            # bounds that hold z_j P; one mode has zero other modes
+            Q, index = st._section(s, k, 4, 4)
+            assert Q.shape == (5, math.comb(modes + 3, 4) + 1) and not Q[:, -1].any()
+            assert st._section_poly(Q, index, k) == s.poly
+            coefs = list(rng.normal(size=modes) + 1j * rng.normal(size=modes))
+            out = 2.0 * Q
+            st._add_linear(out, Q, coefs, k, index)
+            expect = s.poly.scaled(2.0).coeffs
+            for j, c in enumerate(coefs):
+                for n, v in s.poly.mul_var(j).coeffs.items():
+                    expect[n] = expect.get(n, 0) + c * v
+            got = st._section_poly(out, index, k).coeffs
+            assert got.keys() == expect.keys()
+            np.testing.assert_allclose([got[n] for n in expect], list(expect.values()),
+                                       rtol=1e-13, atol=1e-13)
+
+
 class TestZeros:
     def test_from_zeros_vacuum(self):
         s = st.from_zeros([], 0, 0, 0)
