@@ -50,6 +50,7 @@ from .sampling import (
 )
 from .states import (
     StellarState,
+    _shell_indices,
     from_fock_superposition,
     norm_squared,
     normalized,
@@ -659,7 +660,7 @@ def table3_demo(architecture, m=3, photons=2, seed=1234):
         return report
 
     if architecture == "fock-dv":
-        outs = _photon_patterns(m, photons)[:6]
+        outs = _shell_indices(m, photons)[::-1][:6]  # from all photons in mode 0
         t0 = time.perf_counter()
         eff = [boson_sampling_prob(U, pattern, t) for t in outs]
         t_eff = time.perf_counter() - t0
@@ -675,20 +676,6 @@ def table3_demo(architecture, m=3, photons=2, seed=1234):
 
     raise ValueError(f"unknown architecture {architecture!r}; "
                      f"choose from {TABLE3_ARCHITECTURES}")
-
-
-def _photon_patterns(m, total):
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining, -1, -1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-
-    rec((), total, m)
-    return out
 
 
 def _finish(eff, brute, t_eff, t_brute):

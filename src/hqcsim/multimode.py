@@ -12,7 +12,8 @@ z_k -> alpha z_k + nu d/dz_k + u, normal ordered against the new Gaussian,
 where u = nu s' + delta is the section coefficient s' scaled by nu plus the
 displacement's constant delta = -alpha conj(beta). P is held as a section in
 z_k, P = sum_p z_k^p Q_p(z_rest): one dense array over the powers p and the
-graded monomials of the other modes (``states._section``), shared with ``sampling``.
+other modes' monomials, graded in the modes that u couples and as found in P
+in the rest (``states._section``), shared with ``sampling``.
 
 An SU(1,1) element moves the mode's exponent a by its Moebius map
 (``_moebius``). Squeeze, shear and phase gates are the t = 1 flows of
@@ -208,8 +209,9 @@ def _section_gate(state, mode, a_new, b_scale, kappa, c_const, nu, beta=0j):
     exp(x (alpha z_k + u) + x^2 alpha nu / 2) = sum_{q,p} t[d, q, p] u^q z_k^p
     with j = (d - q - p) / 2 and t[d, q, p] = d! / (j! q! p!) (alpha nu / 2)^j
     alpha^p. On the section array Q[d, r] of ``states._section`` (powers of
-    z_k by graded spectator monomials), G_q = sum_d t[d, q] Q_d is one
-    contraction and sum_q u^q G_q a Horner pass in u: a copy scaled by
+    z_k by spectator monomials: graded in the spectators that u couples, which
+    gain at most d_k degrees, and fixed in the others), G_q = sum_d t[d, q] Q_d
+    is one contraction and sum_q u^q G_q a Horner pass in u: a copy scaled by
     nu B'_k + delta plus -nu A'_kj z_j times it per coupled spectator
     (``states._add_linear``, which drops only zeros below the total degree).
     """
@@ -244,10 +246,11 @@ def _section_gate(state, mode, a_new, b_scale, kappa, c_const, nu, beta=0j):
         return StellarState(m, state.poly, gauss2)
     coupling = (-nu * A2[k]).tolist()  # u = u0 + sum_{j != k} coupling_j z_j
     coupling[k] = 0
-    # the spectators' degree grows by at most dk if u couples any; the total is kept
+    coupled = [j for j in range(m) if coupling[j]]
+    # the coupled spectators' degree grows by at most dk; the total is kept
     total = max(map(sum, coeffs))
-    Q, index = _section(state, k, dk, total if any(coupling) else
-                        max(sum(n) - n[k] for n in coeffs))
+    deg = max(sum(n[j] for j in coupled) for n in coeffs)
+    Q, layout = _section(state, k, dk, coupled, min(deg + dk, total))
     qn = dk + 1 if nu or beta else 1  # powers of u in T^d(1)
     coef, j, n = _transport_table(dk, qn)
     t = coef * ((0.5 * alpha * nu) ** n)[j] * alpha ** n
@@ -256,9 +259,9 @@ def _section_gate(state, mode, a_new, b_scale, kappa, c_const, nu, beta=0j):
     out = G[-1]
     for q in range(qn - 2, -1, -1):
         nxt = G[q] + u0 * out
-        _add_linear(nxt, out, coupling, k, index)
+        _add_linear(nxt, out, coupling, layout)
         out = nxt
-    poly = _section_poly(out, index, k)
+    poly = _section_poly(out, layout)
     return _assert_rank_preserved(total, StellarState(m, poly, gauss2), "section gate")
 
 

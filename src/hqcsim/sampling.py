@@ -156,8 +156,10 @@ def _fock_projections(state, mode, nmax):
     With F = P exp(E) and l = dE/dz_k = B_k - (A z)_k, d^n F = P_n exp(E) with
     P_{n+1} = dP_n/dz_k + l P_n: one derivative step per n on P_n / sqrt(n!),
     held as a section array (``states._section``) with z_k^p rows up to
-    p = nmax (higher powers do not reach z_k = 0 within nmax steps).
-    Projection n is its row 0 times the rest-mode Gaussian, built once.
+    p = nmax (higher powers do not reach z_k = 0 within nmax steps), graded
+    in the other modes that l couples and fixed in the rest, which no step
+    changes. Projection n is its row 0 times the rest-mode Gaussian, built
+    once.
 
     The step is linear, so once P_n is exactly zero every later projection is
     the zero projection: the sweep stops there, and the list ends with it
@@ -171,13 +173,14 @@ def _fock_projections(state, mode, nmax):
     g, m = state.gauss, state.modes
     rest = [k for k in range(m) if k != mode]
     ell = (-g.A[mode]).tolist()  # l = B_k + sum_j ell_j z_j
+    coupled = [j for j in rest if ell[j]]
     # a variable in l gains at most one degree per step: z_k's powers, capped
     # at nmax, and the total degree of the coupled other modes
     coeffs = state.poly.coeffs
     dk = max((n[mode] for n in coeffs), default=0)
-    deg = max((sum(n) - n[mode] for n in coeffs), default=0)
-    P, index = _section(state, mode, min(dk + nmax * (ell[mode] != 0), nmax),
-                        deg + nmax * any(ell[j] for j in rest))
+    deg = max((sum(n[j] for j in coupled) for n in coeffs), default=0) if coupled else 0
+    P, layout = _section(state, mode, min(dk + nmax * (ell[mode] != 0), nmax),
+                         coupled, deg + nmax)
     down = np.arange(1, P.shape[0])[:, None]
     gauss = _rest_gauss(g, rest, g.B[rest], g.C)
     out = []
@@ -185,10 +188,10 @@ def _fock_projections(state, mode, nmax):
         if n:
             step = g.B[mode] * P
             step[:-1] += down * P[1:]
-            _add_linear(step, P, ell, mode, index)
+            _add_linear(step, P, ell, layout)
             P = step / math.sqrt(n)
         out.append(
-            StellarState(len(rest), _section_poly(P[0], index), gauss) if rest
+            StellarState(len(rest), _section_poly(P[0], layout), gauss) if rest
             else complex(P[0, 0] * np.exp(g.C))
         )
         if not P.any():
@@ -290,11 +293,11 @@ class _RejectionPlan:
         self.K, roots = _bargmann_kernel(A_R, A_R)
         self.log_root = float(np.sum(np.log(roots)).real)
         # P(w, z_R) = sum_p w^p Q_p(z_R): the section in the measured variable,
-        # Q_p over the moment index of the rest modes (pad column dropped)
+        # Q_p over the moment index of all rest modes (pad column dropped)
         terms = self.state.poly.coeffs
-        Q, self.index = _section(self.state, self.mode, max(n[self.mode] for n in terms),
-                                 max(sum(n) - n[self.mode] for n in terms))
-        self.Q = Q[:, :-1]
+        Q, layout = _section(self.state, self.mode, max(n[self.mode] for n in terms), R,
+                             max(sum(n) - n[self.mode] for n in terms))
+        self.index, self.Q = layout.index, Q[:, :-1]
 
     def target(self, W):
         """Outcome density (up to pi) at conjugated outcomes w, batched: W

@@ -177,11 +177,8 @@ class GaussPart:
     def modes(self):
         return self.B.size
 
-    def singular_values(self):
-        return np.linalg.svd(self.A, compute_uv=False)
-
     def check_admissible(self):
-        smax = float(np.max(self.singular_values()))
+        smax = float(np.max(np.linalg.svd(self.A, compute_uv=False)))
         if smax >= 1.0 - EPS_ADMISSIBLE:
             raise AdmissibilityError(
                 f"Gaussian part not admissible: max singular value {smax:.9f} >= "
@@ -284,42 +281,22 @@ def _shell_indices(modes, degree):
 
 
 def all_indices_upto(modes, cutoff):
-    out = []
-    for d in range(cutoff + 1):
-        out.extend(_shell_indices(modes, d))
-    return out
+    return [n for d in range(cutoff + 1) for n in _shell_indices(modes, d)]
 
 
 def gaussian_series(gauss, cutoff):
     """Taylor coefficients of exp(-z^T A z/2 + B^T z + C) up to total degree cutoff.
 
-    Uses the derivative recurrence (n_k + 1) e_{n+e_k} = B_k e_n - sum_j A_kj e_{n-e_j},
-    filling shells in order of total degree.
+    Uses the derivative recurrence (p_k + 1) e_{p+e_k} = B_k e_p - sum_j A_kj e_{p-e_j}
+    shell by shell, with k the first nonzero component of p + e_k (``_MomentIndex``).
     """
-    m = gauss.modes
-    A, B = gauss.A, gauss.B
-    coeffs = {(0,) * m: np.exp(gauss.C)}
-    prev_shell = [(0,) * m]
-    for d in range(cutoff):
-        shell = {}
-        for idx in prev_shell:
-            e_n = coeffs[idx]
-            for k in range(m):
-                tgt = list(idx)
-                tgt[k] += 1
-                tgt = tuple(tgt)
-                if tgt in shell:
-                    continue
-                val = B[k] * e_n
-                for j in range(m):
-                    if idx[j] > 0 and A[k, j] != 0:
-                        src = list(idx)
-                        src[j] -= 1
-                        val = val - A[k, j] * coeffs[tuple(src)]
-                shell[tgt] = val / tgt[k]
-        coeffs.update(shell)
-        prev_shell = sorted(shell)
-    return coeffs
+    index = _moment_index(gauss.modes, cutoff)
+    e = np.zeros(index.size + 1, dtype=complex)  # the last entry is the zero pad
+    e[0] = np.exp(gauss.C)
+    for sl, k, p, n, down in index.shells:
+        step = gauss.B[k] * e[p] - np.sum(gauss.A[k] * e[down], axis=1)
+        e[sl] = step / (n[np.arange(len(k)), k] + 1)
+    return dict(zip(index.pos, e.tolist()))
 
 
 def stellar_coefficients(state, cutoff):
@@ -416,54 +393,85 @@ class _MomentIndex:
 _moment_index = functools.lru_cache(maxsize=64)(_MomentIndex)
 
 
-def _section(state, mode, pmax, degree):
-    """(Q, index) for P = sum_p z_k^p Q_p(z_rest), k = ``mode``: Q[p, r] is the
-    coefficient of z_k^p times monomial r of index = ``_moment_index(m - 1,
-    degree)`` in the other modes, p <= pmax (higher powers are dropped;
-    ``degree`` must cover the rest). Column r = size is the zero pad of
-    ``_MomentIndex.down``."""
-    index = _moment_index(state.modes - 1, degree)
-    Q = np.zeros((pmax + 1, index.size + 1), dtype=complex)
-    for n, c in state.poly.coeffs.items():
+class _SectionLayout:
+    """The columns of a section array Q[p, c] (``_section``) of P = sum_p
+    z_k^p Q_p, k = ``mode``. Column c = r * T + t holds monomial r of
+    ``index``, a graded index over the ``coupled`` other modes, times the t-th
+    of the T ``fixed`` monomials of the ``free`` other modes, which a product
+    with sum_j c_j z_j over coupled j leaves alone. The last column is a zero
+    pad: ``down[i]`` gathers the column of each monomial divided by z_j,
+    j = coupled[i], or the pad where it has no z_j. ``column`` maps the other
+    modes' exponents to their column."""
+
+    def __init__(self, mode, coupled, free, fixed, degree):
+        self.mode, self.coupled, self.fixed = mode, coupled, fixed
+        self.index = _moment_index(len(coupled), degree if coupled else 0)
+        pad = self.index.size * len(fixed)
+        self.width = pad + 1
+        down = self.index.down[:, :, None] * len(fixed) + np.arange(len(fixed))
+        self.down = np.minimum(down, pad).reshape(len(coupled), pad)
+        order = sorted(range(len(coupled + free)), key=(coupled + free).__getitem__)
+        self.column = {tuple((c + f)[i] for i in order): r * len(fixed) + t
+                       for c, r in self.index.pos.items() for t, f in enumerate(fixed)}
+        self._keys = {}
+
+    def keys(self, rows):
+        """The multi-indices of a section array's entries in sorted order and
+        their positions in the flattened array: of all modes for ``rows``
+        rows, or (rows None) of the other modes for one row."""
+        if rows not in self._keys:
+            k, keys = self.mode, self.column.items()
+            keys = sorted(keys if rows is None else [(n[:k] + (p,) + n[k:], p * self.width + i)
+                                                     for p in range(rows) for n, i in keys])
+            self._keys[rows] = ([n for n, _ in keys], np.array([i for _, i in keys], dtype=np.intp))
+        return self._keys[rows]
+
+
+_section_layout = functools.lru_cache(maxsize=64)(_SectionLayout)
+
+
+def _section(state, mode, pmax, coupled, degree):
+    """(Q, layout) for P = sum_p z_k^p Q_p(z_rest), k = ``mode``: Q[p, c] is
+    the coefficient of z_k^p times the other modes' monomial of column c of
+    the ``_SectionLayout``, p <= pmax (higher powers are dropped). The
+    ``coupled`` other modes take a graded index up to ``degree``, which must
+    cover their degree in P; the remaining other modes keep the monomials
+    they have in P."""
+    coeffs = state.poly.coeffs
+    free = tuple(j for j in range(state.modes) if j != mode and j not in coupled)
+    fixed = tuple(sorted({tuple(n[j] for j in free) for n in coeffs})) or ((0,) * len(free),)
+    layout = _section_layout(mode, tuple(coupled), free, fixed, degree)
+    Q = np.zeros((pmax + 1, layout.width), dtype=complex)
+    for n, c in coeffs.items():
         if n[mode] <= pmax:
-            Q[n[mode], index.pos[n[:mode] + n[mode + 1:]]] = c
-    return Q, index
+            Q[n[mode], layout.column[n[:mode] + n[mode + 1:]]] = c
+    return Q, layout
 
 
-@functools.lru_cache(maxsize=64)
-def _section_keys(index, mode, rows):
-    """The multi-indices of a section array's entries (``_section_poly``) in
-    sorted order, and their positions in the flattened array."""
-    keys = index.pos.items()
-    if mode is not None:
-        width = index.size + 1
-        keys = [(n[:mode] + (p,) + n[mode:], p * width + r) for p in range(rows) for n, r in keys]
-    keys = sorted(keys)
-    return [n for n, _ in keys], np.array([r for _, r in keys], dtype=np.intp)
-
-
-def _section_poly(Q, index, mode=None):
+def _section_poly(Q, layout):
     """The PolyPart of a section array (the inverse of ``_section``), without
-    entries at or below PRUNE_REL * max|Q|: over all modes, or, with ``mode``
-    None, over the other modes from the single row Q."""
-    keys, flat = _section_keys(index, mode, len(Q))
+    entries at or below PRUNE_REL * max|Q|: over all modes, or, for a single
+    row Q, over the other modes."""
+    keys, flat = layout.keys(len(Q) if Q.ndim == 2 else None)
     vals = Q.take(flat)
     mag = np.abs(vals)
     keep = mag > PRUNE_REL * mag.max()
     return PolyPart(dict(zip(itertools.compress(keys, keep.tolist()), vals[keep].tolist())))
 
 
-def _add_linear(out, Q, coefs, mode, index):
-    """out += sum_j coefs[j] z_j Q for section arrays of ``mode`` (``_section``),
-    ``coefs`` a list over all modes: z_k moves Q one row up and any other z_j
-    gathers Q through ``index.down``; terms beyond either bound drop."""
-    if coefs[mode]:
-        out[1:] += coefs[mode] * Q[:-1]
-    for down, c in zip(index.down, coefs[:mode] + coefs[mode + 1:]):
-        if c:
+def _add_linear(out, Q, coefs, layout):
+    """out += sum_j coefs[j] z_j Q for section arrays (``_section``), ``coefs``
+    a list over all modes that is zero on the layout's uncoupled modes: z_k
+    moves Q one row up and a coupled z_j gathers Q through ``layout.down``;
+    terms beyond either bound drop."""
+    k = layout.mode
+    if coefs[k]:
+        out[1:] += coefs[k] * Q[:-1]
+    for j, down in zip(layout.coupled, layout.down):
+        if coefs[j]:
             # not c * gather: numpy would multiply in place into a temporary of
             # 256 KiB or more, which rounds otherwise, so entries would depend on size
-            out[:, :-1] += np.multiply(Q.take(down, axis=1), c)
+            out[:, :-1] += np.multiply(Q.take(down, axis=1), coefs[j])
 
 
 def _wick_moments(mu, K, rows, cols):

@@ -29,6 +29,15 @@ def random_admissible_gauss(rng, modes, amax=0.5, bscale=0.4):
     return st.GaussPart.make(A, B, C)
 
 
+def partly_coupled_gauss(rng, modes, amax=0.5):
+    """``random_admissible_gauss`` with A cut to blocks: modes 0 and 1 are
+    coupled, every other mode only to itself (cutting to blocks keeps the
+    singular values below amax)."""
+    g = random_admissible_gauss(rng, modes, amax)
+    block = np.maximum(np.arange(modes), 1)
+    return st.GaussPart.make(g.A * (block[:, None] == block), g.B, g.C)
+
+
 def random_poly(rng, modes, rank, terms=4):
     """Random sparse polynomial of exact total degree ``rank``."""
     coeffs = {(0,) * modes: 1.0 + 0j}

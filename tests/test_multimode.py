@@ -15,6 +15,7 @@ from hqcsim.gates import Displace, Passive, Phase, Shear, Squeeze, beamsplitter_
 from conftest import (
     assert_states_close,
     fock_vector,
+    partly_coupled_gauss,
     poly_added,
     random_admissible_gauss,
     random_poly,
@@ -341,6 +342,20 @@ class TestSectionKernel:
             assert_states_close(got, ref)
             assert np.array_equal(got.gauss.A, got.gauss.A.T)
             s = ref
+
+    @pytest.mark.parametrize("modes", [3, 4])
+    def test_partly_coupled_matches_dict_reference(self, rng, modes):
+        # modes 2 and 3 are coupled to no other mode: they keep their monomials
+        for rank in (2, 4):
+            s = st.StellarState.make(
+                modes, random_poly(rng, modes, rank), partly_coupled_gauss(rng, modes, 0.6)
+            )
+            for gate in _section_gates(rng, modes):
+                got = mm.apply_gate(s, gate)
+                with mock.patch.object(mm, "_section_gate", _section_gate_reference):
+                    ref = mm.apply_gate(s, gate)
+                assert_states_close(got, ref)
+                s = ref
 
     @pytest.mark.parametrize("modes, rank, cutoff", [(1, 4, 60), (2, 2, 44), (3, 2, 30)])
     def test_matches_fock_oracle(self, rng, modes, rank, cutoff):

@@ -17,7 +17,9 @@ from hqcsim.gates import Displace, Passive, beamsplitter_matrix
 from conftest import (
     assert_states_close,
     coherent_state,
+    partly_coupled_gauss,
     poly_added,
+    random_poly,
     random_state,
     random_unitary,
 )
@@ -73,8 +75,6 @@ class TestBosonSamplingProb:
 
     def test_three_routes_agree(self, rng):
         # permanent route vs stellar coefficients vs Fock oracle
-        from hqcsim.circuits import _photon_patterns
-
         m, photons = 4, 3
         U = random_unitary(rng, m)
         pattern = (1, 1, 1, 0)
@@ -83,7 +83,7 @@ class TestBosonSamplingProb:
         arr_st = st.to_fock_array(evolved, photons, warn_tail=False)
         arr0 = st.to_fock_array(state, photons, warn_tail=False)
         arr_or = fs.fock_oracle_apply(arr0, Passive.make(U), loss_tol=1.0)
-        for out in _photon_patterns(m, photons):
+        for out in st._shell_indices(m, photons)[::-1]:
             p_perm = sp.boson_sampling_prob(U, pattern, out)
             p_stellar = abs(arr_st.amplitude(out)) ** 2
             p_oracle = abs(arr_or.amplitude(out)) ** 2
@@ -139,12 +139,10 @@ class TestFockAmplitude:
 
     @pytest.mark.parametrize("pattern", [(1, 1, 1, 0), (1, 1, 1, 1, 1, 1, 0, 0)])
     def test_haar_interferometer_matches_permanent(self, rng, pattern):
-        from hqcsim.circuits import _photon_patterns
-
         m = len(pattern)
         U = random_unitary(rng, m)
         s = mm.apply_passive(st.from_fock_superposition({pattern: 1.0}, m), Passive.make(U))
-        outs = _photon_patterns(m, sum(pattern))
+        outs = st._shell_indices(m, sum(pattern))[::-1]
         if m > 4:  # 1716 outcomes: take a few
             outs = [outs[i] for i in rng.choice(len(outs), 6, replace=False)] + [pattern]
         for out in outs:
@@ -293,13 +291,15 @@ class TestFockSweep:
 
     N = 14
 
-    @pytest.mark.parametrize("case", ["three_modes", "four_modes", "last_mode",
+    @pytest.mark.parametrize("case", ["three_modes", "four_modes", "partly_coupled", "last_mode",
                                       "two_mode_squeezed", "photon_added_squeezed"])
     def test_matches_from_scratch(self, rng, case):
         if case == "three_modes":
             s = random_state(rng, 3, 3)
         elif case == "four_modes":
             s = random_state(rng, 4, 3)
+        elif case == "partly_coupled":  # modes 2 and 3 keep their monomials
+            s = st.StellarState.make(4, random_poly(rng, 4, 3), partly_coupled_gauss(rng, 4))
         elif case == "last_mode":  # projections are complex amplitudes
             s = random_state(rng, 1, 4)
         elif case == "two_mode_squeezed":  # projection n has rank n
@@ -351,6 +351,26 @@ class TestFockSweep:
         got = sp.sample_discrete(s, [0, 1, 2], cfg)
         assert [o.ns for o in got] == [o.ns for o in reference]
         assert zero_calls and not any(zero_calls)
+
+    def test_uncoupled_modes_keep_their_monomials(self):
+        # a squeezed pair on modes 0 and 1, one photon on each other mode: at
+        # cutoff 30 only z_0 and z_1 grow, so memory must follow their 31
+        # degrees, not every monomial of degree 34 in the five other modes
+        m, nmax = 6, 30
+        A = np.zeros((m, m), dtype=complex)
+        A[0, 1] = A[1, 0] = -0.5
+        photons = (1,) * (m - 2)
+        poly = st.PolyPart.make({(0, 0) + photons: 1.0, (1, 0) + photons: 0.3j})
+        s = st.StellarState.make(m, poly, st.GaussPart.make(A, np.zeros(m), 0))
+        tracemalloc.start()
+        try:
+            sweep = sp._fock_projections(s, 0, nmax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(sweep) == nmax + 1 and peak < 5e6
+        for n in (0, 1, 2, nmax):
+            assert_states_close(sweep[n], _project_fock_reference(s, 0, n))
 
     def test_two_mode_squeezed_ranks(self):
         sweep = sp._fock_projections(_two_mode_squeezed(0.5), 0, self.N)

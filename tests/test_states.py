@@ -225,21 +225,30 @@ class TestSection:
     """The section layout: z_k powers by graded monomials of the other modes."""
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4])
-    def test_round_trip_and_linear_product(self, rng, modes):
+    @pytest.mark.parametrize("partly", [False, True])
+    def test_round_trip_and_linear_product(self, rng, modes, partly):
         s = random_state(rng, modes, 3)
         for k in range(modes):
+            # with ``partly``, the odd other modes are uncoupled: they keep the
+            # monomials they have in P and take no part in the linear term
+            coupled = [j for j in range(modes) if j != k and not (partly and j % 2)]
+            coefs = [complex(rng.normal(), rng.normal()) if j == k or j in coupled else 0
+                     for j in range(modes)]
             # bounds that hold z_j P; one mode has zero other modes
-            Q, index = st._section(s, k, 4, 4)
-            assert Q.shape == (5, math.comb(modes + 3, 4) + 1) and not Q[:, -1].any()
-            assert st._section_poly(Q, index, k) == s.poly
-            coefs = list(rng.normal(size=modes) + 1j * rng.normal(size=modes))
+            Q, layout = st._section(s, k, 4, coupled, 4)
+            free = [j for j in range(modes) if j != k and j not in coupled]
+            fixed = {tuple(n[j] for j in free) for n in s.poly.coeffs}
+            assert layout.fixed == tuple(sorted(fixed))
+            assert Q.shape == (5, math.comb(len(coupled) + 4, 4) * len(fixed) + 1)
+            assert not Q[:, -1].any()
+            assert st._section_poly(Q, layout) == s.poly
             out = 2.0 * Q
-            st._add_linear(out, Q, coefs, k, index)
+            st._add_linear(out, Q, coefs, layout)
             expect = s.poly.scaled(2.0).coeffs
             for j, c in enumerate(coefs):
-                for n, v in s.poly.mul_var(j).coeffs.items():
+                for n, v in s.poly.mul_var(j).coeffs.items() if c else ():
                     expect[n] = expect.get(n, 0) + c * v
-            got = st._section_poly(out, index, k).coeffs
+            got = st._section_poly(out, layout).coeffs
             assert got.keys() == expect.keys()
             np.testing.assert_allclose([got[n] for n in expect], list(expect.values()),
                                        rtol=1e-13, atol=1e-13)
