@@ -50,6 +50,7 @@ from .sampling import (
 )
 from .states import (
     StellarState,
+    _norms_squared,
     _shell_indices,
     from_fock_superposition,
     norm_squared,
@@ -369,12 +370,24 @@ def _normalized_by(proj, mass):
     return proj.scaled(-0.5 * math.log(mass))
 
 
+def _fock_masses(projections, nmax):
+    """The norm^2 of each n = 0..nmax of a fill (``_fock_projections``; 0 past its
+    end): |amplitude|^2 on the last mode, else one ``_norms_squared`` of the nonzero ones."""
+    masses = np.zeros(nmax + 1)
+    if isinstance(projections[0], complex):
+        masses[:len(projections)] = [abs(p) ** 2 for p in projections]
+    else:
+        live = [n for n, p in enumerate(projections) if not p.poly.is_zero()]
+        masses[live] = _norms_squared([projections[n].poly for n in live], projections[0].gauss)
+    return masses
+
+
 class _ShotEngine:
     """Executes shots of one circuit's program on a given normalized input
     state; caches reusable per-position data. Every sampler draws through it:
-    modes are measured one at a time, a photon count from the Fock
-    projections of the mode and a heterodyne outcome by rejection sampling
-    from a one-mode ``_RejectionPlan``."""
+    modes are measured one at a time, a photon count from the masses of one
+    fill of the mode's Fock projections (``_fock_masses``) and a heterodyne
+    outcome by rejection sampling from a one-mode ``_RejectionPlan``."""
 
     def __init__(self, spec, cfg, input_state, final_summary=False):
         self.spec = spec
@@ -429,14 +442,8 @@ class _ShotEngine:
             key = (cache_key, mode, tuple(values)) if cache_key else None
             dist = self.discrete_cache.get(key) if key else None
             if dist is None:
-                # the fill stops at its first zero projection: the n after it
-                # have mass 0 and no state
                 states = _fock_projections(state, local, nmax)
-                masses = [
-                    abs(p) ** 2 if isinstance(p, complex)
-                    else 0.0 if p.poly.is_zero() else norm_squared(p)
-                    for p in states
-                ] + [0.0] * (nmax + 1 - len(states))
+                masses = _fock_masses(states, nmax)
                 total = float(np.sum(masses))
                 dist = (np.cumsum(masses), masses, states, total)
                 if key:

@@ -156,7 +156,8 @@ def apply_passive(state, gate):
     U = gate.U
     g = state.gauss
     new_gauss = GaussPart.make(U.T @ g.A @ U, U.T @ g.B, g.C, check=False)
-    out = StellarState.make(state.modes, _subst_linear(state.poly, U), new_gauss)
+    poly = state.poly if state.poly.degree() <= 0 else _subst_linear(state.poly, U)
+    out = StellarState.make(state.modes, poly, new_gauss)
     return _assert_rank_preserved(state.poly.degree(), out, "passive gate")
 
 

@@ -159,7 +159,8 @@ def _fock_projections(state, mode, nmax):
     p = nmax (higher powers do not reach z_k = 0 within nmax steps), graded
     in the other modes that l couples and fixed in the rest, which no step
     changes. Projection n is its row 0 times the rest-mode Gaussian, built
-    once.
+    once. The engine takes the norms of all of them from one Wick table
+    (``circuits._fock_masses``), since they share that Gaussian.
 
     The step is linear, so once P_n is exactly zero every later projection is
     the zero projection: the sweep stops there, and the list ends with it

@@ -363,7 +363,9 @@ def norm_squared(state):
 
 
 class _MomentIndex:
-    """Multi-indices n with |n| <= ``degree``, in shells of rising degree.
+    """The down-closure of the multi-indices ``support`` (with n, every
+    n - e_j), in shells of rising degree; ``_moment_index(modes, degree)`` is
+    the graded set |n| <= ``degree``.
 
     ``down[j, i]`` is the position of n_i - e_j, or ``size`` (a zero pad) when
     n_i has no j-th component. A shell holds its positions, the first nonzero
@@ -371,26 +373,36 @@ class _MomentIndex:
     ``down[:, p].T`` (gathered once here, not on every use).
     """
 
-    def __init__(self, modes, degree):
-        idx = all_indices_upto(modes, degree)
+    def __init__(self, modes, support):
+        idx, todo = set(), list(support)
+        while todo:
+            n = todo.pop()
+            if n not in idx:
+                idx.add(n)
+                todo.extend(n[:j] + (v - 1,) + n[j + 1:] for j, v in enumerate(n) if v)
+        idx = sorted(idx, key=lambda n: (sum(n), n))
         self.pos = {n: i for i, n in enumerate(idx)}
         self.size = len(idx)
-        self.n = np.array(idx, dtype=float)
+        self.n = np.array(idx, dtype=float).reshape(self.size, modes)
         self.down = np.full((modes, self.size), self.size, dtype=np.intp)
         for i, n in enumerate(idx):
-            for j in np.flatnonzero(n):
-                self.down[j, i] = self.pos[n[:j] + (n[j] - 1,) + n[j + 1:]]
+            for j, v in enumerate(n):
+                if v:
+                    self.down[j, i] = self.pos[n[:j] + (v - 1,) + n[j + 1:]]
         self.shells = []
-        lo = 1
-        for d in range(1, degree + 1 if modes else 1):  # zero modes: one index, ()
-            hi = lo + math.comb(d + modes - 1, modes - 1)
+        bounds = np.flatnonzero(np.diff(self.n.sum(axis=1))) + 1
+        for lo, hi in zip(bounds, [*bounds[1:], self.size]):
             k = np.argmax(self.n[lo:hi] > 0, axis=1)
             p = self.down[k, np.arange(lo, hi)]
             self.shells.append((slice(lo, hi), k, p, self.n[p], self.down[:, p].T))
-            lo = hi
 
 
-_moment_index = functools.lru_cache(maxsize=64)(_MomentIndex)
+@functools.lru_cache(maxsize=64)
+def _moment_index(modes, degree):
+    return _MomentIndex(modes, _shell_indices(modes, degree))
+
+
+_closed_index = functools.lru_cache(maxsize=64)(_MomentIndex)  # support: a tuple
 
 
 class _SectionLayout:
@@ -515,15 +527,26 @@ def _bargmann_kernel(A1, A2):
     return np.linalg.inv(M), np.sqrt(1.0 - np.linalg.eigvals(A1 @ A2))
 
 
+def _wick_table(g1, g2, rows, cols):
+    """The Gaussian core of <F1|F2> for Gaussian parts g1, g2 and its Wick
+    table T[a, b] = E[u^a w^b], a in ``rows``, b in ``cols`` (``inner_product``)."""
+    K, roots = _bargmann_kernel(g1.A, g2.A)
+    L = np.concatenate([np.conj(g1.B), g2.B])
+    mu = K @ L
+    core = np.exp(np.conj(g1.C) + g2.C + 0.5 * L @ mu) / np.prod(roots)
+    return core, _wick_moments(mu[None], K, rows, cols)[0]
+
+
 def inner_product(s1, s2):
     """Bargmann inner product <s1|s2>, conjugate-linear in the first argument.
 
     Closed form for any mode count (see the module docstring): a Gaussian core
     exp(conj(C1) + C2 + L^T K L / 2) / prod_i sqrt(1 - lambda_i) times the sum
-    over conj(p1_a) p2_b E[u^a w^b]. Each 1 - lambda_i has a positive real
-    part, so the principal roots continue the branch from A = 0; the root of
-    the determinant, sqrt(det(I - conj(A1) A2)), can take the wrong sign from
-    three modes on. A zero polynomial gives exactly 0.
+    over conj(p1_a) p2_b E[u^a w^b] (``_wick_table``, as in ``_norms_squared``)
+    on the down-closure of each polynomial's monomials. Each 1 - lambda_i has a
+    positive real part, so the principal roots continue the branch from A = 0;
+    the root of the determinant, sqrt(det(I - conj(A1) A2)), can take the wrong
+    sign from three modes on. A zero polynomial gives exactly 0.
     """
     if s1.modes != s2.modes:
         raise ValueError(f"mode counts differ: {s1.modes} vs {s2.modes}")
@@ -533,18 +556,26 @@ def inner_product(s1, s2):
         g2.check_admissible()
     if s1.poly.is_zero() or s2.poly.is_zero():
         return 0j
-    m = s1.modes
-    K, roots = _bargmann_kernel(g1.A, g2.A)
-    L = np.concatenate([np.conj(g1.B), g2.B])
-    mu = K @ L
-    core = np.exp(np.conj(g1.C) + g2.C + 0.5 * L @ mu) / np.prod(roots)
-    rows = _moment_index(m, s1.poly.degree())
-    cols = _moment_index(m, s2.poly.degree())
     c1, c2 = s1.poly.coeffs, s2.poly.coeffs
-    T = _wick_moments(mu[None], K, rows, cols)[0]
+    rows = _closed_index(s1.modes, tuple(c1))
+    cols = rows if c2 is c1 else _closed_index(s1.modes, tuple(c2))
+    core, T = _wick_table(g1, g2, rows, cols)
     T = T[np.ix_([rows.pos[n] for n in c1], [cols.pos[n] for n in c2])]
     p1, p2 = np.conj(list(c1.values())), np.array(list(c2.values()))
     return complex(core * np.sum(p1[:, None] * T * p2))
+
+
+def _norms_squared(polys, gauss):
+    """``norm_squared`` of P exp(-z^T A z/2 + B^T z + C) for each P in
+    ``polys``, with (A, B, C) = ``gauss``: every norm from one Wick table
+    over the down-closure of all their monomials, Re(core sum conj(p) T p)."""
+    gauss.check_admissible()
+    index = _MomentIndex(gauss.modes, [n for p in polys for n in p.coeffs])
+    core, T = _wick_table(gauss, gauss, index, index)
+    p = np.zeros((len(polys), index.size), dtype=complex)
+    for row, poly in zip(p, polys):
+        row[[index.pos[n] for n in poly.coeffs]] = list(poly.coeffs.values())
+    return (core * np.sum((np.conj(p) @ T) * p, axis=1)).real
 
 
 def normalized(state):

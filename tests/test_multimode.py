@@ -70,6 +70,20 @@ class TestPassive:
         out = mm.apply_passive(s, Passive.make(random_unitary(rng, 3)))
         assert st.stellar_rank(out) == 3
 
+    def test_rank_zero_keeps_its_constant(self, rng):
+        # P(Uz) = P for a constant P: no substitution is made
+        s = st.StellarState.make(3, st.PolyPart.make({(0, 0, 0): 0.7 - 0.2j}),
+                                 random_admissible_gauss(rng, 3))
+        U = random_unitary(rng, 3)
+        with mock.patch.object(mm, "_subst_linear", side_effect=AssertionError) as subst:
+            out = mm.apply_passive(s, Passive.make(U))
+        assert not subst.called
+        ref = mm._subst_linear(s.poly, U)
+        assert out.poly.coeffs.keys() == ref.coeffs.keys()
+        for n, c in ref.coeffs.items():
+            assert abs(out.poly.coeffs[n] - c) <= 1e-15 * abs(c)
+        np.testing.assert_allclose(out.gauss.A, U.T @ s.gauss.A @ U, rtol=0, atol=1e-15)
+
 
 class TestDisplace:
     def test_zero_identity(self, rng):

@@ -19,6 +19,7 @@ from conftest import (
     coherent_state,
     partly_coupled_gauss,
     poly_added,
+    random_admissible_gauss,
     random_poly,
     random_state,
     random_unitary,
@@ -344,24 +345,29 @@ class TestFockSweep:
             _project_fock_reference(state, mode, n) for n in range(nmax + 1)])
         reference = sp.sample_discrete(s, [0, 1, 2], cfg)
         monkeypatch.undo()
-        norm = circ.norm_squared
-        zero_calls = []
-        monkeypatch.setattr(circ, "norm_squared", lambda state: zero_calls.append(
-            state.poly.is_zero()) or norm(state))
-        got = sp.sample_discrete(s, [0, 1, 2], cfg)
-        assert [o.ns for o in got] == [o.ns for o in reference]
-        assert zero_calls and not any(zero_calls)
+        # a fill with modes left builds one Wick table for all its masses, a
+        # last-mode fill none, and neither takes a norm of its own
+        fills, tables, contracted = [], [], []
+        sweep, masses, wick = circ._fock_projections, st._norms_squared, st._wick_moments
+        monkeypatch.setattr(circ, "_fock_projections",
+                            lambda *args: fills.append(sweep(*args)) or fills[-1])
+        monkeypatch.setattr(circ, "_norms_squared",
+                            lambda polys, gauss: contracted.extend(polys) or masses(polys, gauss))
+        monkeypatch.setattr(st, "_wick_moments", lambda *args: tables.append(1) or wick(*args))
+        monkeypatch.setattr(st, "inner_product", lambda *args: pytest.fail("norm taken"))
+        engine = circ._ShotEngine(circ.measurement_circuit(3, "discrete", [0, 1, 2]), cfg, s)
+        got = [engine.run_shot(shot)[0][0][3] for shot in range(cfg.shots)]
+        assert got == [o.ns for o in reference]
+        with_modes_left = [f for f in fills if not isinstance(f[0], complex)]
+        assert len(tables) == len(with_modes_left) and len(with_modes_left) < len(fills)
+        assert any(p.poly.is_zero() for f in with_modes_left for p in f)
+        assert contracted and not any(p.is_zero() for p in contracted)
 
     def test_uncoupled_modes_keep_their_monomials(self):
         # a squeezed pair on modes 0 and 1, one photon on each other mode: at
         # cutoff 30 only z_0 and z_1 grow, so memory must follow their 31
         # degrees, not every monomial of degree 34 in the five other modes
-        m, nmax = 6, 30
-        A = np.zeros((m, m), dtype=complex)
-        A[0, 1] = A[1, 0] = -0.5
-        photons = (1,) * (m - 2)
-        poly = st.PolyPart.make({(0, 0) + photons: 1.0, (1, 0) + photons: 0.3j})
-        s = st.StellarState.make(m, poly, st.GaussPart.make(A, np.zeros(m), 0))
+        s, nmax = _squeezed_pair_with_photons(), 30
         tracemalloc.start()
         try:
             sweep = sp._fock_projections(s, 0, nmax)
@@ -371,6 +377,24 @@ class TestFockSweep:
         assert len(sweep) == nmax + 1 and peak < 5e6
         for n in (0, 1, 2, nmax):
             assert_states_close(sweep[n], _project_fock_reference(s, 0, n))
+
+    def test_fill_masses_follow_the_fill_monomials(self):
+        # the masses' table is indexed by the fill's own monomials, not by a
+        # graded index of degree 4 + n in the five other modes per projection
+        from hqcsim import circuits as circ
+
+        s = st.normalized(_squeezed_pair_with_photons())
+        tracemalloc.start()
+        try:
+            circ._fock_masses(sp._fock_projections(s, 0, 5), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        masses = circ._fock_masses(sp._fock_projections(s, 0, 30), 30)
+        assert abs(masses.sum() - 1.0) < 1e-10
+        cfg = sp.SamplerConfig(seed=2, shots=20, cutoff=30)
+        assert len(sp.sample_discrete(s, [0], cfg)) == cfg.shots
 
     def test_two_mode_squeezed_ranks(self):
         sweep = sp._fock_projections(_two_mode_squeezed(0.5), 0, self.N)
@@ -382,6 +406,37 @@ class TestFockSweep:
             sp._fock_projections(s, 2, 3)
         with pytest.raises(ValueError, match="non-negative"):
             sp.project_fock(s, 0, -1)
+
+
+def _squeezed_pair_with_photons(m=6):
+    """A squeezed pair on modes 0 and 1 times one photon on each other mode."""
+    A = np.zeros((m, m), dtype=complex)
+    A[0, 1] = A[1, 0] = -0.5
+    photons = (1,) * (m - 2)
+    poly = st.PolyPart.make({(0, 0) + photons: 1.0, (1, 0) + photons: 0.3j})
+    return st.StellarState.make(m, poly, st.GaussPart.make(A, np.zeros(m), 0))
+
+
+class TestFockMasses:
+    @settings(max_examples=40)
+    @given(hst.integers(1, 4), hst.integers(0, 3),
+           hst.sampled_from(["coupled", "partly_coupled", "zero"]), hst.data(),
+           hst.integers(0, 2**32 - 1))
+    def test_one_table_matches_per_projection_norms(self, modes, rank, gauss, data, seed):
+        # m = 1 fills are amplitudes; with A = B = 0 projection n is the z_k^n
+        # coefficient, zero wherever P has no such term
+        from hqcsim import circuits as circ
+
+        mode = data.draw(hst.integers(0, modes - 1))
+        rng = np.random.default_rng(seed)
+        g = {"coupled": random_admissible_gauss, "partly_coupled": partly_coupled_gauss,
+             "zero": lambda rng, m: st.GaussPart.make(np.zeros((m, m)), np.zeros(m), 0.2j)}
+        s = st.StellarState.make(modes, random_poly(rng, modes, rank), g[gauss](rng, modes))
+        nmax = 6
+        fill = sp._fock_projections(s, mode, nmax)
+        expect = [abs(p) ** 2 if isinstance(p, complex) else st.norm_squared(p) for p in fill]
+        expect += [0.0] * (nmax + 1 - len(fill))
+        np.testing.assert_allclose(circ._fock_masses(fill, nmax), expect, rtol=1e-12, atol=0)
 
 
 def _projected_mass(state, modes, alphas):

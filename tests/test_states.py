@@ -11,7 +11,31 @@ from hqcsim import fockspace as fs
 from hqcsim import multimode as mm
 from hqcsim import states as st
 from hqcsim.gates import Passive
-from conftest import coherent_state, random_admissible_gauss, random_state, random_unitary
+from conftest import (
+    coherent_state,
+    partly_coupled_gauss,
+    random_admissible_gauss,
+    random_poly,
+    random_state,
+    random_unitary,
+)
+
+
+def _inner_product_graded(s1, s2):
+    """<s1|s2> with each Wick table index graded up to the polynomial's
+    degree: the reference for ``inner_product``'s down-closed index."""
+    g1, g2 = s1.gauss, s2.gauss
+    K, roots = st._bargmann_kernel(g1.A, g2.A)
+    L = np.concatenate([np.conj(g1.B), g2.B])
+    mu = K @ L
+    core = np.exp(np.conj(g1.C) + g2.C + 0.5 * L @ mu) / np.prod(roots)
+    rows = st._moment_index(s1.modes, s1.poly.degree())
+    cols = st._moment_index(s1.modes, s2.poly.degree())
+    c1, c2 = s1.poly.coeffs, s2.poly.coeffs
+    T = st._wick_moments(mu[None], K, rows, cols)[0]
+    T = T[np.ix_([rows.pos[n] for n in c1], [cols.pos[n] for n in c2])]
+    p1, p2 = np.conj(list(c1.values())), np.array(list(c2.values()))
+    return complex(core * np.sum(p1[:, None] * T * p2))
 
 TOL_ROOT = 1e-9
 
@@ -169,6 +193,29 @@ class TestInnerProduct:
         ip = st.inner_product(s1, s2)
         assert abs(ip - expect) <= 1e-10 * abs(expect)
         assert st.inner_product(s2, s1) == pytest.approx(np.conj(ip), rel=1e-12)
+
+    @settings(max_examples=40)
+    @given(hst.integers(1, 4), hst.integers(0, 3), hst.integers(0, 3), hst.booleans(),
+           hst.integers(0, 2**32 - 1))
+    def test_down_closed_index_matches_graded(self, modes, rank1, rank2, partly, seed):
+        # sparse polynomials, so the down-closure of their monomials is
+        # smaller than the graded index
+        rng = np.random.default_rng(seed)
+        gauss = partly_coupled_gauss if partly else random_admissible_gauss
+        s1, s2 = (st.StellarState.make(modes, random_poly(rng, modes, rank, terms=2),
+                                       gauss(rng, modes)) for rank in (rank1, rank2))
+        for x, y in ((s1, s2), (s1, s1)):
+            ip = st.inner_product(x, y)
+            assert abs(ip - _inner_product_graded(x, y)) <= 1e-12 * abs(ip)
+
+    def test_moment_index_is_down_closed(self):
+        index = st._MomentIndex(3, [(2, 0, 1), (0, 1, 0)])
+        assert set(index.pos) == {(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 0, 1), (1, 0, 1),
+                                  (2, 0, 1), (0, 1, 0)}
+        assert [index.n[sl].sum(axis=1).tolist() for sl, *_ in index.shells] == [
+            [1, 1, 1], [2, 2], [3]]
+        graded = st._moment_index(3, 4)
+        assert list(graded.pos) == st.all_indices_upto(3, 4)
 
     def test_wick_moments_batched(self, rng):
         g = random_admissible_gauss(rng, 2)
