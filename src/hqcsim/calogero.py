@@ -1,6 +1,7 @@
 """Classical Calogero-Moser dynamics: eigenvalue solutions, Lax diagnostics,
 scattering fits, and an RK4 reference integrator whose fixed-step loop also
-drives the single-mode oracle ``dynamics.ode_evolve``.
+drives the single-mode oracle ``dynamics.ode_evolve``. It steps Python
+complex scalars, with one pair-force kernel for both systems (``_rk4_path``).
 
 Complex positions, momenta, coupling and frequency are supported throughout.
 The regime is read off the sign of omega^2: positive (harmonic), negative
@@ -14,6 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations, starmap
+from operator import sub
 
 import numpy as np
 
@@ -189,7 +192,7 @@ def cm_solve_path(system, times):
     Q0 = np.diag(system.q0)
     w2 = system.omega**2
     # the labelled positions of the previous step are last[perm]
-    last, perm = system.q0, np.arange(n)
+    last, perm = system.q0, list(range(n))
     if times.size > 1 and times[0] != 0 and times[1] != times[0]:
         steps = math.ceil(abs(times[0] / (times[1] - times[0])))
         for lo in range(1, steps, _PATH_BLOCK):
@@ -215,11 +218,11 @@ def _label_block(Q0, L0, fc, fs, last, perm):
     nearest = cost.argmin(axis=2)
     ok = (np.sort(nearest, axis=1) == np.arange(len(last))).all(axis=1)
     ok &= np.isfinite(cost).all(axis=(1, 2))
-    rows = np.empty_like(vals)
-    for i in range(len(vals)):
-        perm = nearest[i, perm] if ok[i] else _match_order(refs[i, perm], vals[i])
-        rows[i] = vals[i, perm]
-    return rows, vals[-1], perm
+    perms = []
+    for i, (row, simple) in enumerate(zip(nearest.tolist(), ok.tolist())):
+        perm = [row[k] for k in perm] if simple else _match_order(refs[i, perm], vals[i]).tolist()
+        perms.append(perm)
+    return np.take_along_axis(vals, np.array(perms), axis=1), vals[-1], perm
 
 
 def _match_order(reference, values):
@@ -231,51 +234,69 @@ def _match_order(reference, values):
     return cols
 
 
-def _inverse_cubes(q):
-    """sum_{j != k} (q_k - q_j)^-3 for each k."""
-    n = q.size
-    diff = np.subtract.outer(q, q)
-    diff.ravel()[:: n + 1] = 1.0
-    inv3 = diff**-3
-    inv3.ravel()[:: n + 1] = 0.0
-    return inv3.sum(axis=1)
+def _pair_forces(q, g2):
+    """Forces 2 g2 sum_{j != k} (q_k - q_j)^-3 on the positions q (Python
+    complex scalars), as a list; each pair is visited once, its two terms
+    being opposite."""
+    g2, f = 2.0 * g2, [0j] * len(q)
+    for k in range(1, len(q)):
+        qk, acc = q[k], 0j
+        for j in range(k):
+            d = qk - q[j]
+            c = g2 / (d * d * d)
+            acc += c
+            f[j] -= c
+        f[k] = acc
+    return f
 
 
-def _cm_derivative(system, y):
-    n = system.n
-    q, p = y[:n], y[n:]
-    out = np.empty_like(y)
-    out[:n] = p
-    out[n:] = -system.omega**2 * q
-    if n > 1:
-        out[n:] += 2.0 * system.g**2 * _inverse_cubes(q)
-    return out
+def _cm_derivative(system):
+    """d(q, p)/dt of ``system`` as a function of the list y = q + p."""
+    n, g2, w2 = system.n, system.g**2, system.omega**2
+
+    def deriv(y):
+        q = y[:n]
+        return y[n:] + [f - w2 * x for x, f in zip(q, _pair_forces(q, g2))]
+
+    return deriv
 
 
 def _rk4_path(deriv, y0, h, steps, positions, admissible=None):
-    """Fixed-step RK4 states y(0), y(h), ..., y(steps h); shape (steps + 1, y0.size).
+    """Fixed-step RK4 states y(0), y(h), ..., y(steps h); shape (steps + 1, len(y0)).
+
+    ``deriv`` maps the state, a list of Python complex scalars, to the list of
+    its derivatives: on a few values their arithmetic costs far less than
+    numpy's per-call overhead. The O(n^2) pair sums then run in Python, ahead
+    of numpy up to n of about 8 particles and behind above (1.4-1.6 times
+    slower at n = 12, 2.0-2.3 at n = 16).
 
     Every step must stay finite (and pass ``admissible(y)`` when given), else
     RuntimeError; particles at ``y[positions]`` closer than DELTA_COLLIDE
     raise CollisionError.
     """
-    ys = np.empty((steps + 1, y0.size), dtype=complex)
-    ys[0] = y = y0
+    y = np.asarray(y0, dtype=complex).tolist()
+    ys = [y]
+    hh, h6 = 0.5 * h, h / 6.0
     for i in range(1, steps + 1):
-        k1 = deriv(y)
-        k2 = deriv(y + 0.5 * h * k1)
-        k3 = deriv(y + 0.5 * h * k2)
-        k4 = deriv(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(y).all() or (admissible and not admissible(y)):
+        try:
+            k1 = deriv(y)
+            k2 = deriv([u + hh * k for u, k in zip(y, k1)])
+            k3 = deriv([u + hh * k for u, k in zip(y, k2)])
+            k4 = deriv([u + h * k for u, k in zip(y, k3)])
+            # b + b is 2 b to the bit, without the int-to-complex product
+            y = [u + h6 * (a + (b + b) + (c + c) + d) for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+            stable = all(map(cmath.isfinite, y)) and (not admissible or admissible(y))
+            sep = min(map(abs, starmap(sub, combinations(y[positions], 2))), default=math.inf)
+        except ArithmeticError:  # a zero distance or an overflow: numpy's inf or nan
+            stable = False
+        if not stable:
             raise RuntimeError(f"integration unstable at t={i * h:.6g}; reduce dt")
-        sep = _min_separation(y[positions])
         if sep < DELTA_COLLIDE:
             raise CollisionError(
                 f"particles collided at t={i * h:.6g} (min separation {sep:.3e})"
             )
-        ys[i] = y
-    return ys
+        ys.append(y)
+    return np.array(ys, dtype=complex)
 
 
 def cm_ode_path(system, t, dt):
@@ -285,9 +306,7 @@ def cm_ode_path(system, t, dt):
     steps = max(1, int(round(abs(t) / dt)))
     n = system.n
     y0 = np.concatenate([system.q0, system.p0]).astype(complex)
-    ys = _rk4_path(
-        lambda y: _cm_derivative(system, y), y0, t / steps, steps, slice(0, n)
-    )
+    ys = _rk4_path(_cm_derivative(system), y0, t / steps, steps, slice(0, n))
     return np.linspace(0.0, t, steps + 1), ys[:, :n].T, ys[:, n:].T
 
 

@@ -202,7 +202,7 @@ def cmd_evolve(args):
         if args.steps < 2:
             raise ValueError(f"--steps must be at least 2 for a trajectory, got {args.steps}")
         if args.route == "ode":
-            traj = dy.ode_evolve(state, ham, args.t, dt=args.t / (args.steps - 1))
+            traj = dy.ode_evolve(state, ham, args.t, steps=args.steps - 1)
         else:
             traj = dy.closed_form_trajectory(state, ham, np.linspace(0.0, args.t, args.steps))
         _write(hio.trajectory_csv(traj), args.out)

@@ -222,48 +222,43 @@ def evolve(state, hamiltonian, t):
 # brute-force dynamical system (the cross-check oracle)
 # ---------------------------------------------------------------------------
 
-def _system_derivative(y, n, hamiltonian):
-    # Python scalars: their arithmetic costs far less than numpy's
-    al, xi, phi = complex(hamiltonian.alpha), complex(hamiltonian.xi), hamiltonian.phi
+def _system_derivative(n, hamiltonian):
+    """d(a, b, c, lambda, lambda')/dt for n zeros as a function of the list y
+    of these values (Python complex scalars, see ``calogero._rk4_path``)."""
+    al, xi, phi = complex(hamiltonian.alpha), complex(hamiltonian.xi), float(hamiltonian.phi)
     xis, alc = xi.conjugate(), al.conjugate()
-    a, b = complex(y[0]), complex(y[1])
-    lam = y[3 : 3 + n]
-    out = np.empty_like(y)
-    out[0] = xis * a * a + 2j * phi * a - xi
-    out[1] = (1j * phi + xis * a) * b + al + alc * a
-    out[2] = 0.5 * xis * a - 0.5 * xis * b * b - alc * b + n * (xis * a + 1j * phi)
-    out[3 : 3 + n] = y[3 + n :]
-    out[3 + n :] = (abs(xi) ** 2 - phi**2) * lam + (xis * al - 1j * phi * alc)
-    if n > 1 and xi:
-        out[3 + n :] -= 2.0 * xis**2 * cm._inverse_cubes(lam)
-    return out
+    hxis, iphi, i2phi, w2 = 0.5 * xis, 1j * phi, 2j * phi, abs(xi) ** 2 - phi**2
+    force, g2, free = xis * al - iphi * alc, -(xis**2), [0j] * n
+    pair_forces = cm._pair_forces if n > 1 and xi else lambda lam, g2: free
+
+    def deriv(y):
+        a, b = y[0], y[1]
+        xa, lam = xis * a, y[3 : 3 + n]
+        return [xa * a + i2phi * a - xi, (iphi + xa) * b + al + alc * a,
+                hxis * a - hxis * b * b - alc * b + n * (xa + iphi), *y[3 + n :],
+                *[w2 * x + force + f for x, f in zip(lam, pair_forces(lam, g2))]]
+
+    return deriv
 
 
-def ode_evolve(state, hamiltonian, t, dt=None):
+def ode_evolve(state, hamiltonian, t, dt=None, steps=None):
     """Fixed-step RK4 integration of the coupled (a, b, c, lambda) system.
 
-    Returns the full trajectory; the c-equation uses the generic Hamiltonian
-    with the identity part dropped (see the module docstring for the shear
-    phase offset). Aborts if squeezed zeros collide or the step goes unstable.
+    Returns the trajectory on the grid linspace(0, t, steps + 1): ``steps``
+    equal steps, by default the fewest of size at most ``dt`` (1e-4 |t| by
+    default; none at t = 0). The c-equation uses the generic Hamiltonian with
+    the identity part dropped (see the module docstring for the shear phase
+    offset). Aborts if squeezed zeros collide or the step goes unstable.
     """
     zeros0, a, b, c = _monic_form(state)
-    if t == 0:
-        g = np.array([[a, b, c]])
-        return ZeroTrajectory(np.array([0.0]), zeros0.reshape(-1, 1), g)
-    if dt is None:
-        dt = 1e-4 * abs(t)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if steps is None:
+        dt = 1e-4 * abs(t) if dt is None else dt
+        if t and dt <= 0:
+            raise ValueError("dt must be positive")
+        steps = max(1, int(round(abs(t) / dt))) if t else 0
     n = zeros0.size
     y0 = np.concatenate(([a, b, c], zeros0, initial_velocities(zeros0, a, b, hamiltonian)))
-    steps = max(1, int(round(abs(t) / dt)))
-    h = t / steps
-    ys = cm._rk4_path(
-        lambda y: _system_derivative(y, n, hamiltonian),
-        y0,
-        h,
-        steps,
-        slice(3, 3 + n if hamiltonian.xi else 3),  # free zeros may coincide
-        admissible=lambda y: abs(y[0]) < 1.0,
-    )
-    return ZeroTrajectory(np.arange(steps + 1) * h, ys[:, 3 : 3 + n].T, ys[:, :3])
+    zeros = slice(3, 3 + n if hamiltonian.xi else 3)  # free zeros may coincide
+    ys = cm._rk4_path(_system_derivative(n, hamiltonian), y0, t / max(steps, 1), steps, zeros,
+                      admissible=lambda y: abs(y[0]) < 1.0)
+    return ZeroTrajectory(np.linspace(0.0, t, steps + 1), ys[:, 3 : 3 + n].T, ys[:, :3])

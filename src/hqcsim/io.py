@@ -73,8 +73,8 @@ def _time_table_csv(header, times, columns):
     table[:, 0] = times
     table[:, 1::2] = columns.real
     table[:, 2::2] = columns.imag
-    row = ",".join(["{:.17g}"] * table.shape[1])
-    rows = [row.format(*values) for values in table.tolist()]
+    row = ",".join(["%.17g"] * table.shape[1])
+    rows = [row % tuple(values) for values in table.tolist()]
     return "\n".join([",".join(header), *rows]) + "\n"
 
 

@@ -345,6 +345,29 @@ class TestEvolveAndTrace:
         assert lines[0].startswith("t,re_lambda1")
         assert len(lines) == 22
 
+    @pytest.mark.parametrize("t, steps", [("-0.5", "201"), ("0", "4")])
+    def test_trajectory_routes_share_the_grid(self, tmp_path, t, steps):
+        """Both routes write --steps rows on linspace(0, t, steps), also for
+        t <= 0, and agree within the RK4 error."""
+        from hqcsim import cli
+
+        path = tmp_path / "s.json"
+        hio.save_state(st.from_zeros([0.4 + 0.1j, -0.3 + 0.2j], 0.1, 0.2, 0), path)
+        tables = {}
+        for route in ("closed", "ode"):
+            out = tmp_path / f"{route}.csv"
+            rc = cli.main(["evolve", str(path), "--gate", "S", "--re", "0.3", "--im", "0.2",
+                           "--t", t, "--trajectory", "--steps", steps, "--route", route,
+                           "--out", str(out)])
+            assert rc == 0
+            lines = out.read_text().splitlines()
+            tables[route] = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        closed, ode = tables["closed"], tables["ode"]
+        assert len(closed) == int(steps)
+        np.testing.assert_array_equal(ode[:, 0], closed[:, 0])
+        np.testing.assert_array_equal(closed[:, 0], np.linspace(0.0, float(t), int(steps)))
+        np.testing.assert_allclose(ode[:, 1:], closed[:, 1:], rtol=0, atol=1e-9)
+
     def test_cm_trace(self, tmp_path):
         doc = {
             "q0": [[0, 0], [0, 0.5], [0, -0.5]],

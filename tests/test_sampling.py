@@ -251,31 +251,33 @@ class TestProjections:
         assert st.stellar_rank(out) <= 2 + 3
 
 
-def _project_fock_reference(state, mode, n):
-    """(1/sqrt(n!)) d^n F / dz_mode^n at z_mode = 0, from scratch: n derivative
-    steps P -> dP/dz_mode + l P on dict polynomials. The reference for the
-    one-pass sweep ``sampling._fock_projections``."""
+def _project_fock_references(state, mode, nmax):
+    """(1/sqrt(n!)) d^n F / dz_mode^n at z_mode = 0 for n = 0..nmax, from
+    scratch: derivative steps P -> dP/dz_mode + l P on dict polynomials, the
+    section of every iterate taken on its own. The reference for the one-pass
+    sweep ``sampling._fock_projections``."""
     g = state.gauss
     m = state.modes
     ell = st.PolyPart.make(
         {tuple(1 if j == i else 0 for j in range(m)): -g.A[mode, i] for i in range(m)}
         | {(0,) * m: g.B[mode]}
     )
-    poly = state.poly
-    for _ in range(n):
-        poly = poly_added(poly.derivative(mode), poly.multiplied(ell))
     rest = [k for k in range(m) if k != mode]
-    section = {
-        tuple(idx[k] for k in rest): c for idx, c in poly.coeffs.items() if idx[mode] == 0
-    }
-    scale = 1.0 / st.sqrt_factorial((n,))
-    if not rest:
-        return complex(sum(section.values()) * scale * np.exp(g.C))
-    return st.StellarState.make(
-        len(rest),
-        st.PolyPart.make(section).scaled(scale),
-        st.GaussPart.make(g.A[np.ix_(rest, rest)], g.B[rest], g.C, check=False),
-    )
+    gauss_rest = st.GaussPart.make(g.A[np.ix_(rest, rest)], g.B[rest], g.C, check=False)
+    poly, out = state.poly, []
+    for n in range(nmax + 1):
+        if n:
+            poly = poly_added(poly.derivative(mode), poly.multiplied(ell))
+        section = {
+            tuple(idx[k] for k in rest): c for idx, c in poly.coeffs.items() if idx[mode] == 0
+        }
+        scale = 1.0 / st.sqrt_factorial((n,))
+        if not rest:
+            out.append(complex(sum(section.values()) * scale * np.exp(g.C)))
+        else:
+            out.append(st.StellarState.make(
+                len(rest), st.PolyPart.make(section).scaled(scale), gauss_rest))
+    return out
 
 
 def _two_mode_squeezed(lam, poly=None):
@@ -310,8 +312,8 @@ class TestFockSweep:
         for mode in range(s.modes):
             sweep = sp._fock_projections(s, mode, self.N)
             assert len(sweep) == self.N + 1
-            for n, got in enumerate(sweep):
-                ref = _project_fock_reference(s, mode, n)
+            refs = _project_fock_references(s, mode, self.N)
+            for n, (got, ref) in enumerate(zip(sweep, refs)):
                 if isinstance(ref, complex):
                     assert isinstance(got, complex)
                     assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
@@ -329,9 +331,9 @@ class TestFockSweep:
             sweep = sp._fock_projections(s, mode, self.N)
             assert len(sweep) == 5 and sweep[-1].poly.is_zero()  # total degree 3
             assert not any(p.poly.is_zero() for p in sweep[:-1])
-            for n in range(self.N + 1):
+            for n, ref in enumerate(_project_fock_references(s, mode, self.N)):
                 got = sweep[min(n, len(sweep) - 1)]
-                assert_states_close(got, _project_fock_reference(s, mode, n))
+                assert_states_close(got, ref)
                 assert sp.project_fock(s, mode, n).poly == got.poly
 
     def test_engine_skips_zero_projections(self, rng, monkeypatch):
@@ -340,9 +342,8 @@ class TestFockSweep:
         s = mm.apply_passive(st.from_fock_superposition({(1, 1, 1): 1.0}, 3),
                              Passive.make(random_unitary(rng, 3)))
         cfg = sp.SamplerConfig(seed=6, shots=150, cutoff=9)
-        # the full sweep, one from-scratch projection per n
-        monkeypatch.setattr(circ, "_fock_projections", lambda state, mode, nmax: [
-            _project_fock_reference(state, mode, n) for n in range(nmax + 1)])
+        # the full sweep from the dict recurrence
+        monkeypatch.setattr(circ, "_fock_projections", _project_fock_references)
         reference = sp.sample_discrete(s, [0, 1, 2], cfg)
         monkeypatch.undo()
         # a fill with modes left builds one Wick table for all its masses, a
@@ -375,8 +376,9 @@ class TestFockSweep:
         finally:
             tracemalloc.stop()
         assert len(sweep) == nmax + 1 and peak < 5e6
+        refs = _project_fock_references(s, 0, nmax)
         for n in (0, 1, 2, nmax):
-            assert_states_close(sweep[n], _project_fock_reference(s, 0, n))
+            assert_states_close(sweep[n], refs[n])
 
     def test_fill_masses_follow_the_fill_monomials(self):
         # the masses' table is indexed by the fill's own monomials, not by a
