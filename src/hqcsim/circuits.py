@@ -43,6 +43,7 @@ from .multimode import GaussianUnitarySpec, _compact, _fused, apply_gate, apply_
 from .sampling import (
     MIN_ACCEPT_RATE,
     _RejectionPlan,
+    _fock_masses,
     _fock_projections,
     fock_amplitude,
     project_coherent,
@@ -50,7 +51,6 @@ from .sampling import (
 )
 from .states import (
     StellarState,
-    _norms_squared,
     _shell_indices,
     from_fock_superposition,
     norm_squared,
@@ -370,18 +370,6 @@ def _normalized_by(proj, mass):
     return proj.scaled(-0.5 * math.log(mass))
 
 
-def _fock_masses(projections, nmax):
-    """The norm^2 of each n = 0..nmax of a fill (``_fock_projections``; 0 past its
-    end): |amplitude|^2 on the last mode, else one ``_norms_squared`` of the nonzero ones."""
-    masses = np.zeros(nmax + 1)
-    if isinstance(projections[0], complex):
-        masses[:len(projections)] = [abs(p) ** 2 for p in projections]
-    else:
-        live = [n for n, p in enumerate(projections) if not p.poly.is_zero()]
-        masses[live] = _norms_squared([projections[n].poly for n in live], projections[0].gauss)
-    return masses
-
-
 class _ShotEngine:
     """Executes shots of one circuit's program on a given normalized input
     state; caches reusable per-position data. Every sampler draws through it:
@@ -442,22 +430,22 @@ class _ShotEngine:
             key = (cache_key, mode, tuple(values)) if cache_key else None
             dist = self.discrete_cache.get(key) if key else None
             if dist is None:
-                states = _fock_projections(state, local, nmax)
-                masses = _fock_masses(states, nmax)
-                total = float(np.sum(masses))
-                dist = (np.cumsum(masses), masses, states, total)
+                fill = _fock_projections(state, local, nmax)
+                masses = _fock_masses(fill, nmax)
+                dist = (np.cumsum(masses), masses, fill, float(np.sum(masses)))
                 if key:
                     self.discrete_cache[key] = dist
-            cdf, masses, states, total = dist
+            cdf, masses, fill, total = dist
             if total < 1.0 - 1e-6:
                 raise RuntimeError(
                     f"discrete cutoff {nmax} captures only {total:.9f} "
                     "of the conditional distribution"
                 )
             u = rng.random()
-            n = min(int(np.searchsorted(cdf, u * total)), nmax)
+            # n with cdf[n - 1] <= u * total < cdf[n], so a count of zero mass is never drawn
+            n = min(int(np.searchsorted(cdf, u * total, side="right")), nmax)
             values.append(n)
-            state = _normalized_by(states[min(n, len(states) - 1)], masses[n])
+            state = _normalized_by(fill[n], masses[n])
             active = [m for m in active if m != mode]
         return state, active, tuple(values)
 

@@ -17,6 +17,7 @@ exceeds the envelope raises RuntimeError instead of biasing the sample.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -30,10 +31,14 @@ from .states import (
     StellarState,
     _add_linear,
     _bargmann_kernel,
+    _closed_index,
+    _kept,
     _section,
     _section_poly,
     _wick_moments,
+    _wick_table,
     norm_squared,
+    poly_coeffs_1m,
     to_fock_array,
 )
 
@@ -128,13 +133,10 @@ def _rest_gauss(g, rest, B_rest, C):
 
 
 def project_fock(state, mode, n):
-    """Project one mode onto the Fock state |n>: (1/sqrt(n!)) d^n/dz^n F at
-    z_mode = 0, the last entry of ``_fock_projections`` (which stops at the
-    first zero projection, equal to every later one). The remaining-mode
-    polynomial degree grows by at most n; projecting the last mode returns the
-    complex amplitude.
-    """
-    return _fock_projections(state, mode, n)[-1]
+    """Project one mode onto |n>: (1/sqrt(n!)) d^n/dz^n F at z_mode = 0, entry n of
+    ``_fock_projections`` (the remaining-mode polynomial degree grows by at most n;
+    projecting the last mode returns the complex amplitude)."""
+    return _fock_projections(state, mode, n)[int(n)]
 
 
 def fock_amplitude(state, pattern):
@@ -151,27 +153,22 @@ def fock_amplitude(state, pattern):
 
 
 def _fock_projections(state, mode, nmax):
-    """``project_fock(state, mode, n)`` for every n = 0..nmax, in one sweep.
-
-    With F = P exp(E) and l = dE/dz_k = B_k - (A z)_k, d^n F = P_n exp(E) with
-    P_{n+1} = dP_n/dz_k + l P_n: one derivative step per n on P_n / sqrt(n!),
-    held as a section array (``states._section``) with z_k^p rows up to
-    p = nmax (higher powers do not reach z_k = 0 within nmax steps), graded
-    in the other modes that l couples and fixed in the rest, which no step
-    changes. Projection n is its row 0 times the rest-mode Gaussian, built
-    once. The engine takes the norms of all of them from one Wick table
-    (``circuits._fock_masses``), since they share that Gaussian.
-
-    The step is linear, so once P_n is exactly zero every later projection is
-    the zero projection: the sweep stops there, and the list ends with it
-    (shorter than nmax + 1 entries; each missing n equals the last entry).
-    """
+    """``project_fock(state, mode, n)`` for n = 0..nmax: the last mode's amplitudes
+    (``_last_mode_amplitudes``), else the rows of one sweep (``_FockRows``). With
+    F = P exp(E) and l = dE/dz_k = B_k - (A z)_k, d^n F = P_n exp(E) with
+    P_{n+1} = dP_n/dz_k + l P_n: one step per n on P_n / sqrt(n!), held as a section
+    array (``states._section``) with z_k^p rows up to p = nmax - n (higher powers do
+    not reach z_k = 0 in the steps left), graded in the other modes that l couples
+    and fixed in the rest. Projection n is its row 0 times the rest-mode Gaussian;
+    once P_n is exactly zero (the step is linear), the sweep stops there."""
     mode, nmax = int(mode), int(nmax)
     if not 0 <= mode < state.modes:
         raise ValueError("mode index out of range")
     if nmax < 0:
         raise ValueError("photon number must be non-negative")
     g, m = state.gauss, state.modes
+    if m == 1:
+        return _last_mode_amplitudes(state, nmax)
     rest = [k for k in range(m) if k != mode]
     ell = (-g.A[mode]).tolist()  # l = B_k + sum_j ell_j z_j
     coupled = [j for j in rest if ell[j]]
@@ -183,21 +180,64 @@ def _fock_projections(state, mode, nmax):
     P, layout = _section(state, mode, min(dk + nmax * (ell[mode] != 0), nmax),
                          coupled, deg + nmax)
     down = np.arange(1, P.shape[0])[:, None]
-    gauss = _rest_gauss(g, rest, g.B[rest], g.C)
-    out = []
+    rows = np.empty((nmax + 1, layout.width), dtype=complex)
     for n in range(nmax + 1):
         if n:
+            P = P[:nmax - n + 2]  # row p of P_n needs rows up to p + 1
             step = g.B[mode] * P
-            step[:-1] += down * P[1:]
+            step[:-1] += down[:len(P) - 1] * P[1:]
             _add_linear(step, P, ell, layout)
             P = step / math.sqrt(n)
-        out.append(
-            StellarState(len(rest), _section_poly(P[0], layout), gauss) if rest
-            else complex(P[0, 0] * np.exp(g.C))
-        )
+        rows[n] = P[0]
         if not P.any():
             break
-    return out
+    return _FockRows(rows[:n + 1], layout, _rest_gauss(g, rest, g.B[rest], g.C))
+
+
+class _FockRows:
+    """A fill with modes left: projection n's section row ``rows[n]`` and state ``fill[n]``."""
+
+    def __init__(self, rows, layout, gauss):
+        self.rows, self.layout, self.gauss, self._states = rows, layout, gauss, {}
+
+    def __getitem__(self, n):
+        n = min(n, len(self.rows) - 1)  # past the row where the sweep stopped: zero
+        if n not in self._states:
+            poly = _section_poly(self.rows[n], self.layout)
+            self._states[n] = StellarState(self.gauss.modes, poly, self.gauss)
+        return self._states[n]
+
+
+def _fock_masses(fill, nmax):
+    """The norm^2 of each n = 0..nmax of a fill: |amplitude|^2, or Re(core sum conj(p) T p)
+    per nonzero row p of ``_kept`` entries, T one Wick table on their monomials' down-closure."""
+    if isinstance(fill, list):
+        return np.abs(fill) ** 2
+    keys, flat = fill.layout.keys(None)
+    vals = np.where(_kept(fill.rows), fill.rows, 0).take(flat, axis=1)
+    live, held, masses = vals.any(axis=1), vals.any(axis=0), np.zeros(nmax + 1)
+    support = tuple(itertools.compress(keys, held.tolist()))
+    index = _closed_index(fill.gauss.modes, support)
+    p = np.zeros((np.count_nonzero(live), index.size), dtype=complex)
+    p[:, [index.pos[n] for n in support]] = vals[np.ix_(live, held)]
+    fill.gauss.check_admissible()
+    core, T = _wick_table(fill.gauss, fill.gauss, index, index)
+    masses[np.flatnonzero(live)] = (core * np.sum((np.conj(p) @ T) * p, axis=1)).real
+    return masses
+
+
+def _last_mode_amplitudes(state, nmax):
+    """psi_n = sqrt(n!) [z^n] P(z) exp(-a z^2/2 + b z + c), n = 0..nmax, on Python scalars:
+    psi = e^c P(a^dagger) h by Horner's rule ((a^dagger h)_n = sqrt(n) h_{n-1}), where
+    h_j = sqrt(j!) [z^j] exp(-a z^2/2 + b z), h_{j+1} = (b h_j - a sqrt(j) h_{j-1}) / sqrt(j+1)."""
+    a, b = complex(state.gauss.A[0, 0]), complex(state.gauss.B[0])
+    h, roots = [1.0 + 0j, b], [math.sqrt(j) for j in range(nmax + 1)]
+    for j in range(1, nmax):
+        h.append((b * h[j] - a * roots[j] * h[j - 1]) / roots[j + 1])
+    h, psi = [complex(np.exp(state.gauss.C)) * x for x in h], [0j] * (nmax + 1)
+    for c in reversed(poly_coeffs_1m(state)[:nmax + 1].tolist()):
+        psi = [c * h[0]] + [c * h[n] + roots[n] * psi[n - 1] for n in range(1, nmax + 1)]
+    return psi
 
 
 # ---------------------------------------------------------------------------

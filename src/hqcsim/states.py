@@ -461,14 +461,18 @@ def _section(state, mode, pmax, coupled, degree):
 
 
 def _section_poly(Q, layout):
-    """The PolyPart of a section array (the inverse of ``_section``), without
-    entries at or below PRUNE_REL * max|Q|: over all modes, or, for a single
-    row Q, over the other modes."""
+    """The PolyPart of a section array (the inverse of ``_section``), ``_kept``
+    entries only: over all modes, or, for a single row Q, over the other modes."""
     keys, flat = layout.keys(len(Q) if Q.ndim == 2 else None)
     vals = Q.take(flat)
-    mag = np.abs(vals)
-    keep = mag > PRUNE_REL * mag.max()
+    keep = _kept(vals)
     return PolyPart(dict(zip(itertools.compress(keys, keep.tolist()), vals[keep].tolist())))
+
+
+def _kept(vals):
+    """Which entries of ``vals`` are above PRUNE_REL * the max |entry| of their row."""
+    mag = np.abs(vals)
+    return mag > PRUNE_REL * mag.max(axis=-1, keepdims=True)
 
 
 def _add_linear(out, Q, coefs, layout):
@@ -542,7 +546,7 @@ def inner_product(s1, s2):
 
     Closed form for any mode count (see the module docstring): a Gaussian core
     exp(conj(C1) + C2 + L^T K L / 2) / prod_i sqrt(1 - lambda_i) times the sum
-    over conj(p1_a) p2_b E[u^a w^b] (``_wick_table``, as in ``_norms_squared``)
+    over conj(p1_a) p2_b E[u^a w^b] (``_wick_table``, as in ``sampling._fock_masses``)
     on the down-closure of each polynomial's monomials. Each 1 - lambda_i has a
     positive real part, so the principal roots continue the branch from A = 0;
     the root of the determinant, sqrt(det(I - conj(A1) A2)), can take the wrong
@@ -563,19 +567,6 @@ def inner_product(s1, s2):
     T = T[np.ix_([rows.pos[n] for n in c1], [cols.pos[n] for n in c2])]
     p1, p2 = np.conj(list(c1.values())), np.array(list(c2.values()))
     return complex(core * np.sum(p1[:, None] * T * p2))
-
-
-def _norms_squared(polys, gauss):
-    """``norm_squared`` of P exp(-z^T A z/2 + B^T z + C) for each P in
-    ``polys``, with (A, B, C) = ``gauss``: every norm from one Wick table
-    over the down-closure of all their monomials, Re(core sum conj(p) T p)."""
-    gauss.check_admissible()
-    index = _MomentIndex(gauss.modes, [n for p in polys for n in p.coeffs])
-    core, T = _wick_table(gauss, gauss, index, index)
-    p = np.zeros((len(polys), index.size), dtype=complex)
-    for row, poly in zip(p, polys):
-        row[[index.pos[n] for n in poly.coeffs]] = list(poly.coeffs.values())
-    return (core * np.sum((np.conj(p) @ T) * p, axis=1)).real
 
 
 def normalized(state):

@@ -280,6 +280,27 @@ def _project_fock_references(state, mode, nmax):
     return out
 
 
+def _fock_masses_reference(projections, nmax):
+    """The norm^2 of each n = 0..nmax of a list of projections (0 past its end):
+    |amplitude|^2 on the last mode, else one Wick table over the down-closure
+    of the nonzero projections' monomials, built from their dict polynomials.
+    The reference for ``sampling._fock_masses`` on the dense rows of a fill."""
+    masses = np.zeros(nmax + 1)
+    if isinstance(projections[0], complex):
+        masses[:len(projections)] = [abs(p) ** 2 for p in projections]
+        return masses
+    live = [n for n, p in enumerate(projections) if not p.poly.is_zero()]
+    polys, gauss = [projections[n].poly for n in live], projections[0].gauss
+    gauss.check_admissible()
+    index = st._MomentIndex(gauss.modes, [n for p in polys for n in p.coeffs])
+    core, T = st._wick_table(gauss, gauss, index, index)
+    p = np.zeros((len(polys), index.size), dtype=complex)
+    for row, poly in zip(p, polys):
+        row[[index.pos[n] for n in poly.coeffs]] = list(poly.coeffs.values())
+    masses[live] = (core * np.sum((np.conj(p) @ T) * p, axis=1)).real
+    return masses
+
+
 def _two_mode_squeezed(lam, poly=None):
     return st.normalized(
         st.StellarState.make(
@@ -311,15 +332,16 @@ class TestFockSweep:
             s = _two_mode_squeezed(0.4, st.PolyPart.make({(1, 0): 1.0, (0, 2): 0.5j}))
         for mode in range(s.modes):
             sweep = sp._fock_projections(s, mode, self.N)
-            assert len(sweep) == self.N + 1
+            assert len(sweep if s.modes == 1 else sweep.rows) == self.N + 1
             refs = _project_fock_references(s, mode, self.N)
-            for n, (got, ref) in enumerate(zip(sweep, refs)):
+            for n, ref in enumerate(refs):
+                got = sweep[n]
                 if isinstance(ref, complex):
                     assert isinstance(got, complex)
                     assert got == pytest.approx(ref, rel=1e-12, abs=1e-300)
                 else:
                     assert_states_close(got, ref)
-                last = sp.project_fock(s, mode, n)  # the last entry of a shorter sweep
+                last = sp.project_fock(s, mode, n)  # entry n of a shorter sweep
                 assert last == got if isinstance(got, complex) else last.poly == got.poly
 
     def test_stops_at_first_zero_projection(self, rng):
@@ -329,10 +351,10 @@ class TestFockSweep:
                              Passive.make(random_unitary(rng, 3)))
         for mode in range(3):
             sweep = sp._fock_projections(s, mode, self.N)
-            assert len(sweep) == 5 and sweep[-1].poly.is_zero()  # total degree 3
-            assert not any(p.poly.is_zero() for p in sweep[:-1])
+            assert len(sweep.rows) == 5 and sweep[4].poly.is_zero()  # total degree 3
+            assert not any(sweep[n].poly.is_zero() for n in range(4))
             for n, ref in enumerate(_project_fock_references(s, mode, self.N)):
-                got = sweep[min(n, len(sweep) - 1)]
+                got = sweep[n]  # past the last row: the zero projection
                 assert_states_close(got, ref)
                 assert sp.project_fock(s, mode, n).poly == got.poly
 
@@ -342,27 +364,78 @@ class TestFockSweep:
         s = mm.apply_passive(st.from_fock_superposition({(1, 1, 1): 1.0}, 3),
                              Passive.make(random_unitary(rng, 3)))
         cfg = sp.SamplerConfig(seed=6, shots=150, cutoff=9)
-        # the full sweep from the dict recurrence
+        # the full sweep from the dict recurrence, and its masses
         monkeypatch.setattr(circ, "_fock_projections", _project_fock_references)
+        monkeypatch.setattr(circ, "_fock_masses", _fock_masses_reference)
         reference = sp.sample_discrete(s, [0, 1, 2], cfg)
         monkeypatch.undo()
         # a fill with modes left builds one Wick table for all its masses, a
         # last-mode fill none, and neither takes a norm of its own
         fills, tables, contracted = [], [], []
-        sweep, masses, wick = circ._fock_projections, st._norms_squared, st._wick_moments
+
+        class Table(np.ndarray):  # records the rows contracted with the Wick table
+            def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+                if ufunc is np.matmul:
+                    contracted.extend(args[0])
+                return getattr(ufunc, method)(*map(np.asarray, args), **kwargs)
+
+        sweep, wick, table = circ._fock_projections, st._wick_moments, sp._wick_table
         monkeypatch.setattr(circ, "_fock_projections",
                             lambda *args: fills.append(sweep(*args)) or fills[-1])
-        monkeypatch.setattr(circ, "_norms_squared",
-                            lambda polys, gauss: contracted.extend(polys) or masses(polys, gauss))
         monkeypatch.setattr(st, "_wick_moments", lambda *args: tables.append(1) or wick(*args))
+        monkeypatch.setattr(sp, "_wick_table",
+                            lambda *args: (lambda core, T: (core, T.view(Table)))(*table(*args)))
         monkeypatch.setattr(st, "inner_product", lambda *args: pytest.fail("norm taken"))
         engine = circ._ShotEngine(circ.measurement_circuit(3, "discrete", [0, 1, 2]), cfg, s)
         got = [engine.run_shot(shot)[0][0][3] for shot in range(cfg.shots)]
         assert got == [o.ns for o in reference]
-        with_modes_left = [f for f in fills if not isinstance(f[0], complex)]
+        with_modes_left = [f for f in fills if not isinstance(f, list)]
         assert len(tables) == len(with_modes_left) and len(with_modes_left) < len(fills)
-        assert any(p.poly.is_zero() for f in with_modes_left for p in f)
-        assert contracted and not any(p.is_zero() for p in contracted)
+        # no zero projection reaches the masses' contraction
+        assert any(not row.any() for f in with_modes_left for row in f.rows)
+        assert contracted and all(row.any() for row in contracted)
+        assert len(contracted) == sum(row.any() for f in with_modes_left for row in f.rows)
+        # each sweep ends at its first zero row, and only drawn counts get a state
+        assert all(f.rows[:-1].any(axis=1).all() and not f.rows[-1].any() for f in with_modes_left)
+        drawn = {o.ns[:k + 1] for o in reference for k in range(2)}  # (history, count)
+        built = sum(len(f._states) for f in with_modes_left)
+        assert 0 < built <= len(drawn) < sum(len(f.rows) for f in with_modes_left)
+
+    @pytest.mark.parametrize("circuit", ["boson_sampling", "deep_gates"])
+    def test_engine_rows_match_the_reference_fills(self, rng, monkeypatch, circuit):
+        from hqcsim import circuits as circ
+
+        pair = lambda z: [z.real, z.imag]  # noqa: E731
+        if circuit == "boson_sampling":  # 3 photons in 4 modes through an interferometer
+            U = random_unitary(rng, 4)
+            doc = {"modes": 4, "prep": {"kind": "fock_pattern", "pattern": [1, 1, 1, 0]},
+                   "circuit": [{"type": "passive",
+                                "matrix": [[pair(u) for u in row] for row in U]}]}
+        else:  # a rank-3 photon-added input through layers of constant gates
+            gates = []
+            for _ in range(3):
+                gates.append({"type": "beamsplitter", "modes": [0, 1]})
+                for mode in (0, 1):
+                    xi, beta = 0.05 * np.exp(1j * rng.uniform(0, 6, 2))
+                    gates += [{"type": "squeeze", "mode": mode, "xi": pair(xi)},
+                              {"type": "shear", "mode": mode, "s": 0.03},
+                              {"type": "displace", "mode": mode, "amount": pair(2 * beta)}]
+            doc = {"modes": 2, "prep": {"kind": "photon_added",
+                                        "base": {"kind": "gaussian", "gates": [
+                                            {"type": "squeeze", "mode": 0, "xi": [0.15, 0.05]}]},
+                                        "ops": [{"create": 0}, {"create": 1}, {"create": 0}]},
+                   "circuit": gates}
+        doc["circuit"].append({"measure": "discrete", "modes": list(range(doc["modes"])),
+                               "name": "n"})
+        spec = circ.parse_circuit({"schema": circ.SCHEMA, **doc})
+        for seed in range(5):
+            cfg = sp.SamplerConfig(seed=seed, shots=40, cutoff=30)
+            got = circ.run_circuit(spec, cfg).rows
+            assert len({row[1][0][3] for row in got}) > 3  # many histories
+            with monkeypatch.context() as patch:
+                patch.setattr(circ, "_fock_projections", _project_fock_references)
+                patch.setattr(circ, "_fock_masses", _fock_masses_reference)
+                assert circ.run_circuit(spec, cfg).rows == got
 
     def test_uncoupled_modes_keep_their_monomials(self):
         # a squeezed pair on modes 0 and 1, one photon on each other mode: at
@@ -375,7 +448,7 @@ class TestFockSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(sweep) == nmax + 1 and peak < 5e6
+        assert len(sweep.rows) == nmax + 1 and peak < 5e6
         refs = _project_fock_references(s, 0, nmax)
         for n in (0, 1, 2, nmax):
             assert_states_close(sweep[n], refs[n])
@@ -383,24 +456,33 @@ class TestFockSweep:
     def test_fill_masses_follow_the_fill_monomials(self):
         # the masses' table is indexed by the fill's own monomials, not by a
         # graded index of degree 4 + n in the five other modes per projection
-        from hqcsim import circuits as circ
-
         s = st.normalized(_squeezed_pair_with_photons())
         tracemalloc.start()
         try:
-            circ._fock_masses(sp._fock_projections(s, 0, 5), 5)
+            sp._fock_masses(sp._fock_projections(s, 0, 5), 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 20e6
-        masses = circ._fock_masses(sp._fock_projections(s, 0, 30), 30)
+        masses = sp._fock_masses(sp._fock_projections(s, 0, 30), 30)
         assert abs(masses.sum() - 1.0) < 1e-10
         cfg = sp.SamplerConfig(seed=2, shots=20, cutoff=30)
         assert len(sp.sample_discrete(s, [0], cfg)) == cfg.shots
 
     def test_two_mode_squeezed_ranks(self):
         sweep = sp._fock_projections(_two_mode_squeezed(0.5), 0, self.N)
-        assert [st.stellar_rank(p) for p in sweep] == list(range(self.N + 1))
+        assert [st.stellar_rank(sweep[n]) for n in range(self.N + 1)] == list(range(self.N + 1))
+
+    def test_last_mode_at_cutoff_150(self, rng):
+        # a displaced rank-3 state with about 25 photons: h_j grows like b^j / sqrt(j!)
+        # before it decays, and every amplitude stays finite
+        s = st.normalized(st.StellarState.make(
+            1, random_poly(rng, 1, 3), st.GaussPart.make([[0.3 - 0.2j]], [4.0 + 2.5j], 0)))
+        amps = sp._fock_projections(s, 0, 150)
+        expect = [st.to_fock_array(s, 150, warn_tail=False).amplitude((n,)) for n in range(151)]
+        assert np.isfinite(amps).all()
+        np.testing.assert_allclose(amps, expect, rtol=1e-12, atol=1e-12 * max(map(abs, expect)))
+        assert abs(sum(abs(a) ** 2 for a in amps) - 1.0) < 1e-12
 
     def test_rejects_bad_input(self):
         s = st.StellarState.vacuum(2)
@@ -420,25 +502,47 @@ def _squeezed_pair_with_photons(m=6):
 
 
 class TestFockMasses:
-    @settings(max_examples=40)
+    @settings(max_examples=60)
     @given(hst.integers(1, 4), hst.integers(0, 3),
-           hst.sampled_from(["coupled", "partly_coupled", "zero"]), hst.data(),
-           hst.integers(0, 2**32 - 1))
-    def test_one_table_matches_per_projection_norms(self, modes, rank, gauss, data, seed):
-        # m = 1 fills are amplitudes; with A = B = 0 projection n is the z_k^n
-        # coefficient, zero wherever P has no such term
-        from hqcsim import circuits as circ
-
+           hst.sampled_from(["coupled", "partly_coupled", "zero"]), hst.sampled_from([0, 1, 6]),
+           hst.data(), hst.integers(0, 2**32 - 1))
+    def test_one_table_matches_per_projection_norms(self, modes, rank, gauss, nmax, data, seed):
+        # m = 1 fills are amplitudes; with A = B = 0 (a Fock input) projection n
+        # is the z_k^n coefficient, and the sweep stops after the last nonzero one.
+        # The references: the dict sweep and the masses of its dict polynomials.
         mode = data.draw(hst.integers(0, modes - 1))
         rng = np.random.default_rng(seed)
         g = {"coupled": random_admissible_gauss, "partly_coupled": partly_coupled_gauss,
              "zero": lambda rng, m: st.GaussPart.make(np.zeros((m, m)), np.zeros(m), 0.2j)}
         s = st.StellarState.make(modes, random_poly(rng, modes, rank), g[gauss](rng, modes))
-        nmax = 6
         fill = sp._fock_projections(s, mode, nmax)
-        expect = [abs(p) ** 2 if isinstance(p, complex) else st.norm_squared(p) for p in fill]
-        expect += [0.0] * (nmax + 1 - len(fill))
-        np.testing.assert_allclose(circ._fock_masses(fill, nmax), expect, rtol=1e-12, atol=0)
+        refs = _project_fock_references(s, mode, nmax)
+        masses = sp._fock_masses(fill, nmax)
+        np.testing.assert_allclose(masses, _fock_masses_reference(refs, nmax), rtol=1e-12, atol=0)
+        if modes == 1:
+            oracle = st.to_fock_array(s, nmax, warn_tail=False)
+            expect = [oracle.amplitude((n,)) for n in range(nmax + 1)]
+            scale = max(abs(a) for a in expect)
+            np.testing.assert_allclose(fill, expect, rtol=1e-12, atol=1e-12 * scale)
+            return
+        # the arithmetic of the masses of the projections' own polynomials, and
+        # each projection against its own closed-form norm
+        projections = [fill[n] for n in range(nmax + 1)]
+        np.testing.assert_array_equal(masses, _fock_masses_reference(projections, nmax))
+        expect = [st.norm_squared(p) for p in projections]
+        np.testing.assert_allclose(masses, expect, rtol=1e-12, atol=0)
+        for got, ref in zip(projections, refs):
+            assert_states_close(got, ref)
+
+    def test_faint_projections_keep_their_mass(self):
+        # B_0 = 1e-3 makes projection n of order 1e-3^n: a prune relative to the
+        # largest entry of all rows, not of each row, would zero the faintest masses
+        s = st.StellarState.make(2, st.PolyPart.make({(0, 0): 1.0, (1, 1): 0.5}),
+                                 st.GaussPart.make(np.zeros((2, 2)), [1e-3, 0.2], 0))
+        masses = sp._fock_masses(sp._fock_projections(s, 0, 8), 8)
+        assert (masses > 0).all()
+        expect = _fock_masses_reference(_project_fock_references(s, 0, 8), 8)
+        np.testing.assert_allclose(masses, expect, rtol=1e-12, atol=0)
 
 
 def _projected_mass(state, modes, alphas):
@@ -511,6 +615,21 @@ class TestDiscreteSampler:
         top = sorted(joint, key=joint.get, reverse=True)[:20]
         tv = 0.5 * sum(abs(emp.get(k, 0.0) - joint[k]) for k in top)
         assert tv <= 4 * math.sqrt(20 / cfg.shots)
+
+    def test_zero_draw_picks_a_count_with_mass(self, monkeypatch):
+        # u = 0 falls in [cdf[n - 1], cdf[n]) of the first count with mass,
+        # never on a count of zero mass such as n = 0 of |1>
+        from hqcsim import circuits as circ
+
+        class ZeroRng:
+            def random(self):
+                return 0.0
+
+        monkeypatch.setattr(circ, "shot_rng", lambda seed, shot: ZeroRng())
+        for pattern in [(1,), (1, 1), (0, 2, 1)]:
+            s = st.from_fock_superposition({pattern: 1.0}, len(pattern))
+            outs = sp.sample_discrete(s, list(range(len(pattern))), sp.SamplerConfig(shots=2))
+            assert [o.ns for o in outs] == [pattern] * 2
 
     def test_cutoff_loss_raises(self):
         # the cutoff caps photons per mode; a coherent state with mean 9
