@@ -86,7 +86,6 @@ from .states import (
     inner_product,
     norm_squared,
     normalized,
-    overlap_sq,
     stellar_rank,
     tensor,
     to_fock_array,

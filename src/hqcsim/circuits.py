@@ -80,10 +80,6 @@ class Affine:
             val = val + coeff * record[name][index]
         return val
 
-    @property
-    def is_constant(self):
-        return not self.terms
-
 
 @dataclass(frozen=True)
 class GateDecl:

@@ -154,11 +154,14 @@ def apply_passive(state, gate):
         gate = Passive.make(gate)
     validate_gate(gate, state.modes)
     U = gate.U
-    g = state.gauss
-    new_gauss = GaussPart.make(U.T @ g.A @ U, U.T @ g.B, g.C, check=False)
     poly = state.poly if state.poly.degree() <= 0 else _subst_linear(state.poly, U)
-    out = StellarState.make(state.modes, poly, new_gauss)
+    out = StellarState.make(state.modes, poly, _passive_gauss(state.gauss, U))
     return _assert_rank_preserved(state.poly.degree(), out, "passive gate")
+
+
+def _passive_gauss(g, U):
+    """The Gaussian part after F(z) -> F(Uz): (A, B) -> (U^T A U, U^T B)."""
+    return GaussPart.make(U.T @ g.A @ U, U.T @ g.B, g.C, check=False)
 
 
 def apply_displace(state, beta):
@@ -696,7 +699,8 @@ def _compact(gates, m):
     once, and kept only if its own action matches to 1e-12 relative and it is
     cheaper (``_cost``); otherwise the fused gates are returned. The form
     fixes the unitary up to a global phase, which is the same on every state:
-    it is measured once, from both programs applied to the vacuum, and joins
+    it is measured once, from the C both programs give the vacuum
+    (``_vacuum_constant``, a fold of their Gaussian updates alone), and joins
     the c of a ModeRun, so the program gives the fused gates' state, C
     included. Compiling costs about two applications of the fused stretch to
     a rank-0 state, so it pays for a stretch that is applied many times.
@@ -714,14 +718,26 @@ def _compact(gates, m):
     ok = err <= 1e-12 * max(1.0, np.abs(E).max(), np.abs(d).max())  # False on NaN
     if not (ok and _cost(program) < _cost(fused)):
         return fused
-    vacuum = StellarState.vacuum(m)
-    offset = (functools.reduce(apply_gate, fused, vacuum).gauss.C
-              - functools.reduce(apply_gate, program, vacuum).gauss.C)
+    offset = _vacuum_constant(fused, m) - _vacuum_constant(program, m)
     for i, gate in enumerate(program):
         if isinstance(gate, ModeRun):
             program[i] = gate._replace(c=gate.c + offset)
             return program
     return [ModeRun(0, 1 + 0j, 0j, 0j, offset), *program]  # a phase-only element
+
+
+def _vacuum_constant(gates, m):
+    """C of the m-mode vacuum after fused ``gates``. Its polynomial is 1, so a
+    passive gate acts through ``_passive_gauss`` alone and a ModeRun's kernel
+    returns after its Gaussian update (P does not involve z_k)."""
+    zero = GaussPart.make(np.zeros((m, m)), np.zeros(m), check=False)  # A = 0 is admissible
+    state = StellarState(m, PolyPart.one(m), zero)
+    for gate in gates:
+        if isinstance(gate, Passive):
+            state = StellarState(m, state.poly, _passive_gauss(state.gauss, gate.U))
+        else:
+            state = _apply_run(state, gate)
+    return state.gauss.C
 
 
 def _unitary_project(U):

@@ -13,6 +13,14 @@ partial measurement is the Bargmann norm of the coherent projection,
 evaluated in closed form for a whole batch of outcomes at once; every target
 is computed in the log domain and exponentiated once. A target that is NaN or
 exceeds the envelope raises RuntimeError instead of biasing the sample.
+
+A photon count is drawn from the masses (norms^2) of the mode's Fock
+projections. Where the Gaussian part is zero (A = 0, B = 0), as for a Fock
+input after passive gates, the stellar function is a polynomial
+P = sum_n p_n z^n, the finite superposition sum_n p_n sqrt(n!) e^C |n>: the
+Fock basis rule. Projection n of mode k is then sqrt(n!) times the z_k^n
+coefficient of P, and its mass is e^{2 Re C} sum |p|^2 n! over its
+monomials, with no derivative sweep and no Wick table.
 """
 
 from __future__ import annotations
@@ -160,7 +168,10 @@ def _fock_projections(state, mode, nmax):
     array (``states._section``) with z_k^p rows up to p = nmax - n (higher powers do
     not reach z_k = 0 in the steps left), graded in the other modes that l couples
     and fixed in the rest. Projection n is its row 0 times the rest-mode Gaussian;
-    once P_n is exactly zero (the step is linear), the sweep stops there."""
+    once P_n is exactly zero (the step is linear), the sweep stops there. With l = 0
+    (row k of A and B_k zero, as for a Fock input after passive gates) there is no
+    sweep: P_n = d^n P / sqrt(n!), so projection n is sqrt(n!) Q_n for the section
+    rows Q_n of P, and the rows end after the first n past the last nonzero Q_n."""
     mode, nmax = int(mode), int(nmax)
     if not 0 <= mode < state.modes:
         raise ValueError("mode index out of range")
@@ -179,19 +190,26 @@ def _fock_projections(state, mode, nmax):
     deg = max((sum(n[j] for j in coupled) for n in coeffs), default=0) if coupled else 0
     P, layout = _section(state, mode, min(dk + nmax * (ell[mode] != 0), nmax),
                          coupled, deg + nmax)
-    down = np.arange(1, P.shape[0])[:, None]
-    rows = np.empty((nmax + 1, layout.width), dtype=complex)
-    for n in range(nmax + 1):
-        if n:
-            P = P[:nmax - n + 2]  # row p of P_n needs rows up to p + 1
-            step = g.B[mode] * P
-            step[:-1] += down[:len(P) - 1] * P[1:]
-            _add_linear(step, P, ell, layout)
-            P = step / math.sqrt(n)
-        rows[n] = P[0]
-        if not P.any():
-            break
-    return _FockRows(rows[:n + 1], layout, _rest_gauss(g, rest, g.B[rest], g.C))
+    if any(ell) or g.B[mode]:
+        down = np.arange(1, P.shape[0])[:, None]
+        rows = np.empty((nmax + 1, layout.width), dtype=complex)
+        for n in range(nmax + 1):
+            if n:
+                P = P[:nmax - n + 2]  # row p of P_n needs rows up to p + 1
+                step = g.B[mode] * P
+                step[:-1] += down[:len(P) - 1] * P[1:]
+                _add_linear(step, P, ell, layout)
+                P = step / math.sqrt(n)
+            rows[n] = P[0]
+            if not P.any():
+                break
+        rows = rows[:n + 1]
+    else:  # l = 0: P_n = d^n P / sqrt(n!), whose row 0 is sqrt(n!) Q_n
+        last = max(np.flatnonzero(P.any(axis=1)), default=-1)
+        rows = np.zeros((min(last + 1, nmax) + 1, layout.width), dtype=complex)
+        scale = np.cumprod(np.sqrt(np.arange(1.0, last + 1)))  # sqrt(n!) in floats
+        rows[:last + 1] = P[:last + 1] * np.concatenate(([1.0], scale))[:, None]
+    return _FockRows(rows, layout, _rest_gauss(g, rest, g.B[rest], g.C))
 
 
 class _FockRows:
@@ -210,18 +228,26 @@ class _FockRows:
 
 def _fock_masses(fill, nmax):
     """The norm^2 of each n = 0..nmax of a fill: |amplitude|^2, or Re(core sum conj(p) T p)
-    per nonzero row p of ``_kept`` entries, T one Wick table on their monomials' down-closure."""
+    per nonzero row p of ``_kept`` entries, T one Wick table on their monomials' down-closure.
+    A fill whose rest-mode Gaussian part is zero (A = 0, B = 0) holds polynomials, so its
+    masses are e^{2 Re C} sum_n |p_n|^2 n!, exactly summed over each row's monomials n."""
     if isinstance(fill, list):
         return np.abs(fill) ** 2
     keys, flat = fill.layout.keys(None)
     vals = np.where(_kept(fill.rows), fill.rows, 0).take(flat, axis=1)
-    live, held, masses = vals.any(axis=1), vals.any(axis=0), np.zeros(nmax + 1)
+    g, masses = fill.gauss, np.zeros(nmax + 1)
+    if not (g.A.any() or g.B.any()):  # a polynomial: <z^a|z^b> = a! delta_ab
+        weight = np.array([math.prod(map(math.factorial, n)) for n in keys], dtype=float)
+        terms = (np.abs(vals) ** 2 * weight).tolist()
+        masses[:len(terms)] = [math.exp(2.0 * g.C.real) * math.fsum(t) for t in terms]
+        return masses
+    live, held = vals.any(axis=1), vals.any(axis=0)
     support = tuple(itertools.compress(keys, held.tolist()))
-    index = _closed_index(fill.gauss.modes, support)
+    index = _closed_index(g.modes, support)
     p = np.zeros((np.count_nonzero(live), index.size), dtype=complex)
     p[:, [index.pos[n] for n in support]] = vals[np.ix_(live, held)]
-    fill.gauss.check_admissible()
-    core, T = _wick_table(fill.gauss, fill.gauss, index, index)
+    g.check_admissible()
+    core, T = _wick_table(g, g, index, index)
     masses[np.flatnonzero(live)] = (core * np.sum((np.conj(p) @ T) * p, axis=1)).real
     return masses
 

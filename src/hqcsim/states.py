@@ -576,12 +576,6 @@ def normalized(state):
     return state.scaled(-0.5 * math.log(ns))
 
 
-def overlap_sq(s1, s2):
-    """Normalized overlap |<s1|s2>|^2 / (|s1|^2 |s2|^2)."""
-    ip = inner_product(s1, s2)
-    return abs(ip) ** 2 / (norm_squared(s1) * norm_squared(s2))
-
-
 def stellar_rank(state):
     """Total degree of the polynomial part (0 iff the state is Gaussian)."""
     d = state.poly.degree()

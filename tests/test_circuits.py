@@ -43,7 +43,7 @@ def circuit_to_dict(spec):
         ]
         param = item.params[0]
         node = {"type": item.kind, "mode": item.modes[0]}
-        if param.is_constant:
+        if not param.terms:
             node[key] = [param.base.real, param.base.imag]
         else:
             node[key] = {

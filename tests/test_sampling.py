@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 from scipy import stats as sps
 
@@ -13,7 +13,7 @@ from hqcsim import fockspace as fs
 from hqcsim import multimode as mm
 from hqcsim import sampling as sp
 from hqcsim import states as st
-from hqcsim.gates import Displace, Passive, beamsplitter_matrix
+from hqcsim.gates import Displace, Passive, Squeeze, beamsplitter_matrix
 from conftest import (
     assert_states_close,
     coherent_state,
@@ -283,7 +283,8 @@ def _project_fock_references(state, mode, nmax):
 def _fock_masses_reference(projections, nmax):
     """The norm^2 of each n = 0..nmax of a list of projections (0 past its end):
     |amplitude|^2 on the last mode, else one Wick table over the down-closure
-    of the nonzero projections' monomials, built from their dict polynomials.
+    of the nonzero projections' monomials, built from their dict polynomials, or,
+    with a zero Gaussian part, the closed form summed exactly over each polynomial.
     The reference for ``sampling._fock_masses`` on the dense rows of a fill."""
     masses = np.zeros(nmax + 1)
     if isinstance(projections[0], complex):
@@ -291,6 +292,12 @@ def _fock_masses_reference(projections, nmax):
         return masses
     live = [n for n, p in enumerate(projections) if not p.poly.is_zero()]
     polys, gauss = [projections[n].poly for n in live], projections[0].gauss
+    if not (gauss.A.any() or gauss.B.any()):  # polynomials: e^{2 Re C} sum |p|^2 n!
+        for n, poly in zip(live, polys):
+            weight = np.array([math.prod(map(math.factorial, k)) for k in poly.coeffs], dtype=float)
+            terms = np.abs(np.array(list(poly.coeffs.values()))) ** 2 * weight
+            masses[n] = math.exp(2.0 * gauss.C.real) * math.fsum(terms.tolist())
+        return masses
     gauss.check_admissible()
     index = st._MomentIndex(gauss.modes, [n for p in polys for n in p.coeffs])
     core, T = st._wick_table(gauss, gauss, index, index)
@@ -369,33 +376,20 @@ class TestFockSweep:
         monkeypatch.setattr(circ, "_fock_masses", _fock_masses_reference)
         reference = sp.sample_discrete(s, [0, 1, 2], cfg)
         monkeypatch.undo()
-        # a fill with modes left builds one Wick table for all its masses, a
-        # last-mode fill none, and neither takes a norm of its own
-        fills, tables, contracted = [], [], []
-
-        class Table(np.ndarray):  # records the rows contracted with the Wick table
-            def __array_ufunc__(self, ufunc, method, *args, **kwargs):
-                if ufunc is np.matmul:
-                    contracted.extend(args[0])
-                return getattr(ufunc, method)(*map(np.asarray, args), **kwargs)
-
-        sweep, wick, table = circ._fock_projections, st._wick_moments, sp._wick_table
+        # A = B = 0 throughout: every mass is the Fock-basis closed form, so no
+        # fill builds a Wick table or takes a norm of its own
+        fills, sweep = [], circ._fock_projections
         monkeypatch.setattr(circ, "_fock_projections",
                             lambda *args: fills.append(sweep(*args)) or fills[-1])
-        monkeypatch.setattr(st, "_wick_moments", lambda *args: tables.append(1) or wick(*args))
-        monkeypatch.setattr(sp, "_wick_table",
-                            lambda *args: (lambda core, T: (core, T.view(Table)))(*table(*args)))
+        monkeypatch.setattr(sp, "_wick_table", lambda *args: pytest.fail("Wick table built"))
         monkeypatch.setattr(st, "inner_product", lambda *args: pytest.fail("norm taken"))
         engine = circ._ShotEngine(circ.measurement_circuit(3, "discrete", [0, 1, 2]), cfg, s)
         got = [engine.run_shot(shot)[0][0][3] for shot in range(cfg.shots)]
         assert got == [o.ns for o in reference]
         with_modes_left = [f for f in fills if not isinstance(f, list)]
-        assert len(tables) == len(with_modes_left) and len(with_modes_left) < len(fills)
-        # no zero projection reaches the masses' contraction
+        assert len(with_modes_left) < len(fills)
         assert any(not row.any() for f in with_modes_left for row in f.rows)
-        assert contracted and all(row.any() for row in contracted)
-        assert len(contracted) == sum(row.any() for f in with_modes_left for row in f.rows)
-        # each sweep ends at its first zero row, and only drawn counts get a state
+        # each fill ends at its first zero row, and only drawn counts get a state
         assert all(f.rows[:-1].any(axis=1).all() and not f.rows[-1].any() for f in with_modes_left)
         drawn = {o.ns[:k + 1] for o in reference for k in range(2)}  # (history, count)
         built = sum(len(f._states) for f in with_modes_left)
@@ -501,18 +495,34 @@ def _squeezed_pair_with_photons(m=6):
     return st.StellarState.make(m, poly, st.GaussPart.make(A, np.zeros(m), 0))
 
 
+def _free_mode_gauss(rng, modes, mode):
+    """``random_admissible_gauss`` with row ``mode`` of A and B_mode cut to zero
+    (a compression of A, so its singular values stay below amax)."""
+    g = random_admissible_gauss(rng, modes)
+    A, B = g.A.copy(), g.B.copy()
+    A[mode] = A[:, mode] = B[mode] = 0
+    return st.GaussPart.make(A, B, g.C)
+
+
 class TestFockMasses:
-    @settings(max_examples=60)
+    @settings(max_examples=150)
     @given(hst.integers(1, 4), hst.integers(0, 3),
-           hst.sampled_from(["coupled", "partly_coupled", "zero"]), hst.sampled_from([0, 1, 6]),
-           hst.data(), hst.integers(0, 2**32 - 1))
+           hst.sampled_from(["coupled", "partly_coupled", "free_mode", "zero"]),
+           hst.sampled_from([0, 1, 6, 30]), hst.data(), hst.integers(0, 2**32 - 1))
     def test_one_table_matches_per_projection_norms(self, modes, rank, gauss, nmax, data, seed):
-        # m = 1 fills are amplitudes; with A = B = 0 (a Fock input) projection n
-        # is the z_k^n coefficient, and the sweep stops after the last nonzero one.
+        # m = 1 fills are amplitudes; with l = 0 (a free measured mode, or a Fock
+        # input with A = B = 0) projection n is sqrt(n!) times the z_k^n section
+        # row, and the rows stop after the last nonzero one; with A = B = 0 the
+        # masses are the Fock-basis closed form, else one Wick table's.
         # The references: the dict sweep and the masses of its dict polynomials.
+        # nmax = 30, the engine's default cutoff, is drawn for the l = 0 kinds:
+        # a coupled fill there has masses down to 1e-26, which Wick tables
+        # summed in another order match only to about 2e-12 relative.
+        assume(nmax < 30 or gauss in ("free_mode", "zero"))
         mode = data.draw(hst.integers(0, modes - 1))
         rng = np.random.default_rng(seed)
         g = {"coupled": random_admissible_gauss, "partly_coupled": partly_coupled_gauss,
+             "free_mode": lambda rng, m: _free_mode_gauss(rng, m, mode),
              "zero": lambda rng, m: st.GaussPart.make(np.zeros((m, m)), np.zeros(m), 0.2j)}
         s = st.StellarState.make(modes, random_poly(rng, modes, rank), g[gauss](rng, modes))
         fill = sp._fock_projections(s, mode, nmax)
@@ -533,6 +543,58 @@ class TestFockMasses:
         np.testing.assert_allclose(masses, expect, rtol=1e-12, atol=0)
         for got, ref in zip(projections, refs):
             assert_states_close(got, ref)
+
+    def test_zero_rows_skip_the_contraction(self, rng, monkeypatch):
+        # two photons mixed on modes 0 and 1, a squeezed photon on mode 2: mode 0
+        # is free (l = 0), so its rows end at a zero row, and the Wick masses of
+        # modes 1 and 2 contract only the nonzero rows
+        U = np.eye(3, dtype=complex)
+        U[:2, :2] = random_unitary(rng, 2)
+        s = mm.apply_gate(mm.apply_passive(st.from_fock_superposition({(1, 1, 1): 1.0}, 3),
+                                           Passive.make(U)), Squeeze(2, 0.3))
+        contracted, tables, table = [], [], sp._wick_table
+
+        class Table(np.ndarray):  # records the rows contracted with the Wick table
+            def __array_ufunc__(self, ufunc, method, *args, **kwargs):
+                if ufunc is np.matmul:
+                    contracted.extend(args[0])
+                return getattr(ufunc, method)(*map(np.asarray, args), **kwargs)
+
+        def recording(*args):
+            tables.append(1)
+            core, T = table(*args)
+            return core, T.view(Table)
+
+        monkeypatch.setattr(sp, "_wick_table", recording)
+        fill = sp._fock_projections(s, 0, 6)
+        masses = sp._fock_masses(fill, 6)
+        live = fill.rows.any(axis=1)
+        assert len(live) == 4 and not live[-1] and live[:-1].all()
+        assert len(tables) == 1  # one Wick table for all the fill's masses
+        assert len(contracted) == 3 and all(row.any() for row in contracted)
+        expect = [st.norm_squared(fill[n]) for n in range(7)]
+        np.testing.assert_allclose(masses, expect, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pattern, squeeze", [((21, 0), 0.0), ((11, 11), 0.0),
+                                                  ((11, 11), 0.3)])
+    def test_many_photons_on_the_measured_mode(self, pattern, squeeze):
+        # 21 or more photons on mode 0 at the default cutoff: sqrt(n!) of the
+        # rows must not pass through integers (21! exceeds 64 bits); a squeezed
+        # mode 1 keeps mode 0 free but sends the masses through a Wick table
+        s = st.from_fock_superposition({pattern: 1.0}, 2)
+        if pattern[1]:
+            s = mm.apply_passive(s, Passive.make(beamsplitter_matrix()))
+        if squeeze:
+            s = mm.apply_gate(s, Squeeze(1, squeeze))
+        fill = sp._fock_projections(s, 0, 30)
+        refs = _project_fock_references(s, 0, 30)
+        masses = sp._fock_masses(fill, 30)
+        np.testing.assert_allclose(masses, _fock_masses_reference(refs, 30), rtol=1e-12, atol=0)
+        for n, ref in enumerate(refs):
+            assert_states_close(fill[n], ref)
+        assert math.fsum(masses) == pytest.approx(1.0, rel=1e-12)  # every photon below 30
+        if pattern == (21, 0):
+            np.testing.assert_allclose(masses, np.eye(31)[21], rtol=1e-12, atol=0)
 
     def test_faint_projections_keep_their_mass(self):
         # B_0 = 1e-3 makes projection n of order 1e-3^n: a prune relative to the
