@@ -15,13 +15,14 @@ once per shot. A stretch of constant gates on m active modes is one Gaussian
 unitary: if its fused gates hold two or more passive gates, it is compiled
 once per run to its Bloch-Messiah form, a passive gate, one ModeRun per mode
 and a passive gate (``multimode._compact``), when that is cheaper. The
-compiled stretch gives the fused gates' state, global phase included. A
-stretch with an adaptive gate is fused anew for each shot, and
-``final_state`` applies the fused gates.
+compiled stretch gives the fused gates' state up to a global phase, which no
+outcome (|amplitude|^2) or summary (rank, norm) reads. A stretch with an adaptive
+gate is fused anew per shot; ``final_state`` applies the fused gates, phase included.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fockspace as fs
 from . import io as hio
 from .gates import (
     Create,
@@ -45,6 +47,7 @@ from .sampling import (
     _RejectionPlan,
     _fock_masses,
     _fock_projections,
+    boson_sampling_prob,
     fock_amplitude,
     project_coherent,
     shot_rng,
@@ -55,7 +58,9 @@ from .states import (
     from_fock_superposition,
     norm_squared,
     normalized,
+    sqrt_factorial,
     stellar_rank,
+    to_fock_array,
 )
 
 SCHEMA = "hqc-circuit/1"
@@ -87,6 +92,11 @@ class GateDecl:
     modes: tuple
     params: tuple
     matrix: np.ndarray = None
+
+    def __post_init__(self):
+        if self.kind == "passive":  # checked unitary here, once per matrix, and kept read-only
+            U = np.asarray(self.matrix, dtype=complex)
+            object.__setattr__(self, "matrix", _checked_unitary(U.tobytes(), U.shape))
 
     def references(self):
         return {name for p in self.params for (name, _, _) in p.terms}
@@ -184,7 +194,6 @@ def _parse_gate(node, modes):
         )
         if U.shape != (modes, modes):
             raise CircuitError("passive matrix shape must match the mode count")
-        Passive.make(U)
         return GateDecl("passive", tuple(range(modes)), (), U)
     if kind == "beamsplitter":
         i, j = (int(k) for k in node["modes"])
@@ -192,10 +201,7 @@ def _parse_gate(node, modes):
         _check_mode(j, modes)
         if i == j:
             raise CircuitError("beamsplitter needs two distinct modes")
-        U = np.eye(modes, dtype=complex)
-        H = beamsplitter_matrix()
-        U[np.ix_([i, j], [i, j])] = H
-        return GateDecl("passive", tuple(range(modes)), (), U)
+        return _beamsplitter(modes, i, j)
     if kind in ("displace", "squeeze", "shear", "phase"):
         mode = int(node["mode"])
         _check_mode(mode, modes)
@@ -203,6 +209,20 @@ def _parse_gate(node, modes):
         param = _parse_param(node[key], kind)
         return GateDecl(kind, (mode,), (param,))
     raise CircuitError(f"unknown gate type {kind!r}")
+
+
+@functools.lru_cache(maxsize=64)
+def _beamsplitter(modes, i, j):
+    """The declaration of a balanced beam splitter on modes i and j of ``modes``."""
+    U = np.eye(modes, dtype=complex)
+    U[[i, i, j, j], [i, j, i, j]] = beamsplitter_matrix().ravel()
+    return GateDecl("passive", tuple(range(modes)), (), U)
+
+
+@functools.lru_cache(maxsize=64)
+def _checked_unitary(data, shape):
+    """``Passive.make``'s read-only matrix of complex ``data``, once per matrix."""
+    return Passive.make(np.frombuffer(data, dtype=complex).reshape(shape)).U
 
 
 def _check_mode(k, modes):
@@ -278,16 +298,15 @@ def measurement_circuit(modes, kind, measured, prep=None):
 # input preparation
 # ---------------------------------------------------------------------------
 
-def _gaussian_spec_from_decls(decl_nodes, modes):
-    gates = []
-    for node in decl_nodes:
-        decl = _parse_gate(node, modes)
-        gates.append(_instantiate(decl, {}, list(range(modes))))
-    return GaussianUnitarySpec.make(modes, gates)
+def _constant_gate(node, modes):
+    """The gate of a constant gate entry, on all ``modes``."""
+    return _instantiate(_parse_gate(node, modes), {}, list(range(modes)))
 
 
-def prepare_input(builder, modes):
-    """Normalized input state from a preparation builder document."""
+def prepare_input(builder, modes, normalize=True):
+    """Normalized input state from a preparation builder document; with
+    ``normalize`` False, a state to be rescaled later (a photon-added base)."""
+    finish = normalized if normalize else (lambda state: state)
     kind = builder.get("kind", "vacuum")
     if kind == "vacuum":
         return StellarState.vacuum(modes)
@@ -301,25 +320,24 @@ def prepare_input(builder, modes):
             tuple(int(v) for v in entry["index"]): complex(entry["re"], entry["im"])
             for entry in builder["amplitudes"]
         }
-        return normalized(from_fock_superposition(amps, modes))
+        return finish(from_fock_superposition(amps, modes))
     if kind == "gaussian":
-        spec = _gaussian_spec_from_decls(builder["gates"], modes)
-        return normalized(apply_gaussian(StellarState.vacuum(modes), spec))
+        spec = GaussianUnitarySpec.make(modes, [_constant_gate(n, modes) for n in builder["gates"]])
+        return finish(apply_gaussian(StellarState.vacuum(modes), spec))
     if kind == "photon_added":
-        state = prepare_input(builder.get("base", {"kind": "vacuum"}), modes)
+        state = prepare_input(builder.get("base", {"kind": "vacuum"}), modes, normalize=False)
         for op in builder["ops"]:
             if "create" in op:
                 k = int(op["create"])
                 _check_mode(k, modes)
                 state = apply_gate(state, Create(k))
             else:
-                decl = _parse_gate(op["gate"], modes)
-                state = apply_gate(state, _instantiate(decl, {}, list(range(modes))))
-        return normalized(state)
+                state = apply_gate(state, _constant_gate(op["gate"], modes))
+        return finish(state)
     if kind == "state":
-        return normalized(hio.state_from_dict(builder["state"]))
+        return finish(hio.state_from_dict(builder["state"]))
     if kind == "state_file":
-        return normalized(hio.load_state(builder["path"]))
+        return finish(hio.load_state(builder["path"]))
     raise CircuitError(f"unknown preparation kind {kind!r}")
 
 
@@ -330,20 +348,21 @@ def prepare_input(builder, modes):
 def _instantiate(decl, record, active):
     """Concrete gate on the ``active`` (not yet measured) modes, indexed by
     position among them, from a declaration and the shot's outcome record. A
-    passive U acts on the active modes if it does not couple them to the rest.
+    passive U acts on the active modes if it does not couple them to the rest;
+    on all modes it is the declaration's, checked unitary when declared.
     """
     if decl.kind == "passive":
         U = decl.matrix
-        if len(active) < U.shape[0]:
-            gone = [k for k in range(U.shape[0]) if k not in active]
-            leak = max(np.abs(U[np.ix_(a, b)]).max() for a, b in ((active, gone), (gone, active)))
-            if leak > 1e-12:
-                raise CircuitError(
-                    f"passive gate couples the active modes {active} to the "
-                    f"measured modes {gone} (|U| entry {leak:.3g})"
-                )
-            U = U[np.ix_(active, active)]
-        return Passive.make(U)
+        if len(active) == U.shape[0]:
+            return Passive(U)
+        gone = [k for k in range(U.shape[0]) if k not in active]
+        leak = max(np.abs(U[np.ix_(a, b)]).max() for a, b in ((active, gone), (gone, active)))
+        if leak > 1e-12:
+            raise CircuitError(
+                f"passive gate couples the active modes {active} to the "
+                f"measured modes {gone} (|U| entry {leak:.3g})"
+            )
+        return Passive.make(U[np.ix_(active, active)])
     value = decl.params[0].resolve(record)
     local = active.index(decl.modes[0])
     if decl.kind == "displace":
@@ -383,12 +402,15 @@ class _ShotEngine:
         # heterodyne draws accepted and proposal points tried, over all shots
         self.accepted = self.tried = 0
         # the program as measurement positions and, between them, stretches
-        # (tuples) of gate positions
-        self.steps = []
+        # (tuples) of gate positions; the positions of adaptive gates
+        self.steps, self.adaptive = [], set()
         for pos, item in enumerate(spec.program):
             if isinstance(item, MeasureDecl):
                 self.steps.append(pos)
-            elif self.steps and isinstance(self.steps[-1], tuple):
+                continue
+            if item.references():
+                self.adaptive.add(pos)
+            if self.steps and isinstance(self.steps[-1], tuple):
                 self.steps[-1] += (pos,)
             else:
                 self.steps.append((pos,))
@@ -402,7 +424,7 @@ class _ShotEngine:
         if gate is None:
             decl = self.spec.program[pos]
             gate = _instantiate(decl, record, active)
-            if not decl.references():
+            if pos not in self.adaptive:
                 self.gate_cache[pos] = gate
         return gate
 
@@ -554,8 +576,6 @@ TABLE3_ARCHITECTURES = ("coherent-cv", "gaussian-dv", "fock-cv", "fock-dv")
 
 def _husimi_from_fock_array(arr, gamma):
     """Heterodyne density at outcome gamma from truncated amplitudes."""
-    from .states import sqrt_factorial
-
     w = np.conj(np.asarray(gamma, dtype=complex))
     amp = 0j
     for idx, psi in arr.amplitudes.items():
@@ -569,9 +589,6 @@ def _husimi_from_fock_array(arr, gamma):
 
 
 def _oracle_state(m, cutoff, gate_list):
-    from . import fockspace as fs
-    from .states import to_fock_array
-
     arr = to_fock_array(StellarState.vacuum(m), cutoff, warn_tail=False)
     for gate in gate_list:
         arr = fs.fock_oracle_apply(arr, gate, loss_tol=1.0)
@@ -587,9 +604,6 @@ def table3_demo(architecture, m=3, photons=2, seed=1234):
     reports the disagreement and timings.
     """
     from scipy.stats import unitary_group
-
-    from .sampling import boson_sampling_prob
-    from .states import to_fock_array
 
     if m > 5 or photons > 3:
         raise ValueError("desk-scale demo: m <= 5 and photons <= 3")
@@ -611,10 +625,7 @@ def table3_demo(architecture, m=3, photons=2, seed=1234):
         arr = _oracle_state(m, 18, [Displace.make(alpha), Passive.make(U)])
         brute = [_husimi_from_fock_array(arr, g) for g in pts]
         t_brute = time.perf_counter() - t0
-        report.update(_finish(eff, brute, t_eff, t_brute))
-        return report
-
-    if architecture == "gaussian-dv":
+    elif architecture == "gaussian-dv":
         xi = 0.30 * rng.uniform(0.5, 1.0, size=m) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
         gates = [Squeeze(k, complex(xi[k])) for k in range(m)] + [Passive.make(U)]
         outcomes = [(0,) * m, pattern, tuple(2 if k == 0 else 0 for k in range(m))]
@@ -628,10 +639,7 @@ def table3_demo(architecture, m=3, photons=2, seed=1234):
         arr = _oracle_state(m, 24, gates)
         brute = [float(abs(arr.amplitude(n)) ** 2) for n in outcomes]
         t_brute = time.perf_counter() - t0
-        report.update(_finish(eff, brute, t_eff, t_brute))
-        return report
-
-    if architecture == "fock-cv":
+    elif architecture == "fock-cv":
         pts = [(rng.normal(size=m) + 1j * rng.normal(size=m)) * 0.5 for _ in range(4)]
         t0 = time.perf_counter()
         eff = []
@@ -642,39 +650,22 @@ def table3_demo(architecture, m=3, photons=2, seed=1234):
         t_eff = time.perf_counter() - t0
         t0 = time.perf_counter()
         arr0 = to_fock_array(from_fock_superposition({pattern: 1.0}, m), photons)
-        from . import fockspace as fs
-
         arr = fs.fock_oracle_apply(arr0, Passive.make(U), loss_tol=1.0)
         brute = [_husimi_from_fock_array(arr, g) for g in pts]
         t_brute = time.perf_counter() - t0
-        report.update(_finish(eff, brute, t_eff, t_brute))
-        return report
-
-    if architecture == "fock-dv":
+    elif architecture == "fock-dv":
         outs = _shell_indices(m, photons)[::-1][:6]  # from all photons in mode 0
         t0 = time.perf_counter()
         eff = [boson_sampling_prob(U, pattern, t) for t in outs]
         t_eff = time.perf_counter() - t0
         t0 = time.perf_counter()
         arr0 = to_fock_array(from_fock_superposition({pattern: 1.0}, m), photons)
-        from . import fockspace as fs
-
         arr = fs.fock_oracle_apply(arr0, Passive.make(U), loss_tol=1.0)
         brute = [float(abs(arr.amplitude(t)) ** 2) for t in outs]
         t_brute = time.perf_counter() - t0
-        report.update(_finish(eff, brute, t_eff, t_brute))
-        return report
-
-    raise ValueError(f"unknown architecture {architecture!r}; "
-                     f"choose from {TABLE3_ARCHITECTURES}")
-
-
-def _finish(eff, brute, t_eff, t_brute):
+    else:
+        raise ValueError(f"unknown architecture {architecture!r}; "
+                         f"choose from {TABLE3_ARCHITECTURES}")
     diff = max(abs(a - b) for a, b in zip(eff, brute))
-    return {
-        "efficient": eff,
-        "brute_force": brute,
-        "max_abs_diff": diff,
-        "time_efficient_s": t_eff,
-        "time_brute_s": t_brute,
-    }
+    return {**report, "efficient": eff, "brute_force": brute, "max_abs_diff": diff,
+            "time_efficient_s": t_eff, "time_brute_s": t_brute}

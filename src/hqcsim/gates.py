@@ -43,7 +43,8 @@ class Displace:
     def single(mode, beta, modes):
         vec = np.zeros(modes, dtype=complex)
         vec[mode] = beta
-        return Displace.make(vec)
+        vec.setflags(write=False)
+        return Displace(vec)
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,14 @@ in the rest (``states._section``), shared with ``sampling``.
 An SU(1,1) element moves the mode's exponent a by its Moebius map
 (``_moebius``). Squeeze, shear and phase gates are the t = 1 flows of
 single-mode Gaussian drives (``_mode_drive``), with one 2x2 propagator
-(``_mode_exponents``) here, in the Bogoliubov action and in the closed forms
+(``_mode_propagator``) here, in the Bogoliubov action and in the closed forms
 of ``dynamics``. A run of D, S, P and R gates on one mode is one such element,
 one trailing displacement and one constant (``ModeRun``), so it costs one
 kernel call: ``apply_gaussian`` and the circuit engine fuse each stretch of
-single-mode gates between multimode gates (``_fused``). The circuit engine
-goes further for a stretch it applies on every shot: any Gaussian stretch is
-one Bloch-Messiah program, a passive gate, one D+S run per mode and a passive
-gate (``_compact``), built once from the stretch's Bogoliubov action, global
-phase included, and used in place of a stretch with more passive gates.
+single-mode gates between passive gates (``_fused``). For a stretch applied on
+every shot the engine compiles the Bloch-Messiah program of its Bogoliubov
+action, a passive gate, one D+S run per mode and a passive gate (``_compact``),
+which like the action fixes the stretch up to a global phase no output reads.
 """
 
 from __future__ import annotations
@@ -120,13 +119,8 @@ class SchmidtForm:
 def _subst_linear(poly, U):
     """P(Uz): substitute each variable by the corresponding row form of U."""
     m = U.shape[0]
-    forms = []
-    for k in range(m):
-        forms.append(
-            PolyPart.make(
-                {tuple(1 if j == i else 0 for j in range(m)): U[k, i] for i in range(m)}
-            )
-        )
+    forms = [PolyPart.make({tuple(1 if j == i else 0 for j in range(m)): U[k, i] for i in range(m)})
+             for k in range(m)]
     out = {}
     for idx, c in poly.coeffs.items():
         term = PolyPart.make({(0,) * m: c})
@@ -300,29 +294,38 @@ def _moebius(a, mu, nu):
     return (mu * a + nu.conjugate()) / y, 1.0 / y, 0.5 * nu / y, -0.5 * np.log1p(nu * a / muc)
 
 
-def _mode_exponents(a, xi, phi, t=1.0):
-    """Flow of exp(tK), K = [[i phi, -xi], [-conj(xi), -i phi]], on a mode with
-    diagonal exponent a: (a_new, b_scale, kappa, c_const, mu, nu); all but mu are
-    the arguments of ``_section_gate``.
+def _mode_propagator(xi, phi, t=1.0):
+    """(fc, fs, mu, nu): exp(tK) = fc I + fs K, K = [[i phi, -xi], [-conj(xi), -i phi]],
+    (fc, fs) from ``calogero._propagator``, has first column (mu, nu). Broadcasts over t."""
+    fc, fs = cm._propagator(_omega2(xi, phi), t)
+    return fc, fs, fc + 1j * phi * fs, -xi.conjugate() * fs
 
-    exp(tK) = fc I + fs K, with (fc, fs) from ``calogero._propagator``, is the
-    SU(1,1) element with first column (mu, nu) = (fc + i phi fs, -conj(xi) fs):
-    ``_moebius`` gives its map of a, b and kappa. c_const = -log(y)/2 - i phi t/2
-    with log y continued along the flow from y = 1 at t = 0: the continued log
-    of y at a = 0, conj(mu), plus the log1p term of ``_moebius``. Broadcasts
-    over a and t.
+
+def _mode_exponents(a, xi, phi, t=1.0):
+    """Flow of exp(tK) (``_mode_propagator``) on a mode with diagonal exponent
+    a: (a_new, b_scale, kappa, c_const, mu, nu); all but mu are the arguments
+    of ``_section_gate``. ``_moebius`` gives the map of a, b and kappa.
+    c_const = -log(y)/2 - i phi t/2 with log y continued along the flow from
+    y = 1 at t = 0: the continued log of y at a = 0, conj(mu), plus the log1p
+    term of ``_moebius``. Broadcasts over a and t.
     """
-    w2 = _omega2(xi, phi)
-    fc, fs = cm._propagator(w2, t)
-    mu, nu = fc + 1j * phi * fs, -xi.conjugate() * fs
+    fc, fs, mu, nu = _mode_propagator(xi, phi, t)
     a_new, b_scale, kappa, dc = _moebius(a, mu, nu)
     log_y = np.log(fc - 1j * phi * fs)
+    w2 = _omega2(xi, phi)
     if w2 > 0:
         # fc and fs are real, so y(0) meets the negative axis only at fs = 0,
         # y = -1 (omega |t| = pi, 3 pi, ...), crossing it in the sense of -phi t
         turns = (math.sqrt(w2) * abs(t) / math.pi + 1.0) // 2.0
         log_y = log_y - 2j * math.pi * np.sign(phi * t) * turns
     return a_new, b_scale, kappa, -0.5 * log_y - 0.5j * phi * t + dc, mu, nu
+
+
+def _then(run, g_mu, g_nu):
+    """(mu, nu, beta) of G' D(beta) G = D(beta') G' G, G' of first column (g_mu, g_nu)."""
+    mu, nu, beta = run
+    return (g_mu * mu + g_nu.conjugate() * nu, g_nu * mu + g_mu.conjugate() * nu,
+            g_mu * beta - g_nu.conjugate() * beta.conjugate())
 
 
 class ModeRun(NamedTuple):
@@ -337,7 +340,8 @@ class ModeRun(NamedTuple):
     merging displacements, D(b) D(beta), each gate's identity term, and
     -log(y)/2 for y = nu a + conj(mu), log y continued gate by gate. At any
     other a the run adds the log1p term of ``_moebius``, so one application
-    gives the a and the global phase the gates give one by one.
+    gives the a and the global phase the gates give one by one; a compiled
+    run (``up_to_phase``) gives them up to a global phase.
     """
 
     mode: int
@@ -363,9 +367,24 @@ class ModeRun(NamedTuple):
                 continue
             a, _, _, c_const, g_mu, g_nu = _mode_exponents(a, xi, phi)
             c += c_id + c_const
-            beta = g_mu * beta - g_nu.conjugate() * beta.conjugate()
-            mu, nu = g_mu * mu + g_nu.conjugate() * nu, g_nu * mu + g_mu.conjugate() * nu
+            mu, nu, beta = _then((mu, nu, beta), g_mu, g_nu)
         return ModeRun(mode, complex(mu), complex(nu), beta, complex(c))
+
+    @staticmethod
+    def up_to_phase(mode, gates):
+        """``make`` up to a global phase, from the propagators alone (``_mode_propagator``):
+        c = -log|mu|/2, the real part of make's c. ``gates`` may hold ModeRuns."""
+        run = 1 + 0j, 0j, 0j
+        for gate in gates:
+            if isinstance(gate, Displace):
+                run = (*run[:2], run[2] + complex(gate.beta[mode]))
+            elif isinstance(gate, ModeRun):
+                mu, nu, beta = _then(run, gate.mu, gate.nu)
+                run = mu, nu, beta + gate.beta
+            else:
+                xi, phi, _ = _mode_drive(gate)
+                run = _then(run, *_mode_propagator(xi, phi)[2:]) if xi or phi else run
+        return ModeRun(mode, *run, -0.5 * math.log(abs(run[0])))
 
 
 def _apply_run(state, run):
@@ -378,22 +397,30 @@ def _apply_run(state, run):
     return _section_gate(state, mode, a_new, b_scale, kappa, c + dc, nu, beta)
 
 
-def _fused(gates):
-    """The gates in application order, with each maximal stretch of D, S, P
-    and R gates between other gates replaced by one ModeRun per mode it acts
-    on: gates on different modes commute, so only the order within a mode
-    matters."""
-    out, runs = [], {}
+def _fused(gates, fuse=ModeRun.make):
+    """The gates in application order, with the D, S, P and R gates between passive
+    gates replaced by one ModeRun per mode they act on (``fuse``): gates on different
+    modes commute, so only the order within a mode matters."""
+    out = []
+    for runs, passive in _segments(gates):
+        out += [fuse(k, run) for k, run in runs.items()]
+        out += [] if passive is None else [passive]
+    return out
+
+
+def _segments(gates):
+    """(runs, passive) per stretch up to each passive gate (None after the last): runs
+    maps each mode the other gates act on (a Displace: its nonzero entries) to them."""
+    runs = {}
     for gate in gates:
-        if isinstance(gate, (Displace, Squeeze, Shear, Phase)):
-            modes = np.flatnonzero(gate.beta) if isinstance(gate, Displace) else [gate.mode]
-            for k in modes:
-                runs.setdefault(int(k), []).append(gate)
+        if isinstance(gate, Passive):
+            yield runs, gate
+            runs = {}
             continue
-        out += [ModeRun.make(k, run) for k, run in runs.items()]
-        runs = {}
-        out.append(gate)
-    return out + [ModeRun.make(k, run) for k, run in runs.items()]
+        for k in ([k for k, b in enumerate(gate.beta.tolist()) if b]
+                  if isinstance(gate, Displace) else [gate.mode]):
+            runs.setdefault(k, []).append(gate)
+    yield runs, None
 
 
 def apply_create(state, mode):
@@ -550,43 +577,22 @@ def schmidt_form(state, partition):
     Schmidt rank is 1 and every cross term vanishes.
     """
     left, right = _check_partition(state.modes, partition)
-    poly = state.poly
-    lmons, rmons = [], []
-    lpos, rpos = {}, {}
-    entries = {}
-    for idx, c in poly.coeffs.items():
-        li = tuple(idx[i] for i in left)
-        ri = tuple(idx[j] for j in right)
-        if li not in lpos:
-            lpos[li] = len(lmons)
-            lmons.append(li)
-        if ri not in rpos:
-            rpos[ri] = len(rmons)
-            rmons.append(ri)
-        entries[(lpos[li], rpos[ri])] = c
-    M = np.zeros((len(lmons), len(rmons)), dtype=complex)
+    lpos, rpos, entries = {}, {}, {}  # each side's monomials, in order of appearance
+    for idx, c in state.poly.coeffs.items():
+        li, ri = tuple(idx[i] for i in left), tuple(idx[j] for j in right)
+        entries[lpos.setdefault(li, len(lpos)), rpos.setdefault(ri, len(rpos))] = c
+    M = np.zeros((len(lpos), len(rpos)), dtype=complex)
     for (i, j), c in entries.items():
         M[i, j] = c
     u, s, vh = np.linalg.svd(M)
     rank = int(np.sum(s > SCHMIDT_CUT * s[0])) if s.size and s[0] > 0 else 0
-    lfac, rfac = [], []
-    for k in range(rank):
-        lfac.append(
-            PolyPart.make({mon: u[i, k] for i, mon in enumerate(lmons)})
-        )
-        rfac.append(
-            PolyPart.make({mon: vh[k, j] for j, mon in enumerate(rmons)})
-        )
+    lfac = [PolyPart.make({mon: u[i, k] for mon, i in lpos.items()}) for k in range(rank)]
+    rfac = [PolyPart.make({mon: vh[k, j] for mon, j in rpos.items()}) for k in range(rank)]
     g = state.gauss
-    cross = {}
-    for i in left:
-        for j in right:
-            cross[(i, j)] = complex(-g.A[i, j])
+    cross = {(i, j): complex(-g.A[i, j]) for i in left for j in right}
     gl = GaussPart.make(g.A[np.ix_(left, left)], g.B[list(left)], g.C, check=False)
     gr = GaussPart.make(g.A[np.ix_(right, right)], g.B[list(right)], 0.0, check=False)
-    return SchmidtForm(
-        (left, right), rank, s[:rank].copy(), lfac, rfac, cross, gl, gr
-    )
+    return SchmidtForm((left, right), rank, s[:rank].copy(), lfac, rfac, cross, gl, gr)
 
 
 def is_separable(state, partition):
@@ -599,34 +605,35 @@ def is_separable(state, partition):
 # ---------------------------------------------------------------------------
 
 def _action(gates, m):
-    """(E, F, d) with G a_k^dag G^dag = sum_j E_kj a_j^dag + F_kj a_j + d_k for
-    the unitary G of fused ``gates`` (Passive and ModeRun, application order).
-
-    A passive U maps (E, F) to (E U, F conj(U)). A ModeRun on mode k mixes
-    columns k of E and F by its SU(1,1) propagator, whose first column is
-    (mu, nu), and its trailing D(beta) then adds -conj(beta) E_k - beta F_k
-    to d.
-    """
-    E = np.eye(m, dtype=complex)
-    F = np.zeros((m, m), dtype=complex)
-    d = np.zeros(m, dtype=complex)
-    for gate in gates:
-        if isinstance(gate, Passive):
-            E, F = E @ gate.U, F @ gate.U.conj()
-        elif isinstance(gate, ModeRun):
-            k, mu, nu, beta = gate.mode, gate.mu, gate.nu, gate.beta
-            e, f = E[:, k].copy(), F[:, k].copy()
-            E[:, k] = mu * e + nu.conjugate() * f
-            F[:, k] = nu * e + mu.conjugate() * f
-            d -= beta.conjugate() * E[:, k] + beta * F[:, k]
-        else:
-            raise ValueError(f"no Bogoliubov action for {gate!r}")
-    return E, F, d
+    """(E, F, d) with G a_k^dag G^dag = sum_j E_kj a_j^dag + F_kj a_j + d_k for the
+    unitary G of ``gates`` (Passive, D, S, P, R, ModeRun), which fixes G up to a global
+    phase. Each row (E_k, F_k, d_k) moves by one affine map per stretch and passive gate
+    (``_segments``), all built at once and multiplied pairwise: U on E and conj(U) on F,
+    and per mode j the stretch's D(beta) G_j (``ModeRun.up_to_phase``), which mixes
+    columns j of E and F by G_j = (mu, nu) and adds -conj(beta) E_j - beta F_j to d."""
+    segments = list(_segments(gates))
+    runs = [[ModeRun.up_to_phase(k, run[k])[1:4] if k in run else (1, 0, 0) for k in range(m)]
+            for run, _ in segments]
+    mu, nu, beta = np.array(runs, dtype=complex).transpose(2, 0, 1)  # stretch by mode
+    j, n = np.arange(m), 2 * m
+    maps = np.zeros((2 * len(segments) - 1, n + 1, n + 1), dtype=complex)
+    stretch, passive = maps[0::2], maps[1::2]
+    stretch[:, j, j], stretch[:, j, m + j], stretch[:, m + j, j] = mu, nu, nu.conj()
+    stretch[:, m + j, m + j] = mu.conj()
+    stretch[:, j, n] = -mu * beta.conj() - nu * beta
+    stretch[:, m + j, n] = -(nu * beta).conj() - mu.conj() * beta
+    U = np.array([p.U for _, p in segments[:-1]]).reshape(-1, m, m)
+    passive[:, :m, :m], passive[:, m:n, m:n] = U, U.conj()
+    maps[:, n, n] = 1.0
+    while len(maps) > 1:
+        maps = np.concatenate([maps[:-1:2] @ maps[1::2], maps[len(maps) - len(maps) % 2:]])
+    return maps[0, :m, :m], maps[0, :m, m:n], maps[0, :m, n]
 
 
 def bogoliubov(spec):
-    """(E, F, d) with G a_k^dag G^dag = sum_j E_kj a_j^dag + F_kj a_j + d_k."""
-    return _action(_fused(spec.gate_list), spec.modes)
+    """(E, F, d) with G a_k^dag G^dag = sum_j E_kj a_j^dag + F_kj a_j + d_k:
+    the program's Gaussian unitary G up to its global phase (``_action``)."""
+    return _action(spec.gate_list, spec.modes)
 
 
 def _bloch_messiah_gates(E, F, d):
@@ -681,63 +688,33 @@ def bloch_messiah(spec):
 
 
 def _cost(gates):
-    """Sort key for the kernel cost of fused gates: a passive gate rewrites
-    every coefficient of the state and costs about one ModeRun per mode, so
-    the passive count comes first, then the entry count."""
-    return sum(isinstance(g, Passive) for g in gates), len(gates)
+    """Sort key for the kernel cost of ``gates`` once fused (``_fused``): a passive gate
+    costs about one ModeRun per mode, so the passive count comes first, then the entries."""
+    segments = list(_segments(gates))
+    return len(segments) - 1, len(segments) - 1 + sum(len(runs) for runs, _ in segments)
 
 
 def _compact(gates, m):
-    """The gates of a stretch on m modes, fused (``_fused``) and, if that
-    holds two or more passive gates, compiled to their Bloch-Messiah form.
-
-    The stretch is one Gaussian unitary, so [Passive V, one D+S ModeRun per
-    mode, Passive U] applies it with two passive gates and at most m
-    ModeRuns, and without squeezing [ModeRun..., Passive U] with one. A
-    stretch with fewer than two passive gates cannot lose one, so it stays
-    fused. The program is built from the stretch's Bogoliubov action, folded
-    once, and kept only if its own action matches to 1e-12 relative and it is
-    cheaper (``_cost``); otherwise the fused gates are returned. The form
-    fixes the unitary up to a global phase, which is the same on every state:
-    it is measured once, from the C both programs give the vacuum
-    (``_vacuum_constant``, a fold of their Gaussian updates alone), and joins
-    the c of a ModeRun, so the program gives the fused gates' state, C
-    included. Compiling costs about two applications of the fused stretch to
-    a rank-0 state, so it pays for a stretch that is applied many times.
-    """
-    fused = _fused(gates)
-    if _cost(fused)[0] < 2:
-        return fused
-    E, F, d = _action(fused, m)
+    """The gates of a stretch on m modes, fused (``_fused``), or compiled to their
+    Bloch-Messiah form if they hold two or more passive gates: the stretch is one Gaussian
+    unitary, so [Passive V, one D+S ModeRun per mode, Passive U] applies it (without
+    squeezing, [ModeRun..., Passive U]). The form is built from the raw gates' Bogoliubov
+    action (``_action``) and kept if its own action matches to 1e-12 relative and it is
+    cheaper (``_cost``). Its runs carry Re c alone (``ModeRun.up_to_phase``): it gives the
+    fused gates' state times one global phase, which no row, measurement or summary reads,
+    and compiling applies no gate to a state."""
+    passives = sum(isinstance(g, Passive) for g in gates)
+    if passives < 2:
+        return _fused(gates)
+    E, F, d = _action(gates, m)
     try:
-        program = _fused(_bloch_messiah_gates(E, F, d))
+        program = _fused(_bloch_messiah_gates(E, F, d), ModeRun.up_to_phase)
     except (RuntimeError, np.linalg.LinAlgError):  # Takagi residual, non-finite action
-        return fused
-    E2, F2, d2 = _action(program, m)
-    err = max(np.abs(E2 - E).max(), np.abs(F2 - F).max(), np.abs(d2 - d).max())
+        return _fused(gates)
+    err = np.max([np.abs(x - y).max() for x, y in zip(_action(program, m), (E, F, d))])
     ok = err <= 1e-12 * max(1.0, np.abs(E).max(), np.abs(d).max())  # False on NaN
-    if not (ok and _cost(program) < _cost(fused)):
-        return fused
-    offset = _vacuum_constant(fused, m) - _vacuum_constant(program, m)
-    for i, gate in enumerate(program):
-        if isinstance(gate, ModeRun):
-            program[i] = gate._replace(c=gate.c + offset)
-            return program
-    return [ModeRun(0, 1 + 0j, 0j, 0j, offset), *program]  # a phase-only element
-
-
-def _vacuum_constant(gates, m):
-    """C of the m-mode vacuum after fused ``gates``. Its polynomial is 1, so a
-    passive gate acts through ``_passive_gauss`` alone and a ModeRun's kernel
-    returns after its Gaussian update (P does not involve z_k)."""
-    zero = GaussPart.make(np.zeros((m, m)), np.zeros(m), check=False)  # A = 0 is admissible
-    state = StellarState(m, PolyPart.one(m), zero)
-    for gate in gates:
-        if isinstance(gate, Passive):
-            state = StellarState(m, state.poly, _passive_gauss(state.gauss, gate.U))
-        else:
-            state = _apply_run(state, gate)
-    return state.gauss.C
+    # the form holds at most two passive gates, so more in the stretch decide the cost
+    return program if ok and (passives > 2 or _cost(program) < _cost(gates)) else _fused(gates)
 
 
 def _unitary_project(U):

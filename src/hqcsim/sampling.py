@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gates import Passive, Squeeze
+from .multimode import apply_gate
 from .states import (
     NORM_TOL,
     GaussPart,
@@ -230,7 +232,8 @@ def _fock_masses(fill, nmax):
     """The norm^2 of each n = 0..nmax of a fill: |amplitude|^2, or Re(core sum conj(p) T p)
     per nonzero row p of ``_kept`` entries, T one Wick table on their monomials' down-closure.
     A fill whose rest-mode Gaussian part is zero (A = 0, B = 0) holds polynomials, so its
-    masses are e^{2 Re C} sum_n |p_n|^2 n!, exactly summed over each row's monomials n."""
+    masses are e^{2 Re C} sum_n |p_n|^2 n!, exactly summed over each row's monomials n.
+    Relative accuracy is not promised below about 1e-12 of the largest mass (faint rows)."""
     if isinstance(fill, list):
         return np.abs(fill) ** 2
     keys, flat = fill.layout.keys(None)
@@ -502,9 +505,6 @@ def sample_homodyne(state, mode, cfg, r_hom=3.0, stats=None):
     Realized as single-mode squeezing by r_hom followed by heterodyne; the
     finite-squeezing excess variance exp(-2 r_hom)/2 is reported in ``stats``.
     """
-    from .gates import Squeeze
-    from .multimode import apply_gate
-
     squeezed = apply_gate(state, Squeeze(mode, r_hom))
     outcomes = sample_continuous(squeezed, [mode], cfg, stats=stats)
     if stats is not None:
@@ -552,8 +552,6 @@ def boson_sampling_prob(U, input_pattern, output_pattern):
     ``input_pattern``: |perm(U_sub)|^2 / prod(t_k!), with the submatrix built
     from input rows and output-repeated columns.
     """
-    from .gates import Passive
-
     if isinstance(U, Passive):
         U = U.U
     U = np.asarray(U, dtype=complex)

@@ -34,6 +34,8 @@ EPS_ADMISSIBLE = 1e-6
 PRUNE_REL = 1e-14
 # Tolerance on |norm^2 - 1| for operations that require normalized input.
 NORM_TOL = 1e-8
+# Wick tables (entries times batch) up to this size fill in steps (``_wick_moments``).
+WICK_STEPPED = 4096
 
 
 class AdmissibilityError(ValueError):
@@ -494,30 +496,61 @@ def _wick_moments(mu, K, rows, cols):
     """T[n, a, b] = E[u^a w^b], a in ``rows``, b in ``cols``, for the formal
     Gaussians over v = (u, w) of means ``mu[n]`` and common covariance ``K``.
 
-    ``mu`` has a leading batch axis. Filled shell by shell from
-    E[v_k f] = mu_k E[f] + sum_l K_kl E[df/dv_l]: the row a = 0 in b, then the
-    rows in a, vectorised over the batch and b.
-    """
-    m = mu.shape[1] // 2
-    nc = cols.size
+    ``mu`` has a leading batch axis. Filled from E[v_r f] = mu_r E[f] + sum_l K_rl
+    E[df/dv_l]: the row a = 0 shell by shell in b, then the rows shell by shell in a.
+    Up to WICK_STEPPED entries times batch, where numpy's per-call cost dominates, a shell
+    is one gather and one contraction (``_wick_steps``); larger tables stream whole rows."""
+    if len(mu) * rows.size * cols.size > WICK_STEPPED:
+        return _wick_shells(mu, K, rows, cols)
+    T = np.zeros(((rows.size + 1) * (cols.size + 1), len(mu)), dtype=complex)  # batch last
+    T[0] = 1.0
+    if rows.shells or cols.shells:
+        steps, var, fac = _wick_steps(rows, cols)
+        W = np.empty((len(fac), fac.shape[1] + 1, len(mu)), dtype=complex)
+        W[:, 0], W[:, 1:] = mu[:, var].T, (K[var] * fac)[..., None]
+        for lo, hi, tgt, src in steps:
+            T[tgt] = np.einsum("sjn,sjn->sn", T.take(src, axis=0), W[lo:hi])
+    return T.T.reshape(len(mu), rows.size + 1, cols.size + 1)[:, :-1, :-1]
+
+
+def _wick_shells(mu, K, rows, cols):
+    """``_wick_moments`` shell by shell, vectorised over the batch and b."""
+    m, nc = mu.shape[1] // 2, cols.size
     # last row/column: zero pads
     T = np.zeros((mu.shape[0], rows.size + 1, nc + 1), dtype=complex)
     first = T[:, 0]
     first[:, 0] = 1.0
     for S, k, p, n_p, down_p in cols.shells:
-        first[:, S] = mu[:, m + k] * first[:, p] + np.sum(
-            K[m + k, m:] * n_p * first[:, down_p], axis=2
-        )
+        first[:, S] = mu[:, m + k] * first[:, p] + np.sum(K[m + k, m:] * n_p * first[:, down_p], 2)
     b = cols.n.T
     for S, k, p, n_p, down_p in rows.shells:
         prev = T[:, p]
         # (s, 1, j) @ (n, s, j, c) contracts j for each index of the shell
-        T[:, S, :nc] = (
-            mu[:, k, None] * prev[:, :, :nc]
-            + ((K[k, :m] * n_p)[:, None, :] @ T[:, down_p, :nc])[:, :, 0]
-            + (K[k, m:][:, None, :] @ (b * prev[:, :, cols.down]))[:, :, 0]
-        )
+        T[:, S, :nc] = (mu[:, k, None] * prev[:, :, :nc]
+                        + ((K[k, :m] * n_p)[:, None, :] @ T[:, down_p, :nc])[:, :, 0]
+                        + (K[k, m:][:, None, :] @ (b * prev[:, :, cols.down]))[:, :, 0])
     return T[:, :-1, :-1]
+
+
+@functools.lru_cache(maxsize=32)
+def _wick_steps(rows, cols):
+    """(steps, var, fac) on the flattened table (a zero pad after the last row and column):
+    step (lo, hi, tgt, src) sets each tgt[t] = E[v_r f], r = var[lo + t], to the entries
+    src[t] = (E[f], E[f / u_l], E[f / w_l]) weighted by mu_r and K[r] times fac."""
+    m, width = rows.n.shape[1], cols.size + 1
+    pad, c, parts = rows.size * width + cols.size, np.arange(cols.size), []
+    for S, k, p, n_p, down_p in cols.shells:
+        parts.append((np.arange(S.start, S.stop), m + k, np.hstack(
+            [p[:, None], np.full((len(k), m), pad), down_p]), np.hstack([0 * n_p, n_p])))
+    for S, k, p, n_p, down_p in rows.shells:
+        src = [(p[:, None] * width + c)[..., None], down_p[:, None] * width + c[:, None],
+               p[:, None, None] * width + cols.down.T]
+        parts.append(((np.arange(S.start, S.stop)[:, None] * width + c).ravel(),
+                      np.repeat(k, c.size), np.concatenate(src, axis=2).reshape(-1, 1 + 2 * m),
+                      np.hstack([np.repeat(n_p, c.size, axis=0), np.tile(cols.n, (len(k), 1))])))
+    tgt, var, src, fac = zip(*parts)
+    bounds = np.cumsum([0, *map(len, tgt)]).tolist()
+    return list(zip(bounds, bounds[1:], tgt, src)), np.concatenate(var), np.concatenate(fac)
 
 
 def _bargmann_kernel(A1, A2):

@@ -125,6 +125,15 @@ class TestParse:
         with pytest.raises(circ.CircuitError, match="schema"):
             circ.parse_circuit(json.dumps({"schema": "nope", "modes": 1, "circuit": []}))
 
+    def test_non_unitary_passive_rejected(self):
+        # checked once, when declared: by the parser or in a hand-built GateDecl
+        doc = make_doc(2, {"kind": "vacuum"},
+                       [{"type": "passive", "matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}])
+        with pytest.raises(ValueError, match="not unitary"):
+            circ.parse_circuit(json.dumps(doc))
+        with pytest.raises(ValueError, match="not unitary"):
+            circ.GateDecl("passive", (0, 1), (), np.array([[1.0, 1.0], [0.0, 1.0]]))
+
     def test_round_trip(self):
         spec = circ.parse_circuit(json.dumps(HOM_DOC))
         doc = circuit_to_dict(spec)
@@ -152,6 +161,22 @@ class TestPrepare:
         builder = {"kind": "photon_added", "ops": [{"create": 0}, {"create": 1}]}
         s = circ.prepare_input(builder, 2)
         assert st.stellar_rank(s) == 2
+
+    def test_photon_added_normalized_once(self, monkeypatch):
+        # the Gaussian base is not normalized on its own: the creation
+        # operators' result is rescaled anyway
+        builder = {
+            "kind": "photon_added",
+            "base": {"kind": "gaussian", "gates": [
+                {"type": "squeeze", "mode": 0, "xi": [0.15, 0.1]}]},
+            "ops": [{"create": 0}, {"create": 1}, {"create": 0}],
+        }
+        norm, calls = st.norm_squared, []
+        monkeypatch.setattr(st, "norm_squared", lambda s: calls.append(s) or norm(s))
+        s = circ.prepare_input(builder, 2)
+        assert len(calls) == 1
+        assert norm(s) == pytest.approx(1.0, abs=1e-12)
+        assert st.stellar_rank(s) == 3
 
     def test_finite_superposition_from_file(self, tmp_path):
         # a grid-state approximant: finite Fock superposition loaded from disk
@@ -336,7 +361,9 @@ class TestRun:
     def test_constant_stretch_compiled_once(self, monkeypatch, layers, passive_calls,
                                             kernel_modes):
         # gate_deep-shaped layers (a beamsplitter, then S P R D on each of 2
-        # modes) become [V, one ModeRun per mode, U]; a lone beamsplitter stays
+        # modes) become [V, one ModeRun per mode, U]; a lone beamsplitter stays.
+        # The compiled stretch differs from the fused gates by a global phase
+        # alone, so the rows are the fused gates' on every seed
         entries = [{"type": "beamsplitter", "modes": [0, 1]}]
         for layer in range(layers):
             for mode in (0, 1):
@@ -350,28 +377,22 @@ class TestRun:
         entries.append({"measure": "discrete", "modes": [0, 1], "name": "n"})
         doc = make_doc(2, {"kind": "fock_pattern", "pattern": [2, 1]}, entries)
         spec = circ.parse_circuit(json.dumps(doc))
-        cfg = SamplerConfig(seed=4, shots=3, cutoff=24)
+        configs = [SamplerConfig(seed=seed, shots=3, cutoff=24) for seed in (4, 0, 1, 2, 3)]
         with monkeypatch.context() as m:
             m.setattr(circ, "_compact", lambda gates, modes: mm._fused(gates))
-            reference = circ.run_circuit(spec, cfg)
+            references = [circ.run_circuit(spec, cfg) for cfg in configs]
+        for cfg, reference in zip(configs[1:], references[1:]):
+            assert circ.run_circuit(spec, cfg).rows == reference.rows
         compact, passive, kernel = circ._compact, mm.apply_passive, mm._section_gate
         compiled, passive_seen, kernel_seen = [], [], []
-
-        def compiling(*a):
-            compiled.append(a)
-            seen = len(passive_seen), len(kernel_seen)
-            out = compact(*a)
-            # compiling applies the stretch and its form once to the vacuum
-            del passive_seen[seen[0]:], kernel_seen[seen[1]:]
-            return out
-
-        monkeypatch.setattr(circ, "_compact", compiling)
+        monkeypatch.setattr(circ, "_compact", lambda *a: compiled.append(a) or compact(*a))
         monkeypatch.setattr(mm, "apply_passive",
                             lambda *a: passive_seen.append(a) or passive(*a))
         monkeypatch.setattr(mm, "_section_gate",
                             lambda *a, **k: kernel_seen.append(a[1]) or kernel(*a, **k))
+        cfg = configs[0]
         res = circ.run_circuit(spec, cfg)
-        assert res.rows == reference.rows
+        assert res.rows == references[0].rows
         assert len(compiled) == 1
         assert len(passive_seen) == passive_calls * cfg.shots
         assert sorted(kernel_seen) == sorted(kernel_modes * cfg.shots)  # one call per mode

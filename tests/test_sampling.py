@@ -596,6 +596,27 @@ class TestFockMasses:
         if pattern == (21, 0):
             np.testing.assert_allclose(masses, np.eye(31)[21], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("modes", [2, 3])
+    def test_coupled_fills_keep_absolute_accuracy(self, modes, monkeypatch):
+        # at the default cutoff a coupled fill has masses down to 1e-27 of the
+        # largest, where relative precision is not promised (``_fock_masses``);
+        # every mass matches, to 1e-15 of the largest, the masses of the fill's
+        # projections from their dict polynomials with the shell fill's tables
+        faintest = 1.0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for gauss in (random_admissible_gauss, partly_coupled_gauss):
+                s = st.StellarState.make(modes, random_poly(rng, modes, 3), gauss(rng, modes))
+                for mode in range(modes):
+                    fill = sp._fock_projections(s, mode, 30)
+                    masses = sp._fock_masses(fill, 30)
+                    with monkeypatch.context() as m:
+                        m.setattr(st, "_wick_moments", st._wick_shells)
+                        ref = _fock_masses_reference([fill[n] for n in range(31)], 30)
+                    assert np.abs(masses - ref).max() <= 1e-15 * ref.max()
+                    faintest = min(faintest, masses.min() / masses.max())
+        assert faintest < 1e-25
+
     def test_faint_projections_keep_their_mass(self):
         # B_0 = 1e-3 makes projection n of order 1e-3^n: a prune relative to the
         # largest entry of all rows, not of each row, would zero the faintest masses

@@ -227,6 +227,24 @@ class TestInnerProduct:
         single = np.stack([st._wick_moments(mu[n:n + 1], K, rows, cols)[0] for n in range(5)])
         np.testing.assert_allclose(batched, single, rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("modes, rank1, rank2, batch", [
+        (1, 14, 14, 1), (1, 0, 0, 4), (2, 3, 2, 5), (2, 0, 3, 3), (2, 3, 0, 1), (3, 2, 3, 2)])
+    def test_wick_moments_match_shell_reference(self, rng, modes, rank1, rank2, batch):
+        # the stepped fill of small tables against the shell fill that larger
+        # tables take, on graded indices and on down-closures of sparse polynomials
+        g1, g2 = random_admissible_gauss(rng, modes), random_admissible_gauss(rng, modes)
+        K, _ = st._bargmann_kernel(g1.A, g2.A)
+        mu = rng.normal(size=(batch, 2 * modes)) + 1j * rng.normal(size=(batch, 2 * modes))
+        sparse = [st._MomentIndex(modes, list(random_poly(rng, modes, rank).coeffs))
+                  for rank in (rank1, rank2)]
+        for rows, cols in ((st._moment_index(modes, rank1), st._moment_index(modes, rank2)),
+                           sparse):
+            assert batch * rows.size * cols.size <= st.WICK_STEPPED
+            got = st._wick_moments(mu, K, rows, cols)
+            ref = st._wick_shells(mu, K, rows, cols)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
     def test_eigenvalue_square_roots_across_branch_cut(self):
         # three squeezed modes with |a|^2 = 0.95 against phases 0.3 apart: the
         # square root of det(I - conj(A1) A2) has the wrong sign here
