@@ -56,6 +56,7 @@ from .states import (
     StellarState,
     _shell_indices,
     from_fock_superposition,
+    husimi_density,
     norm_squared,
     normalized,
     sqrt_factorial,
@@ -571,7 +572,15 @@ def final_state(spec):
 # architecture demonstrations
 # ---------------------------------------------------------------------------
 
-TABLE3_ARCHITECTURES = ("coherent-cv", "gaussian-dv", "fock-cv", "fock-dv")
+# architecture -> (input, its gates' parameter, measurement, Fock cutoff of the
+# oracle's vacuum; 0: the oracle starts from the input's Fock pattern)
+_TABLE3 = {
+    "coherent-cv": ("displace", "amount", "continuous", 18),
+    "gaussian-dv": ("squeeze", "xi", "discrete", 24),
+    "fock-cv": ("fock_pattern", None, "continuous", 0),
+    "fock-dv": ("fock_pattern", None, "discrete", 0),
+}
+TABLE3_ARCHITECTURES = tuple(_TABLE3)
 
 
 def _husimi_from_fock_array(arr, gamma):
@@ -581,91 +590,77 @@ def _husimi_from_fock_array(arr, gamma):
     for idx, psi in arr.amplitudes.items():
         term = psi / sqrt_factorial(idx)
         for k, p in enumerate(idx):
-            if p:
-                term = term * w[k] ** p
+            term = term * w[k] ** p
         amp += term
-    m = len(gamma)
-    return float(np.exp(-np.sum(np.abs(gamma) ** 2)) * abs(amp) ** 2 / np.pi**m)
-
-
-def _oracle_state(m, cutoff, gate_list):
-    arr = to_fock_array(StellarState.vacuum(m), cutoff, warn_tail=False)
-    for gate in gate_list:
-        arr = fs.fock_oracle_apply(arr, gate, loss_tol=1.0)
-    return arr
+    return float(np.exp(-np.sum(np.abs(gamma) ** 2)) * abs(amp) ** 2 / np.pi ** len(gamma))
 
 
 def table3_demo(architecture, m=3, photons=2, seed=1234):
-    """Dual-route check of one quadrant of the architecture classification.
+    """Dual-route check of one quadrant of the non-adaptive classification.
 
-    Computes reference outcome statistics by the architecture's efficient
-    route (coherent products, direct stellar evaluation, permanents, or the
-    closed Gaussian pipeline) and by brute force (truncated Fock oracle), and
-    reports the disagreement and timings.
+    The quadrant is one circuit document ("circuit" in the report): an input,
+    a seeded Haar passive gate U and a measurement of every mode. Efficient
+    route: a library call on the document's normalized final state, or its U.
+    Brute force: the same gates on the truncated Fock oracle (``fockspace``),
+    read as a Husimi density or |amplitude|^2:
+
+    coherent-cv  displaced vacuum, heterodyne       husimi_density       oracle from vacuum
+    gaussian-dv  squeezed vacuum, photon counting   fock_amplitude       oracle from vacuum
+    fock-cv      single photons, heterodyne         husimi_density       oracle from pattern
+    fock-dv      single photons, photon counting    boson_sampling_prob  oracle from pattern
+
+    A Fock input has one photon in each of its first ``photons`` modes, and
+    counted patterns hold ``photons`` photons (0 to ``photons`` for a Gaussian
+    input). Heterodyne outcomes are four seeded points.
     """
-    from scipy.stats import unitary_group
-
-    if m > 5 or photons > 3:
-        raise ValueError("desk-scale demo: m <= 5 and photons <= 3")
-    if m < 2:
-        raise ValueError("at least two modes")
+    if architecture not in _TABLE3 or not (2 <= m <= 5 and 0 <= photons <= min(m, 3)):
+        raise ValueError(f"desk-scale demo: architecture in {TABLE3_ARCHITECTURES}, modes in "
+                         f"2..5, photons in 0..{min(m, 3)}; got {architecture!r}, {m}, {photons}")
+    inp, key, measure, cutoff = _TABLE3[architecture]
     rng = np.random.default_rng(seed)
-    U = unitary_group.rvs(m, random_state=rng)
-    report = {"architecture": architecture, "modes": m, "photons": photons}
-    pattern = tuple(1 if k < photons else 0 for k in range(m))
-
-    if architecture == "coherent-cv":
-        alpha = 0.35 * (rng.normal(size=m) + 1j * rng.normal(size=m))
-        pts = [(rng.normal(size=m) + 1j * rng.normal(size=m)) * 0.5 for _ in range(4)]
-        t0 = time.perf_counter()
-        beta = U.T @ alpha
-        eff = [float(np.exp(-np.sum(np.abs(g - beta) ** 2)) / np.pi**m) for g in pts]
-        t_eff = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        arr = _oracle_state(m, 18, [Displace.make(alpha), Passive.make(U)])
-        brute = [_husimi_from_fock_array(arr, g) for g in pts]
-        t_brute = time.perf_counter() - t0
-    elif architecture == "gaussian-dv":
-        xi = 0.30 * rng.uniform(0.5, 1.0, size=m) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        gates = [Squeeze(k, complex(xi[k])) for k in range(m)] + [Passive.make(U)]
-        outcomes = [(0,) * m, pattern, tuple(2 if k == 0 else 0 for k in range(m))]
-        t0 = time.perf_counter()
-        state = normalized(
-            apply_gaussian(StellarState.vacuum(m), GaussianUnitarySpec.make(m, gates))
-        )
-        eff = [abs(fock_amplitude(state, n)) ** 2 for n in outcomes]
-        t_eff = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        arr = _oracle_state(m, 24, gates)
-        brute = [float(abs(arr.amplitude(n)) ** 2) for n in outcomes]
-        t_brute = time.perf_counter() - t0
-    elif architecture == "fock-cv":
-        pts = [(rng.normal(size=m) + 1j * rng.normal(size=m)) * 0.5 for _ in range(4)]
-        t0 = time.perf_counter()
-        eff = []
-        for g in pts:
-            w = U @ np.conj(g)
-            amp = np.prod([w[j] for j in range(photons)])
-            eff.append(float(np.exp(-np.sum(np.abs(g) ** 2)) * abs(amp) ** 2 / np.pi**m))
-        t_eff = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        arr0 = to_fock_array(from_fock_superposition({pattern: 1.0}, m), photons)
-        arr = fs.fock_oracle_apply(arr0, Passive.make(U), loss_tol=1.0)
-        brute = [_husimi_from_fock_array(arr, g) for g in pts]
-        t_brute = time.perf_counter() - t0
-    elif architecture == "fock-dv":
-        outs = _shell_indices(m, photons)[::-1][:6]  # from all photons in mode 0
-        t0 = time.perf_counter()
-        eff = [boson_sampling_prob(U, pattern, t) for t in outs]
-        t_eff = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        arr0 = to_fock_array(from_fock_superposition({pattern: 1.0}, m), photons)
-        arr = fs.fock_oracle_apply(arr0, Passive.make(U), loss_tol=1.0)
-        brute = [float(abs(arr.amplitude(t)) ** 2) for t in outs]
-        t_brute = time.perf_counter() - t0
+    Q, R = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    U = Q * (np.diag(R) / np.abs(np.diag(R)))  # Haar: R's diagonal phases moved into Q
+    if cutoff:  # one gate a mode on the vacuum, of size 0.175 to 0.525 and a random phase
+        values = 0.35 * rng.uniform(0.5, 1.5, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+        nodes = [{"type": inp, "mode": k, key: [v.real, v.imag]} for k, v in enumerate(values)]
+        prep = {"kind": "gaussian", "gates": nodes}
     else:
-        raise ValueError(f"unknown architecture {architecture!r}; "
-                         f"choose from {TABLE3_ARCHITECTURES}")
-    diff = max(abs(a - b) for a, b in zip(eff, brute))
-    return {**report, "efficient": eff, "brute_force": brute, "max_abs_diff": diff,
+        prep = {"kind": inp, "pattern": [int(k < photons) for k in range(m)]}
+    doc = {"schema": SCHEMA, "modes": m, "prep": prep, "circuit": [
+        {"type": "passive", "matrix": [[[u.real, u.imag] for u in row] for row in U]},
+        {"measure": measure, "modes": list(range(m)), "name": "out"}]}
+    if measure == "continuous":
+        outcomes = [0.5 * (rng.normal(size=m) + 1j * rng.normal(size=m)) for _ in range(4)]
+    else:  # the first six patterns of each total, from all photons in mode 0
+        totals = range(photons + 1) if cutoff else [photons]
+        outcomes = [n for d in totals for n in _shell_indices(m, d)[::-1][:6]]
+
+    t0 = time.perf_counter()
+    spec = parse_circuit(doc)
+    if architecture == "fock-dv":
+        eff = [boson_sampling_prob(spec.gates[0].matrix, prep["pattern"], n) for n in outcomes]
+    else:
+        state = normalized(final_state(spec))
+        read = (husimi_density if measure == "continuous"
+                else lambda s, n: abs(fock_amplitude(s, n)) ** 2)
+        eff = [read(state, x) for x in outcomes]
+    t_eff = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    gates = [_constant_gate(node, m) for node in prep.get("gates", ())]
+    gates += [_instantiate(decl, {}, list(range(m))) for decl in spec.gates]
+    start = prepare_input({"kind": "vacuum"} if cutoff else prep, m)
+    arr = to_fock_array(start, cutoff or photons, warn_tail=False)
+    for gate in gates:
+        arr = fs.fock_oracle_apply(arr, gate, loss_tol=1.0)
+    read = (_husimi_from_fock_array if measure == "continuous"
+            else lambda a, n: abs(a.amplitude(n)) ** 2)
+    brute = [float(read(arr, x)) for x in outcomes]
+    t_brute = time.perf_counter() - t0
+
+    return {"architecture": architecture, "modes": m, "photons": photons, "circuit": doc,
+            "outcomes": [[[v.real, v.imag] for v in x] if measure == "continuous" else list(x)
+                         for x in outcomes],
+            "efficient": eff, "brute_force": brute,
+            "max_abs_diff": max(abs(a - b) for a, b in zip(eff, brute)),
             "time_efficient_s": t_eff, "time_brute_s": t_brute}

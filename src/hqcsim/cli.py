@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Subcommands: run, sample, prob, rank, schmidt, decompose, cm-trace, evolve,
-table3. Output is deterministic for a fixed seed (the HQC_SEED environment
-variable supplies the default); numeric values are printed with 17
-significant digits. ``--cutoff`` caps photons per measured mode (run,
-sample); prob is exact and reads no cutoff. Exit codes: 0 success, 1
-validation error, 2 numeric-tolerance failure.
+table3. table3 runs each non-adaptive quadrant as one circuit document, by a
+library call and by the truncated Fock oracle; ``hqcsim table3 --help`` names
+each quadrant's input, measurement and routes. Output is deterministic for a
+fixed seed (the HQC_SEED environment variable supplies the default); numeric
+values are printed with 17 significant digits. ``--cutoff`` caps photons per
+measured mode (run, sample); prob is exact and reads no cutoff. Exit codes:
+0 success, 1 validation error, 2 numeric-tolerance failure.
 """
 
 from __future__ import annotations
@@ -316,11 +318,13 @@ def build_parser():
     p.add_argument("--steps", type=int, default=201)
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("table3", help="architecture dual-route checks")
+    p = sub.add_parser("table3", help="architecture dual-route checks",
+                       description=circ.table3_demo.__doc__,
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_common(p, suppress=True)
     p.add_argument("--architecture", choices=list(circ.TABLE3_ARCHITECTURES))
-    p.add_argument("--modes", type=int, default=3)
-    p.add_argument("--photons", type=int, default=2)
+    p.add_argument("--modes", type=int, default=3, help="2 to 5")
+    p.add_argument("--photons", type=int, default=2, help="0 to min(modes, 3)")
     p.set_defaults(func=cmd_table3)
 
     return parser

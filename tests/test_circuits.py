@@ -434,9 +434,10 @@ class TestRun:
 
 
 class TestTable3:
+    @pytest.mark.parametrize("m,photons", [(2, 0), (2, 2), (3, 2), (3, 3)])
     @pytest.mark.parametrize("row", circ.TABLE3_ARCHITECTURES)
-    def test_dual_route_agreement(self, row):
-        rep = circ.table3_demo(row, m=3, photons=2)
+    def test_dual_route_agreement(self, row, m, photons):
+        rep = circ.table3_demo(row, m=m, photons=photons)
         assert rep["max_abs_diff"] <= 1e-10
 
     def test_size_guard(self):

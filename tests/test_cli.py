@@ -420,3 +420,46 @@ class TestTable3Cli:
         doc = json.loads(r.stdout)
         assert doc["worst_abs_diff"] <= 1e-10
         assert len(doc["rows"]) == 4
+
+    @pytest.mark.parametrize("argv,bound", [
+        (["--modes", "2", "--photons", "3"], "0..2"),
+        (["--architecture", "gaussian-dv", "--modes", "2", "--photons", "3"], "0..2"),
+        (["--photons", "-1"], "0..3"),
+    ])
+    def test_photons_outside_the_modes_rejected(self, tmp_path, capsys, argv, bound):
+        from hqcsim import cli
+
+        out = tmp_path / "t3.json"
+        assert cli.main(["table3", *argv, "--out", str(out)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"photons in {bound}" in err
+        assert not out.exists()
+
+    def test_leaves_scipy_stats_unimported(self, tmp_path):
+        out = str(tmp_path / "t3.json")
+        code = ("import sys; from hqcsim import cli; "
+                f"rc = cli.main(['table3', '--out', {out!r}]); "
+                "sys.exit(rc or 'scipy.stats' in sys.modules)")
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+
+    def test_documents_drive_run_and_prob(self, tmp_path):
+        from hqcsim import cli
+
+        out, probe = tmp_path / "t3.json", tmp_path / "probe.json"
+        assert cli.main(["table3", "--out", str(out)]) == cli.EXIT_OK
+        counted = []
+        for row in json.loads(out.read_text())["rows"]:
+            path = tmp_path / f"{row['architecture']}.json"
+            path.write_text(json.dumps(row["circuit"]))
+            assert cli.main(["run", str(path), "--shots", "5", "--out", str(probe)]) == 0
+            assert len(json.loads(probe.read_text())["rows"]) == 5
+            if row["circuit"]["circuit"][-1]["measure"] != "discrete":
+                continue
+            counted.append(row["architecture"])
+            for outcome, eff in zip(row["outcomes"], row["efficient"], strict=True):
+                argv = ["prob", str(path), "--outcome", ",".join(map(str, outcome))]
+                assert cli.main([*argv, "--out", str(probe)]) == 0
+                assert json.loads(probe.read_text())["probability"] == pytest.approx(
+                    eff, rel=0, abs=1e-12)
+        assert counted == ["gaussian-dv", "fock-dv"]
