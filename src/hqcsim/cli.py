@@ -5,9 +5,11 @@ table3. table3 runs each non-adaptive quadrant as one circuit document, by a
 library call and by the truncated Fock oracle; ``hqcsim table3 --help`` names
 each quadrant's input, measurement and routes. Output is deterministic for a
 fixed seed (the HQC_SEED environment variable supplies the default); numeric
-values are printed with 17 significant digits. ``--cutoff`` caps photons per
-measured mode (run, sample); prob is exact and reads no cutoff. Exit codes:
-0 success, 1 validation error, 2 numeric-tolerance failure.
+values are printed with 17 significant digits. ``--shots``, ``--cutoff`` (photons
+per measured mode) and ``--format`` are read by run and sample only; the other
+subcommands reject them. Exit codes: 0 success (``--help`` included), 1
+validation error (``error: ...`` on stderr), usage errors included, 2
+numeric-tolerance failure (table3).
 """
 
 from __future__ import annotations
@@ -230,31 +232,34 @@ def cmd_table3(args):
     return EXIT_OK
 
 
-def _add_common(parser, suppress=False):
-    # Subparsers register the same flags with SUPPRESS defaults so the flags
-    # work both before and after the subcommand.
+# flags that only run and sample read, and their defaults
+_SHOT_FLAGS = {"shots": 1000, "cutoff": 30, "format": "json"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a validation error (exit 1), not by argparse's exit 2."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _add_common(parser):
+    # Every parser registers the flags with SUPPRESS defaults: they work before
+    # and after the subcommand, and ``main`` sees which were given.
     s = argparse.SUPPRESS
-    parser.add_argument(
-        "--seed", type=int, default=s if suppress else None,
-        help="RNG seed (default HQC_SEED or 0)",
-    )
-    parser.add_argument("--shots", type=int, default=s if suppress else 1000)
-    parser.add_argument(
-        "--cutoff", type=int, default=s if suppress else 30,
-        help="photons per measured mode (run, sample)",
-    )
-    parser.add_argument(
-        "--out", default=s if suppress else None, help="output path (default stdout)"
-    )
-    parser.add_argument(
-        "--format", choices=["json", "csv"], default=s if suppress else "json"
-    )
+    parser.add_argument("--seed", type=int, default=s, help="RNG seed (default HQC_SEED or 0)")
+    parser.add_argument("--shots", type=int, default=s, help="shots (run, sample; default 1000)")
+    parser.add_argument("--cutoff", type=int, default=s,
+                        help="photons per measured mode (run, sample; default 30)")
+    parser.add_argument("--out", default=s, help="output path (default stdout)")
+    parser.add_argument("--format", choices=["json", "csv"], default=s,
+                        help="output format (run, sample; default json)")
 
 
 @functools.lru_cache(maxsize=1)
 def build_parser():
     """The argument parser; built once, as parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hqcsim",
         description="Holomorphic-representation bosonic circuit simulator",
     )
@@ -262,7 +267,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="execute a circuit document")
-    _add_common(p, suppress=True)
     p.add_argument("circuit")
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; "
                    "it no longer changes scheduling (shots run in one thread)")
@@ -270,36 +274,30 @@ def build_parser():
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sample", help="sample measurements of a stored state")
-    _add_common(p, suppress=True)
     p.add_argument("state")
     p.add_argument("--kind", choices=["continuous", "discrete"], default="discrete")
     p.add_argument("--modes", default="", help="comma-separated mode list")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("prob", help="probability of a discrete outcome of a circuit")
-    _add_common(p, suppress=True)
     p.add_argument("circuit")
     p.add_argument("--outcome", required=True, help="comma-separated photon counts")
     p.set_defaults(func=cmd_prob)
 
     p = sub.add_parser("rank", help="stellar rank of a stored state")
-    _add_common(p, suppress=True)
     p.add_argument("state")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("schmidt", help="Schmidt/separability report")
-    _add_common(p, suppress=True)
     p.add_argument("state")
     p.add_argument("--partition", required=True, help="I|J, e.g. 0,1|2")
     p.set_defaults(func=cmd_schmidt)
 
     p = sub.add_parser("decompose", help="normal form P, U S D program")
-    _add_common(p, suppress=True)
     p.add_argument("state")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("cm-trace", help="Calogero-Moser trajectory CSV")
-    _add_common(p, suppress=True)
     p.add_argument("system", help="JSON with q0, p0, g, omega")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=1.0)
@@ -307,7 +305,6 @@ def build_parser():
     p.set_defaults(func=cmd_cm_trace)
 
     p = sub.add_parser("evolve", help="single-mode Gaussian gate evolution")
-    _add_common(p, suppress=True)
     p.add_argument("state")
     p.add_argument("--gate", choices=["D", "R", "S", "P"], required=True)
     p.add_argument("--re", type=float, default=0.0, help="drive real part")
@@ -321,21 +318,24 @@ def build_parser():
     p = sub.add_parser("table3", help="architecture dual-route checks",
                        description=circ.table3_demo.__doc__,
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p, suppress=True)
     p.add_argument("--architecture", choices=list(circ.TABLE3_ARCHITECTURES))
     p.add_argument("--modes", type=int, default=3, help="2 to 5")
     p.add_argument("--photons", type=int, default=2, help="0 to min(modes, 3)")
     p.set_defaults(func=cmd_table3)
 
+    for p in sub.choices.values():
+        _add_common(p)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.seed is None:
-        args.seed = _default_seed()
     try:
+        args = build_parser().parse_args(argv)
+        given = [f"--{flag}" for flag in _SHOT_FLAGS if flag in vars(args)]
+        if given and args.func not in (cmd_run, cmd_sample):
+            raise ValueError(f"{args.command} does not read {', '.join(given)}")
+        for flag, default in {**_SHOT_FLAGS, "seed": _default_seed(), "out": None}.items():
+            vars(args).setdefault(flag, default)
         return args.func(args)
     except ToleranceFailure as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)

@@ -9,10 +9,13 @@ engine of ``circuits``: modes are measured one at a time, and shot i draws
 from its own counter-based substream, so its outcomes do not depend on how
 many shots are made. A heterodyne draw is by rejection from an inflated
 Gaussian fitted to the Gaussian part of the state. The target density of a
-partial measurement is the Bargmann norm of the coherent projection,
-evaluated in closed form for a whole batch of outcomes at once; every target
-is computed in the log domain and exponentiated once. A target that is NaN or
-exceeds the envelope raises RuntimeError instead of biasing the sample.
+measured mode, with other modes left or none, is the Bargmann norm of the
+coherent projection, evaluated in closed form for a whole batch of outcomes
+at once; every target is computed in the log domain and exponentiated once.
+The envelope is proven, not estimated (``_RejectionPlan``), so the draws are
+exact; acceptance falls with the stellar rank, and below MIN_ACCEPT_RATE the
+sampler raises. A target that is NaN or exceeds the envelope raises
+RuntimeError instead of biasing the sample.
 
 A photon count is drawn from the masses (norms^2) of the mode's Fock
 projections. Where the Gaussian part is zero (A = 0, B = 0), as for a Fock
@@ -25,6 +28,7 @@ monomials, with no derivative sweep and no Wick table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -54,7 +58,6 @@ from .states import (
 
 RYSER_LIMIT = 20
 PROPOSAL_INFLATION = 1.5
-REJECTION_SAFETY = 1.5  # envelope factor over the largest probed density ratio
 MAX_TRIES = 20000  # proposal points per draw before the sampler gives up
 MIN_ACCEPT_RATE = 1e-3
 
@@ -323,128 +326,123 @@ def _husimi_gaussian_moments(gauss):
     exp(-|w|^2 + 2 Re(-w^T A w / 2 + B^T w)), a real Gaussian in 2m variables.
     """
     m = gauss.modes
-    AR, AI = gauss.A.real, gauss.A.imag
-    M = np.block([[np.eye(m) + AR, -AI], [-AI, np.eye(m) - AR]])
+    M = np.eye(2 * m)
+    M[:m, :m] += gauss.A.real
+    M[m:, m:] -= gauss.A.real
+    M[:m, m:] = M[m:, :m] = -gauss.A.imag
     ell = np.concatenate([2.0 * gauss.B.real, -2.0 * gauss.B.imag])
     cov0 = np.linalg.inv(2.0 * M)
     mean = cov0 @ ell
     return mean, cov0
 
 
+@functools.lru_cache(maxsize=32)
+def _envelope_nodes(degree):
+    """The fit of ``_RejectionPlan._envelope`` for a degree: (degree + 1)^2 nodes
+    u = scale (x_i, x_j) on Chebyshev points x, scaled to where u^degree
+    exp(-beta u^2) peaks; V = vander(x), V^-1; the weights (i / (2 beta e
+    scale^2))^(i/2) = max_x |x|^i exp(-beta scale^2 x^2); |V^-1| row sums weighted."""
+    beta = 0.5 * (1.0 - 1.0 / PROPOSAL_INFLATION)
+    scale = math.sqrt(max(degree, 1) / (2.0 * beta))
+    x = np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
+    U = scale * np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+    V, i = np.vander(x, increasing=True), np.arange(degree + 1)
+    Vinv = np.linalg.inv(V)
+    weight = (i / (2.0 * beta * math.e * scale**2)) ** (i / 2)
+    return U, V, Vinv, weight, np.abs(Vinv).sum(axis=1) @ weight
+
+
 class _RejectionPlan:
-    """Envelope data for rejection sampling of one measured mode of a state."""
+    """Rejection sampling of one measured mode of a state, with a proven envelope.
+
+    The proposal is N(mean, PROPOSAL_INFLATION Sigma_0), the mode's block of the
+    Gaussian-part Husimi (``_husimi_gaussian_moments``). The target is
+    Gamma(w) s(w): the Gaussian core Gamma (the target with P = 1) is a constant
+    times N(mean, Sigma_0), and s(w) = sum_ab conj(p_a) p_b T_ab(mu(w)) >= 0 is a
+    polynomial of degree D <= 2 deg P in (Re w, Im w). In whitened coordinates
+    u of Sigma_0, target/proposal = f(u) exp(-beta |u|^2) with f of degree D and
+    beta = (1 - 1/PROPOSAL_INFLATION) / 2. With f = sum_ij f_ij u_1^i u_2^j,
+    fitted exactly on (D + 1)^2 nodes,
+
+        log_env = log sum_ij |f_ij| (i / (2 beta e))^(i/2) (j / (2 beta e))^(j/2)
+
+    plus the fit's rounding residual bounds the ratio everywhere, and is exact
+    at rank 0. The target integrates to pi, so a point is accepted with
+    probability pi exp(-log_env): 1/PROPOSAL_INFLATION at rank 0, less as the
+    bound loosens with the rank; the engine raises below MIN_ACCEPT_RATE.
+    """
 
     def __init__(self, state, mode):
-        self.state = state
-        self.mode = int(mode)
-        self.full = state.modes == 1
-        if not self.full:
-            self._build_marginal()
-        mean, cov0 = _husimi_gaussian_moments(state.gauss)
-        sel = [self.mode, state.modes + self.mode]
-        self.mean = mean[sel]
-        cov = PROPOSAL_INFLATION * cov0[np.ix_(sel, sel)]
-        self.chol = np.linalg.cholesky(cov)
-        self.prec = np.linalg.inv(cov)
-        self.log_norm = -0.5 * (
-            np.linalg.slogdet(2 * np.pi * cov)[1]
-        )
-        self.log_env = self._estimate_envelope()
-
-    def _build_marginal(self):
-        """The w-independent data of the closed-form marginal (see ``target``)."""
-        g = self.state.gauss
-        I = [self.mode]
-        R = [k for k in range(self.state.modes) if k != self.mode]
-        A_R = g.A[np.ix_(R, R)]
-        self.A_RI = g.A[np.ix_(R, I)]
-        self.A_II = g.A[np.ix_(I, I)]
-        self.B_R, self.B_I, self.C = g.B[R], g.B[I], g.C
-        self.K, roots = _bargmann_kernel(A_R, A_R)
+        self.state, self.mode = state, int(mode)
+        g, m, k = state.gauss, state.modes, self.mode
+        R = [j for j in range(m) if j != k]
+        self.A_RI, self.A_II = g.A[R, k], g.A[k, k]
+        self.B_R, self.B_I, self.C = g.B[R], g.B[k], g.C
+        self.K, roots = _bargmann_kernel(g.A[R][:, R], g.A[R][:, R])
         self.log_root = float(np.sum(np.log(roots)).real)
         # P(w, z_R) = sum_p w^p Q_p(z_R): the section in the measured variable,
-        # Q_p over the moment index of all rest modes (pad column dropped)
-        terms = self.state.poly.coeffs
-        Q, layout = _section(self.state, self.mode, max(n[self.mode] for n in terms), R,
-                             max(sum(n) - n[self.mode] for n in terms))
-        self.index, self.Q = layout.index, Q[:, :-1]
+        # Q_p over the moment index of the rest modes (pad column dropped)
+        terms = state.poly.coeffs
+        Q, layout = _section(state, k, max(n[k] for n in terms), R,
+                             max(sum(n) - n[k] for n in terms))
+        self.index, self.Q, self.powers = layout.index, Q[:, :-1], np.arange(len(Q))
+        mean, cov0 = _husimi_gaussian_moments(g)
+        sel = [k, m + k]
+        self.mean = mean[sel]
+        white = np.linalg.cholesky(cov0[sel][:, sel])  # y = mean + white u
+        self.chol = math.sqrt(PROPOSAL_INFLATION) * white
+        # log N(y; mean, chol chol^T) = log_norm - |z|^2 / 2 at y = mean + chol z
+        self.log_norm = -math.log(2 * np.pi) - float(np.sum(np.log(np.diag(self.chol))))
+        self.log_env = self._envelope(white)
 
-    def target(self, W):
-        """Outcome density (up to pi) at conjugated outcomes w, batched: W
-        holds one point per row.
+    def _envelope(self, white):
+        """log of the coefficient bound on f(u) exp(-beta |u|^2) (see the class
+        docstring), f fitted on the nodes of ``_envelope_nodes``."""
+        U, V, Vinv, weight, spread = _envelope_nodes(2 * self.state.poly.degree())
+        # at y = mean + white u, log proposal = log_norm - |u|^2 / (2 PROPOSAL_INFLATION),
+        # so log f = log target - log proposal + beta |u|^2 = log target - log_norm + |u|^2 / 2
+        log_f = (self.log_target(_y_to_w(self.mean + U @ white.T)) - self.log_norm
+                 + 0.5 * np.sum(U**2, axis=1))
+        top = log_f.max()
+        F = np.exp(log_f - top).reshape(len(V), len(V))
+        coef = Vinv @ F @ Vinv.T  # f(scale x) / e^top = sum_ij coef_ij x_1^i x_2^j
+        # f minus the fit is the fit of the residual at the nodes, whose
+        # coefficients are at most max |residual| times the row sums of |V^-1|
+        resid = np.abs(F - V @ coef @ V.T).max()
+        return float(top + math.log(weight @ np.abs(coef) @ weight + resid * spread**2))
 
-        Computed in the log domain and exponentiated once, so no intermediate
-        overflows. With no mode left it is exp(2 log|P(w)| + 2 Re E(w) - |w|^2)
-        with E the Gaussian exponent. Otherwise (mode I measured, modes R left)
-        it is the Bargmann norm^2 of the coherent projection in closed form:
-        with B_R(w) = B_R - A_RI w, const(w) = C + B_I w - A_II w^2 / 2 - |w|^2 / 2,
+    def log_target(self, W):
+        """log of the outcome density (up to pi) at conjugated outcomes w,
+        batched: W holds one point per row.
+
+        The density is the Bargmann norm^2 of the coherent projection, in
+        closed form. With modes R left after measuring mode I (R may be empty),
+        B_R(w) = B_R - A_RI w, const(w) = C + B_I w - A_II w^2 / 2 - |w|^2 / 2,
         p(w) the coefficients of P(w, .) over the rest monomials,
         L = (conj B_R(w), B_R(w)) and mu = K L (``states.inner_product`` with
         s1 = s2 = the projection; K and the eigenvalue roots do not depend on w),
 
             log t = 2 Re const + Re(L mu) / 2 - sum_i log sqrt(1 - lambda_i)
                     + log sum_{a,b} conj(p_a) p_b T[a, b](mu).
+
+        With R empty, p(w) = P(w) and T = 1.
         """
-        W = np.atleast_2d(W)
-        if self.full:
-            zgrids = [W[:, 0]]
-            with np.errstate(divide="ignore"):  # a zero of P has log -inf
-                log_p = np.log(np.abs(self.state.poly.evaluate_grid(zgrids)))
-            return np.exp(
-                2.0 * log_p + 2.0 * self.state.gauss.exponent_grid(zgrids).real
-                - np.sum(np.abs(W) ** 2, axis=1)
-            )
-        BR = self.B_R - W @ self.A_RI.T
-        const = (
-            self.C + W @ self.B_I
-            - 0.5 * np.einsum("ni,ij,nj->n", W, self.A_II, W)
-            - 0.5 * np.sum(np.abs(W) ** 2, axis=1)
-        )
+        w = np.atleast_2d(W)[:, 0]
+        BR = self.B_R - w[:, None] * self.A_RI
+        const = self.C + self.B_I * w - 0.5 * self.A_II * w**2
         L = np.concatenate([np.conj(BR), BR], axis=1)
         mu = L @ self.K  # K is symmetric
-        p = (W ** np.arange(self.Q.shape[0])) @ self.Q
+        p = (w[:, None] ** self.powers) @ self.Q
         T = _wick_moments(mu, self.K, self.index, self.index)
         s = np.einsum("na,nab,nb->n", np.conj(p), T, p).real
-        with np.errstate(divide="ignore"):  # rounding can leave s <= 0 at a zero
-            log_s = np.log(np.maximum(s, 0.0))
-        return np.exp(
-            2.0 * const.real + 0.5 * np.sum(L * mu, axis=1).real - self.log_root + log_s
-        )
+        # -inf where rounding leaves s <= 0 at a zero; NaN stays NaN
+        log_s = np.log(s, out=np.full_like(s, -np.inf), where=~(s <= 0))
+        return (2.0 * const.real - np.abs(w) ** 2 + 0.5 * np.einsum("ni,ni->n", L, mu).real
+                - self.log_root + log_s)
 
-    def proposal_logpdf(self, Y):
-        d = Y - self.mean
-        q = np.einsum("ij,jk,ik->i", d, self.prec, d)
-        return self.log_norm - 0.5 * q
-
-    def _ratio_max(self, Y):
-        t = self.target(_y_to_w(Y))
-        lq = self.proposal_logpdf(Y)
-        with np.errstate(divide="ignore"):
-            r = np.log(t) - lq
-        return float(np.max(r[np.isfinite(r)], initial=-np.inf))
-
-    def _estimate_envelope(self):
-        """REJECTION_SAFETY times the largest target/proposal ratio found on a
-        +-5 sigma grid (41 points per axis with no mode left, else 21) and on
-        outer probe rings (200 or 40 points) that catch polynomial growth."""
-        if self.state.poly.degree() == 0:
-            # Gaussian target with the same mean as the proposal: the density
-            # ratio peaks exactly at the mean.
-            return math.log(REJECTION_SAFETY) + self._ratio_max(self.mean[None, :])
-        sig = np.sqrt(np.diag(self.chol @ self.chol.T))
-        n_axis, n_ring = (41, 200) if self.full else (21, 40)
-        axes = [
-            np.linspace(self.mean[i] - 5 * sig[i], self.mean[i] + 5 * sig[i], n_axis)
-            for i in range(2)
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        best = self._ratio_max(np.stack([g.ravel() for g in grids], axis=1))
-        rng = np.random.default_rng(54321)
-        for radius in (6.0, 8.0, 12.0):
-            D = rng.standard_normal((n_ring, 2))
-            D /= np.linalg.norm(D, axis=1, keepdims=True)
-            best = max(best, self._ratio_max(self.mean + radius * D * sig))
-        return math.log(REJECTION_SAFETY) + best
+    def target(self, W):
+        """``log_target`` exponentiated once, so no intermediate overflows."""
+        return np.exp(self.log_target(W))
 
     def draw(self, rng):
         """One accepted proposal point y, its target density and the points
@@ -458,7 +456,7 @@ class _RejectionPlan:
             Y = self.mean + Z @ self.chol.T
             U = rng.random(batch)
             t = self.target(_y_to_w(Y))
-            thresh = np.exp(self.log_env + self.proposal_logpdf(Y))
+            thresh = np.exp(self.log_env + self.log_norm - 0.5 * np.sum(Z**2, axis=1))
             bad = ~(t <= thresh)
             if bad.any():
                 with np.errstate(divide="ignore", invalid="ignore"):
@@ -484,13 +482,14 @@ def sample_continuous(state, modes, cfg, stats=None):
     """Heterodyne outcomes on the given modes, drawn by the shot engine one
     mode at a time, each by exact rejection sampling (``_RejectionPlan``).
 
-    The proposal is the Gaussian-part Husimi with inflated covariance; the
-    envelope constant is REJECTION_SAFETY times the largest density ratio
-    found on a grid plus outer probe rings. The target is the closed-form
-    marginal density of ``_RejectionPlan.target``, batched and in the log
-    domain. Raises RuntimeError if a proposal point's target is NaN or exceeds
-    the envelope, or if the acceptance rate falls below 1e-3. ``stats``, when
-    given, receives the acceptance rate and the proposal points drawn.
+    The proposal is the Gaussian-part Husimi with inflated covariance, the
+    target the closed-form marginal density of ``_RejectionPlan.target``. The
+    envelope is a proven bound on their ratio, so accepted outcomes follow the
+    Husimi density exactly. Acceptance is 2/3 at rank 0 and falls with the
+    stellar rank; nothing but the MIN_ACCEPT_RATE check bounds it from below.
+    Raises RuntimeError if a proposal point's target is NaN or exceeds the
+    envelope, or if the acceptance rate falls below MIN_ACCEPT_RATE (1e-3).
+    ``stats``, when given, receives the acceptance rate and the points drawn.
     """
     engine, values = _engine_run(state, "continuous", modes, cfg)
     if stats is not None:

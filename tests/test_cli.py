@@ -99,6 +99,25 @@ class TestRun:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run"], "hqcsim run: the following arguments are required: circuit"),
+        (["run", "c.json", "--shots", "abc"], "hqcsim run: argument --shots: invalid int value"),
+        (["--cutoff", "x", "sample", "s.json"], "hqcsim: argument --cutoff: invalid int value"),
+        ([], "hqcsim: the following arguments are required: command"),
+    ])
+    def test_usage_error_is_a_validation_error(self, capsys, argv, message):
+        # exit 2 is kept for numeric-tolerance failures
+        from hqcsim import cli
+
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["table3", "--help"]])
+    def test_help_exits_0(self, argv):
+        r = run_cli(*argv)
+        assert r.returncode == 0 and r.stdout.startswith("usage: hqcsim")
+
     def test_zero_shots_is_an_empty_run(self, hom_path, capsys):
         from hqcsim import cli
 
@@ -173,6 +192,40 @@ def test_compiled_stretch_leaves_scipy_unloaded(tmp_path, rng):
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert r.stdout.strip() == "[]"
+
+
+class TestUnreadFlags:
+    @pytest.mark.parametrize("argv", [
+        ["prob", "c.json", "--outcome", "1"], ["rank", "s.json"],
+        ["schmidt", "s.json", "--partition", "0|1"], ["decompose", "s.json"],
+        ["table3", "--architecture", "fock-dv"], ["evolve", "s.json", "--gate", "S"],
+        ["cm-trace", "sys.json"],
+    ])
+    @pytest.mark.parametrize("flags", [["--shots", "7"], ["--cutoff", "3"], ["--format", "csv"]])
+    @pytest.mark.parametrize("before", [False, True])
+    def test_rejected_by_other_commands(self, capsys, argv, flags, before):
+        from hqcsim import cli
+
+        argv = [*flags, *argv] if before else [*argv, *flags]
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        command = argv[2] if before else argv[0]
+        assert captured.out == ""
+        assert captured.err == f"error: {command} does not read {flags[0]}\n"
+
+    @pytest.mark.parametrize("command", ["run", "sample"])
+    @pytest.mark.parametrize("before", [False, True])
+    def test_read_by_run_and_sample(self, hom_path, fock2_path, monkeypatch, command, before):
+        from hqcsim import cli
+
+        seen = []
+        monkeypatch.setattr(
+            cli, "_run_and_write", lambda spec, args, final_summary=False: seen.append(args)
+        )
+        flags = ["--shots", "7", "--cutoff", "3", "--format", "csv"]
+        target = [command, hom_path if command == "run" else fock2_path]
+        cli.main([*flags, *target] if before else [*target, *flags])
+        assert [(a.shots, a.cutoff, a.format) for a in seen] == [(7, 3, "csv")]
 
 
 class TestParserReuse:
@@ -251,11 +304,11 @@ class TestProb:
         r = run_cli("prob", hom_path, "--outcome", "2,0")
         assert json.loads(r.stdout)["probability"] == pytest.approx(0.5, abs=1e-10)
 
-    def test_cutoff_not_read(self, hom_path):
+    def test_cutoff_rejected(self, hom_path):
         # prob is exact; --cutoff caps photons per measured mode of run and sample
         r = run_cli("prob", hom_path, "--outcome", "2,0", "--cutoff", "1")
-        assert r.returncode == 0, r.stderr
-        assert json.loads(r.stdout)["probability"] == pytest.approx(0.5, abs=1e-10)
+        assert r.returncode == 1 and r.stdout == ""
+        assert r.stderr == "error: prob does not read --cutoff\n"
 
 
 class TestStateCommands:

@@ -667,6 +667,51 @@ class TestRejectionPlan:
             plan.draw(sp.shot_rng(0, 0))
 
 
+def _log_density_ratios(plan, Y):
+    """log(target / proposal) at proposal-space points Y, with the proposal
+    N(mean, chol chol^T) from scipy, in chunks that bound the Wick tables."""
+    proposal = sps.multivariate_normal(plan.mean, plan.chol @ plan.chol.T)
+    chunks = np.array_split(Y, len(Y) // 4096 + 1)
+    log_t = np.concatenate([plan.log_target(c[:, :1] + 1j * c[:, 1:]) for c in chunks])
+    return log_t - proposal.logpdf(Y)
+
+
+class TestEnvelopeBound:
+    @settings(max_examples=8)
+    @given(hst.integers(1, 3), hst.integers(0, 4), hst.integers(0, 2**32 - 1))
+    def test_bounds_grid_and_draws(self, modes, rank, seed):
+        # log_env bounds target/proposal on a +-10 sigma whitened 401^2 grid
+        # and at 1e5 proposal draws, for every mode of the state and of the
+        # states left as modes are measured, down to the last mode; it is
+        # exact at rank 0, up to rounding
+        rng = np.random.default_rng(seed)
+        s = st.normalized(random_state(rng, modes, rank))
+        while True:
+            for mode in range(s.modes):
+                self._check_plan(sp._RejectionPlan(s, mode), st.stellar_rank(s), rng)
+            if s.modes == 1:
+                break
+            s = st.normalized(sp.project_coherent(s, [0], [complex(*rng.normal(size=2))]))
+
+    @staticmethod
+    def _check_plan(plan, rank, rng):
+        white = plan.chol / math.sqrt(sp.PROPOSAL_INFLATION)
+        x = np.linspace(-10.0, 10.0, 401)
+        grid = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
+        on_grid = _log_density_ratios(plan, plan.mean + grid @ white.T)
+        drawn = _log_density_ratios(plan, plan.mean + rng.standard_normal((10**5, 2)) @ plan.chol.T)
+        assert max(on_grid.max(), drawn.max()) <= plan.log_env + 1e-12
+        if rank == 0:
+            assert on_grid.max() == pytest.approx(plan.log_env, abs=1e-12)
+        # a draw is accepted with probability pi exp(-log_env) (the target
+        # integrates to pi): the mean of the ratio over the envelope at the
+        # proposal draws, within 5 standard errors
+        accept = math.pi * math.exp(-plan.log_env)
+        x = np.exp(drawn - plan.log_env)
+        assert abs(x.mean() - accept) <= 5 * x.std() / math.sqrt(x.size)
+        assert accept >= sp.MIN_ACCEPT_RATE
+
+
 class TestDiscreteSampler:
     def test_vacuum_all_zero(self):
         outs = sp.sample_discrete(
@@ -806,6 +851,51 @@ class TestContinuousSampler:
             sp.sample_continuous(
                 st.StellarState.vacuum(1).scaled(0.5), [0], sp.SamplerConfig(shots=1)
             )
+
+
+def _reduced_husimi(state, cutoff, alphas):
+    """Mode-0 Husimi density of a two-mode state from its truncated Fock
+    amplitudes psi[n0, n1]: exp(-|a|^2) sum_n1 |sum_n0 psi conj(a)^n0 / sqrt(n0!)|^2 / pi."""
+    psi = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
+    for (n0, n1), amp in st.to_fock_array(state, cutoff).amplitudes.items():
+        psi[n0, n1] = amp
+    n = np.arange(cutoff + 1)
+    V = np.conj(alphas)[:, None] ** n / np.sqrt([float(math.factorial(k)) for k in n])
+    return np.exp(-np.abs(alphas) ** 2) * np.sum(np.abs(V @ psi) ** 2, axis=1) / np.pi
+
+
+class TestHeterodyneAboveRankOne:
+    def test_fock3_gamma_ks(self):
+        # the Husimi density of |3> is exp(-|a|^2) |a|^6 / (pi 3!): |a|^2 ~ Gamma(4)
+        s = st.from_fock_superposition({(3,): 1.0}, 1)
+        outs = sp.sample_continuous(s, [0], sp.SamplerConfig(seed=8, shots=10000))
+        r2 = np.abs([o.alphas[0] for o in outs]) ** 2
+        assert sps.kstest(r2, sps.gamma(4).cdf).pvalue > 0.01
+
+    def test_two_mode_rank2_marginal_chi2(self):
+        # mode 0 of a coupled two-mode rank-2 state against the Husimi density
+        # of its truncated Fock oracle, integrated over unit squares of
+        # [-5, 5]^2 (midpoint rule, 20^2 points a square); squares expected
+        # to hold under 5 outcomes join the bin of everything else
+        s = st.normalized(random_state(np.random.default_rng(5), 2, 2))
+        shots = 4000
+        outs = sp.sample_continuous(s, [0], sp.SamplerConfig(seed=14, shots=shots))
+        a = np.array([o.alphas[0] for o in outs])
+        h = 0.05
+        mid = np.arange(-5.0 + h / 2, 5.0, h)
+        X, Yg = np.meshgrid(mid, mid, indexing="ij")
+        q = _reduced_husimi(s, 40, (X + 1j * Yg).ravel()).reshape(X.shape) * h * h
+        expect = q.reshape(10, 20, 10, 20).sum(axis=(1, 3)).ravel() * shots
+        ix = np.floor(a.real + 5.0).astype(int)
+        iy = np.floor(a.imag + 5.0).astype(int)
+        inside = (ix >= 0) & (ix < 10) & (iy >= 0) & (iy < 10)
+        seen = np.bincount(ix[inside] * 10 + iy[inside], minlength=100).astype(float)
+        big = expect >= 5
+        observed = np.append(seen[big], shots - seen[big].sum())
+        expected = np.append(expect[big], shots - expect[big].sum())
+        assert expected[-1] >= 5 and big.sum() >= 20
+        chi2 = np.sum((observed - expected) ** 2 / expected)
+        assert sps.chi2.sf(chi2, len(observed) - 1) > 0.01
 
 
 class TestHomodyne:
