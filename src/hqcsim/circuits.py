@@ -8,23 +8,26 @@ as integers. Execution is shot-by-shot in one thread; shot i draws from its
 own counter-based substream, so its outcomes are bit-reproducible for a fixed
 (circuit, seed) and do not depend on how many shots the run makes.
 
-Between measurements, each run of single-mode gates (displace, squeeze, shear,
-phase) on a mode is fused into one ``multimode.ModeRun`` and applied by one
-kernel call. A gate with constant parameters is instantiated once per run, not
-once per shot. A stretch of constant gates on m active modes is one Gaussian
-unitary: if its fused gates hold two or more passive gates, it is compiled
-once per run to its Bloch-Messiah form, a passive gate, one ModeRun per mode
-and a passive gate (``multimode._compact``), when that is cheaper. The
-compiled stretch gives the fused gates' state up to a global phase, which no
-outcome (|amplitude|^2) or summary (rank, norm) reads. A stretch with an adaptive
-gate is fused anew per shot; ``final_state`` applies the fused gates, phase included.
+The shot engine compiles the program once, before the first shot: each
+position's active modes follow from the measurements before it, and every
+constant gate is instantiated then. Between measurements, each run of
+single-mode gates (displace, squeeze, shear, phase) on a mode is fused into
+one ``multimode.ModeRun`` and applied by one kernel call. A stretch of
+constant gates on m active modes is one Gaussian unitary: if its fused gates
+hold two or more passive gates, it is compiled to its Bloch-Messiah form, a
+passive gate, one ModeRun per mode and a passive gate (``multimode._compact``),
+when that is cheaper. The compiled stretch gives the fused gates' state up to
+a global phase, which no outcome (|amplitude|^2) or summary (rank, norm)
+reads. A stretch with an adaptive gate is fused anew per shot; ``final_state``
+applies the fused gates, phase included. A measurement draws its modes one at
+a time, each from a per-mode law of ``sampling`` (``_FockLaw`` or
+``_RejectionPlan``), kept for reuse while a shot's outcomes are all discrete.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 import time
 from dataclasses import dataclass
 
@@ -44,12 +47,10 @@ from .gates import (
 from .multimode import GaussianUnitarySpec, _compact, _fused, apply_gate, apply_gaussian
 from .sampling import (
     MIN_ACCEPT_RATE,
+    _FockLaw,
     _RejectionPlan,
-    _fock_masses,
-    _fock_projections,
     boson_sampling_prob,
     fock_amplitude,
-    project_coherent,
     shot_rng,
 )
 from .states import (
@@ -187,29 +188,40 @@ def _parse_param(node, what):
 
 
 def _parse_gate(node, modes):
-    kind = node.get("type")
-    if kind == "passive":
-        U = np.array(
-            [[complex(re, im) for re, im in row] for row in node["matrix"]],
-            dtype=complex,
-        )
-        if U.shape != (modes, modes):
-            raise CircuitError("passive matrix shape must match the mode count")
-        return GateDecl("passive", tuple(range(modes)), (), U)
-    if kind == "beamsplitter":
-        i, j = (int(k) for k in node["modes"])
-        _check_mode(i, modes)
-        _check_mode(j, modes)
-        if i == j:
-            raise CircuitError("beamsplitter needs two distinct modes")
-        return _beamsplitter(modes, i, j)
-    if kind in ("displace", "squeeze", "shear", "phase"):
-        mode = int(node["mode"])
-        _check_mode(mode, modes)
-        key = {"displace": "amount", "squeeze": "xi", "shear": "s", "phase": "phi"}[kind]
-        param = _parse_param(node[key], kind)
-        return GateDecl(kind, (mode,), (param,))
+    """The declaration of a gate entry; a missing or malformed field raises
+    CircuitError naming the entry and the field."""
+    try:
+        kind = node.get("type")
+        if kind == "passive":
+            U = np.array(
+                [[complex(re, im) for re, im in row] for row in node["matrix"]],
+                dtype=complex,
+            )
+            if U.shape != (modes, modes):
+                raise CircuitError("passive matrix shape must match the mode count")
+            return GateDecl("passive", tuple(range(modes)), (), U)
+        if kind == "beamsplitter":
+            i, j = (int(k) for k in node["modes"])
+            _check_mode(i, modes)
+            _check_mode(j, modes)
+            if i == j:
+                raise CircuitError("beamsplitter needs two distinct modes")
+            return _beamsplitter(modes, i, j)
+        if kind in ("displace", "squeeze", "shear", "phase"):
+            mode = int(node["mode"])
+            _check_mode(mode, modes)
+            key = {"displace": "amount", "squeeze": "xi", "shear": "s", "phase": "phi"}[kind]
+            param = _parse_param(node[key], kind)
+            return GateDecl(kind, (mode,), (param,))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise _malformed(f"entry {node!r}", exc) from exc
     raise CircuitError(f"unknown gate type {kind!r}")
+
+
+def _malformed(what, exc):
+    """CircuitError for the KeyError, TypeError or AttributeError met reading ``what``."""
+    field = f"missing field {exc}" if isinstance(exc, KeyError) else f"malformed field: {exc}"
+    return CircuitError(f"{what}: {field}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -234,26 +246,28 @@ def _check_mode(k, modes):
 def parse_circuit(text):
     """Validated CircuitSpec from a JSON document (round-trips via to_json)."""
     doc = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(doc, dict):
+        raise CircuitError(f"a circuit document is a JSON object, not a {type(doc).__name__}")
     if doc.get("schema") != SCHEMA:
         raise CircuitError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA}")
     try:
         modes = int(doc["modes"])
         prep = doc.get("prep", {"kind": "vacuum"})
-        entries = doc["circuit"]
-    except KeyError as exc:
-        raise CircuitError(f"missing field {exc}") from exc
+        entries = list(doc["circuit"])
+    except (KeyError, TypeError) as exc:
+        raise _malformed("circuit document", exc) from exc
     if modes < 1:
         raise CircuitError("modes must be positive")
-    program = []
-    bound = {}
-    measured = set()
-    auto = 0
-    for node in entries:
-        if node.get("measure"):
+    program, bound, measured, auto = [], {}, set(), 0
+    for pos, node in enumerate(entries):
+        if isinstance(node, dict) and node.get("measure"):
             kind = node["measure"]
             if kind not in ("continuous", "discrete"):
                 raise CircuitError(f"unknown measurement kind {kind!r}")
-            mlist = tuple(int(k) for k in node["modes"])
+            try:
+                mlist = tuple(int(k) for k in node["modes"])
+            except (KeyError, TypeError) as exc:
+                raise _malformed(f"entry {node!r}", exc) from exc
             for k in mlist:
                 _check_mode(k, modes)
                 if k in measured:
@@ -261,23 +275,24 @@ def parse_circuit(text):
                 measured.add(k)
             name = node.get("name") or f"m{auto}"
             auto += 1
+            if not isinstance(name, str):
+                raise CircuitError(f"entry {node!r}: a measurement name is a string")
             if name in bound:
                 raise CircuitError(f"duplicate measurement name {name!r}")
             bound[name] = len(mlist)
             program.append(MeasureDecl(kind, mlist, name))
         else:
             gate = _parse_gate(node, modes)
+            if measured.issuperset(gate.modes):
+                raise CircuitError(f"circuit entry {pos}: {gate.kind} gate on mode(s) "
+                                   f"{list(gate.modes)}, all measured before it")
             for param in gate.params:
                 for ref, index, _ in param.terms:
                     if ref not in bound:
                         raise CircuitError(
-                            f"gate references measurement {ref!r} that does not "
-                            "precede it"
-                        )
+                            f"gate references measurement {ref!r} that does not precede it")
                     if not 0 <= index < bound[ref]:
-                        raise CircuitError(
-                            f"outcome index {index} out of range for {ref!r}"
-                        )
+                        raise CircuitError(f"outcome index {index} out of range for {ref!r}")
             program.append(gate)
     return CircuitSpec(modes, prep, tuple(program))
 
@@ -377,162 +392,98 @@ def _instantiate(decl, record, active):
     raise CircuitError(f"cannot instantiate {decl.kind!r}")
 
 
-def _normalized_by(proj, mass):
-    """``proj`` scaled to unit norm, given its norm^2 ``mass``; amplitudes pass."""
-    if isinstance(proj, complex):
-        return proj
-    if mass <= 0:
-        raise ValueError("cannot normalize a zero-norm state")
-    return proj.scaled(-0.5 * math.log(mass))
-
-
 class _ShotEngine:
     """Executes shots of one circuit's program on a given normalized input
-    state; caches reusable per-position data. Every sampler draws through it:
-    modes are measured one at a time, a photon count from the masses of one
-    fill of the mode's Fock projections (``_fock_masses``) and a heterodyne
-    outcome by rejection sampling from a one-mode ``_RejectionPlan``."""
+    state; every sampler draws through it. Building it compiles the program
+    (see the module docstring) into steps: a compiled stretch of constant
+    gates, a stretch with an adaptive gate (its declarations beside its
+    constant gates already built, fused per shot) or a measurement, each with
+    the active modes at its position. A passive gate that couples an active
+    mode to a measured one fails here, not on the first shot.
+
+    A measurement draws its modes one at a time, each from the law
+    (``_FockLaw`` or ``_RejectionPlan``) of the state conditioned on the
+    outcomes before it. While a shot's outcomes are all discrete, that state is
+    a function of the discrete history, so ``laws`` keeps each law under
+    (position, history, mode, earlier values of the measurement).
+    """
 
     def __init__(self, spec, cfg, input_state, final_summary=False):
-        self.spec = spec
-        self.cfg = cfg
+        self.spec, self.cfg, self.input_state = spec, cfg, input_state
         self.final_summary = final_summary
-        self.input_state = input_state
-        self.discrete_cache = {}
-        self.plan_cache = {}
+        self.laws = {}
         # heterodyne draws accepted and proposal points tried, over all shots
         self.accepted = self.tried = 0
-        # the program as measurement positions and, between them, stretches
-        # (tuples) of gate positions; the positions of adaptive gates
-        self.steps, self.adaptive = [], set()
-        for pos, item in enumerate(spec.program):
-            if isinstance(item, MeasureDecl):
-                self.steps.append(pos)
+        # steps (kind, payload, active modes): "gates" a compiled stretch, "fuse" an adaptive
+        # stretch of gates and declarations, "measure" a position; None flushes the last stretch
+        self.steps, active, stretch = [], list(range(spec.modes)), []
+        for pos, item in enumerate(spec.program + (None,)):
+            if isinstance(item, GateDecl):
+                stretch.append(item if item.references() else _instantiate(item, {}, active))
                 continue
-            if item.references():
-                self.adaptive.add(pos)
-            if self.steps and isinstance(self.steps[-1], tuple):
-                self.steps[-1] += (pos,)
-            else:
-                self.steps.append((pos,))
-        # a position's active modes do not depend on the shot, so constant
-        # gates are instantiated, and stretches of them fused, once
-        self.gate_cache = {}
-        self.fused_cache = {}
+            if any(isinstance(gate, GateDecl) for gate in stretch):
+                self.steps.append(("fuse", tuple(stretch), active))
+            elif stretch:
+                self.steps.append(("gates", _compact(stretch, len(active)), active))
+            stretch = []
+            if item is not None:
+                self.steps.append(("measure", pos, active))
+                active = [k for k in active if k not in item.modes]
 
-    def _gate(self, pos, record, active):
-        gate = self.gate_cache.get(pos)
-        if gate is None:
-            decl = self.spec.program[pos]
-            gate = _instantiate(decl, record, active)
-            if pos not in self.adaptive:
-                self.gate_cache[pos] = gate
-        return gate
-
-    def _stretch(self, positions, record, active):
-        """The gates at ``positions``, instantiated for this shot and fused; a
-        stretch of constant gates is compiled once (``_compact``)."""
-        gates = self.fused_cache.get(positions)
-        if gates is None:
-            gates = [self._gate(pos, record, active) for pos in positions]
-            if all(pos in self.gate_cache for pos in positions):
-                gates = self.fused_cache[positions] = _compact(gates, len(active))
-            else:
-                gates = _fused(gates)
-        return gates
-
-    def _measure_discrete(self, state, active, decl, rng, cache_key):
-        nmax = self.cfg.cutoff
+    def _measure(self, pos, active, state, rng, history):
+        """The state after the measurement at ``pos``, its values and the
+        discrete history after it (None once an outcome is continuous)."""
+        decl = self.spec.program[pos]
+        # after the program's last outcome only final_summary reads the state
+        skip_last = not self.final_summary and pos == len(self.spec.program) - 1
         values = []
         for mode in decl.modes:
-            local = active.index(mode)
-            key = (cache_key, mode, tuple(values)) if cache_key else None
-            dist = self.discrete_cache.get(key) if key else None
-            if dist is None:
-                fill = _fock_projections(state, local, nmax)
-                masses = _fock_masses(fill, nmax)
-                dist = (np.cumsum(masses), masses, fill, float(np.sum(masses)))
-                if key:
-                    self.discrete_cache[key] = dist
-            cdf, masses, fill, total = dist
-            if total < 1.0 - 1e-6:
-                raise RuntimeError(
-                    f"discrete cutoff {nmax} captures only {total:.9f} "
-                    "of the conditional distribution"
-                )
-            u = rng.random()
-            # n with cdf[n - 1] <= u * total < cdf[n], so a count of zero mass is never drawn
-            n = min(int(np.searchsorted(cdf, u * total, side="right")), nmax)
-            values.append(n)
-            state = _normalized_by(fill[n], masses[n])
-            active = [m for m in active if m != mode]
-        return state, active, tuple(values)
-
-    def _measure_continuous(self, state, active, decl, rng, cache_key, project_last):
-        values = []
-        for mode in decl.modes:
-            local = active.index(mode)
-            key = (cache_key, mode) if cache_key and not values else None
-            plan = self.plan_cache.get(key) if key else None
-            if plan is None:
-                plan = _RejectionPlan(state, local)
-                if key:
-                    self.plan_cache[key] = plan
-            # with modes left, the drawn density is the norm^2 of the projection
-            y, mass, tries = plan.draw(rng)
-            self.accepted += 1
-            self.tried += tries
-            if self.accepted >= 100 and self.accepted < MIN_ACCEPT_RATE * self.tried:
-                raise RuntimeError(
-                    f"continuous sampler acceptance rate {self.accepted / self.tried:.2e} "
-                    "below 1e-3; envelope too loose"
-                )
-            w = complex(y[0], y[1])
-            alpha = np.conj(w)
-            values.append(alpha)
-            if mode == decl.modes[-1] and not project_last:
+            key = None if history is None else (pos, history, mode, tuple(values))
+            law = self.laws.get(key)
+            if law is None:
+                local = active.index(mode)
+                law = (_FockLaw(state, local, self.cfg.cutoff) if decl.kind == "discrete"
+                       else _RejectionPlan(state, local))
+                if key is not None:
+                    self.laws[key] = law
+            value, mass, tries = law.draw(rng)
+            if tries:  # a heterodyne draw: proposal points tried until one was accepted
+                self.accepted += 1
+                self.tried += tries
+                if self.accepted >= 100 and self.accepted < MIN_ACCEPT_RATE * self.tried:
+                    raise RuntimeError(
+                        f"continuous sampler acceptance rate {self.accepted / self.tried:.2e} "
+                        "below 1e-3; envelope too loose"
+                    )
+                history = None
+            values.append(value)
+            if skip_last and mode == decl.modes[-1]:
                 break
-            state = _normalized_by(project_coherent(state, [local], [alpha]), mass)
-            active = [m for m in active if m != mode]
-        return state, active, tuple(values)
+            state = law.project(value, mass)
+            active = [k for k in active if k != mode]
+        if history is not None:
+            history += (decl.name, *values)
+        return state, tuple(values), history
 
     def run_shot(self, shot):
         rng = shot_rng(self.cfg.seed, shot)
-        state = self.input_state
-        active = list(range(self.spec.modes))
-        record = {}
-        records = []
-        # caches stay valid while the state at a program position is a pure
-        # function of the discrete outcome history
-        history = ()
-        continuous_seen = False
-        for pos in self.steps:
-            if isinstance(pos, tuple):
-                if isinstance(state, complex):
-                    raise CircuitError("gate after all modes were measured")
-                for gate in self._stretch(pos, record, active):
-                    state = apply_gate(state, gate)
+        state, record, records, history = self.input_state, {}, [], ()
+        for kind, payload, active in self.steps:
+            if kind == "measure":
+                state, values, history = self._measure(payload, active, state, rng, history)
+                item = self.spec.program[payload]
+                record[item.name] = values
+                records.append((item.name, item.kind, item.modes, values))
                 continue
-            item = self.spec.program[pos]
-            cache_key = None if continuous_seen else (pos, history)
-            if item.kind == "discrete":
-                state, active, values = self._measure_discrete(
-                    state, active, item, rng, cache_key
-                )
-                history = history + (item.name,) + values
-            else:
-                # after the program's last outcome only final_summary reads the state
-                project_last = self.final_summary or pos < len(self.spec.program) - 1
-                state, active, values = self._measure_continuous(
-                    state, active, item, rng, cache_key, project_last
-                )
-                continuous_seen = True
-            record[item.name] = values
-            records.append((item.name, item.kind, item.modes, values))
-        summary = None
+            gates = payload if kind == "gates" else _fused(
+                [_instantiate(g, record, active) if isinstance(g, GateDecl) else g
+                 for g in payload]
+            )
+            for gate in gates:
+                state = apply_gate(state, gate)
         if self.final_summary and not isinstance(state, complex):
-            summary = (stellar_rank(state), norm_squared(state))
-        return records, summary
+            return records, (stellar_rank(state), norm_squared(state))
+        return records, None
 
 
 def run_circuit(spec, cfg, final_summary=False):
@@ -541,16 +492,10 @@ def run_circuit(spec, cfg, final_summary=False):
     cfg.shots."""
     t0 = time.perf_counter()
     engine = _ShotEngine(spec, cfg, prepare_input(spec.prep, spec.modes), final_summary)
-    shots = range(cfg.shots)
-    results = [engine.run_shot(shot) for shot in shots]
-    rows = tuple((shot, tuple(res[0])) for shot, res in zip(shots, results))
-    summaries = ()
-    if final_summary:
-        summaries = tuple(
-            (shot, res[1][0], res[1][1]) for shot, res in zip(shots, results) if res[1]
-        )
-    elapsed = time.perf_counter() - t0
-    return RunResult(cfg.seed, cfg.shots, rows, summaries, elapsed)
+    results = [engine.run_shot(shot) for shot in range(cfg.shots)]
+    rows = tuple((shot, tuple(records)) for shot, (records, _) in enumerate(results))
+    summaries = tuple((shot, *summary) for shot, (_, summary) in enumerate(results) if summary)
+    return RunResult(cfg.seed, cfg.shots, rows, summaries, time.perf_counter() - t0)
 
 
 def final_state(spec):

@@ -9,7 +9,10 @@ values are printed with 17 significant digits. ``--shots``, ``--cutoff`` (photon
 per measured mode) and ``--format`` are read by run and sample only; the other
 subcommands reject them. Exit codes: 0 success (``--help`` included), 1
 validation error (``error: ...`` on stderr), usage errors included, 2
-numeric-tolerance failure (table3).
+numeric-tolerance failure (table3). schmidt's ``coefficients`` are the
+singular values of P's monomial coefficients over the partition, not the
+state's Schmidt coefficients, which also weigh each monomial by its norm
+(sqrt(n!) with no Gaussian part); its rank and ``separable`` verdict are right.
 """
 
 from __future__ import annotations
@@ -152,9 +155,8 @@ def cmd_decompose(args):
                 }
             )
         elif isinstance(gate, Displace):
-            gates.append(
-                {"type": "displace", "vector": [[b.real, b.imag] for b in gate.beta]}
-            )
+            gates += [{"type": "displace", "mode": k, "amount": [b.real, b.imag]}
+                      for k, b in enumerate(gate.beta)]
         elif isinstance(gate, Squeeze):
             gates.append(
                 {"type": "squeeze", "mode": gate.mode, "xi": [gate.xi.real, gate.xi.imag]}
@@ -175,11 +177,13 @@ def cmd_decompose(args):
 def cmd_cm_trace(args):
     with open(args.system) as fh:
         doc = json.load(fh)
-    q0 = [complex(re, im) for re, im in doc["q0"]]
-    p0 = [complex(re, im) for re, im in doc["p0"]]
-    g = complex(*doc["g"]) if isinstance(doc["g"], list) else complex(doc["g"])
-    om = complex(*doc.get("omega", [0, 0])) if isinstance(doc.get("omega"), list) else complex(doc.get("omega", 0))
-    system = cm.CMSystem.make(q0, p0, g, om)
+    try:
+        q0, p0 = ([complex(re, im) for re, im in doc[key]] for key in ("q0", "p0"))
+        g, omega = (complex(*v) if isinstance(v, list) else complex(v)
+                    for v in (doc["g"], doc.get("omega", 0)))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise circ._malformed(f"system file {args.system}", exc) from exc
+    system = cm.CMSystem.make(q0, p0, g, omega)
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     times = np.linspace(args.t0, args.t1, args.steps)
@@ -288,7 +292,11 @@ def build_parser():
     p.add_argument("state")
     p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("schmidt", help="Schmidt/separability report")
+    p = sub.add_parser("schmidt", help="Schmidt/separability report",
+                       description="Schmidt rank and separability over a partition. The "
+                       "coefficients are the singular values of P's monomial coefficients, "
+                       "not the Schmidt coefficients of the state; the rank and the "
+                       "separable verdict are right.")
     p.add_argument("state")
     p.add_argument("--partition", required=True, help="I|J, e.g. 0,1|2")
     p.set_defaults(func=cmd_schmidt)

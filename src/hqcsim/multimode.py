@@ -99,7 +99,10 @@ class GaussianUnitarySpec:
 @dataclass(frozen=True)
 class SchmidtForm:
     """Schmidt data of the polynomial part over a bipartition, plus the
-    Gaussian cross terms that carry the Gaussian entanglement."""
+    Gaussian cross terms that carry the Gaussian entanglement. ``coefficients``
+    are the singular values of P's monomial coefficient matrix, not the
+    state's Schmidt coefficients, which also weigh each monomial by its norm
+    (sqrt(n!) with no Gaussian part); the rank is the same."""
 
     partition: tuple
     rank: int

@@ -7,19 +7,24 @@ exp(-|alpha|^2) |F(alpha*)|^2 / pi^m and the post-measurement state fixes the
 measured variables at the conjugated outcomes. Every sampler runs the shot
 engine of ``circuits``: modes are measured one at a time, and shot i draws
 from its own counter-based substream, so its outcomes do not depend on how
-many shots are made. A heterodyne draw is by rejection from an inflated
-Gaussian fitted to the Gaussian part of the state. The target density of a
-measured mode, with other modes left or none, is the Bargmann norm of the
-coherent projection, evaluated in closed form for a whole batch of outcomes
-at once; every target is computed in the log domain and exponentiated once.
-The envelope is proven, not estimated (``_RejectionPlan``), so the draws are
-exact; acceptance falls with the stellar rank, and below MIN_ACCEPT_RATE the
-sampler raises. A target that is NaN or exceeds the envelope raises
-RuntimeError instead of biasing the sample.
+many shots are made. Each measured mode's outcome has a per-mode law of the
+state conditioned on the outcomes before it, ``_FockLaw`` for a photon count
+and ``_RejectionPlan`` for a heterodyne outcome. Both offer ``draw(rng)``, the
+outcome, its mass (density) and the proposal points tried, and
+``project(value, mass)``, the normalized rest-mode state after that outcome
+(or the amplitude when no mode is left). A heterodyne draw is by rejection
+from an inflated Gaussian fitted to the Gaussian part of the state. The
+target density of a measured mode, with other modes left or none, is the
+Bargmann norm of the coherent projection, evaluated in closed form for a
+whole batch of outcomes at once; every target is computed in the log domain
+and exponentiated once. The envelope is proven, not estimated
+(``_RejectionPlan``), so the draws are exact; acceptance falls with the
+stellar rank, and below MIN_ACCEPT_RATE the sampler raises. A target that is
+NaN or exceeds the envelope raises RuntimeError instead of biasing the sample.
 
-A photon count is drawn from the masses (norms^2) of the mode's Fock
-projections. Where the Gaussian part is zero (A = 0, B = 0), as for a Fock
-input after passive gates, the stellar function is a polynomial
+A photon count is drawn by inverting the CDF of the masses (norms^2) of the
+mode's Fock projections. Where the Gaussian part is zero (A = 0, B = 0), as
+for a Fock input after passive gates, the stellar function is a polynomial
 P = sum_n p_n z^n, the finite superposition sum_n p_n sqrt(n!) e^C |n>: the
 Fock basis rule. Projection n of mode k is then sqrt(n!) times the z_k^n
 coefficient of P, and its mass is e^{2 Re C} sum |p|^2 n! over its
@@ -229,6 +234,40 @@ class _FockRows:
             poly = _section_poly(self.rows[n], self.layout)
             self._states[n] = StellarState(self.gauss.modes, poly, self.gauss)
         return self._states[n]
+
+
+class _FockLaw:
+    """The photon-count law of one mode of a state up to ``nmax`` photons: the fill of
+    its Fock projections, their masses and CDF. Raises RuntimeError when the counts
+    capture less than 1 - 1e-6 of the state's norm^2."""
+
+    def __init__(self, state, mode, nmax):
+        self.fill = _fock_projections(state, mode, nmax)
+        self.masses = _fock_masses(self.fill, nmax)
+        self.cdf, self.total = np.cumsum(self.masses), float(np.sum(self.masses))
+        if self.total < 1.0 - 1e-6:
+            raise RuntimeError(f"discrete cutoff {nmax} captures only {self.total:.9f} "
+                               "of the conditional distribution")
+
+    def draw(self, rng):
+        """A count n with cdf[n - 1] <= u * total < cdf[n] for a uniform u, so never
+        one of zero mass; its mass; and no proposal points."""
+        u = rng.random()
+        n = min(int(np.searchsorted(self.cdf, u * self.total, side="right")), len(self.cdf) - 1)
+        return n, self.masses[n], 0
+
+    def project(self, n, mass):
+        """The normalized rest-mode state after count n, or its amplitude."""
+        return _normalized_by(self.fill[n], mass)
+
+
+def _normalized_by(proj, mass):
+    """``proj`` scaled to unit norm, given its norm^2 ``mass``; amplitudes pass."""
+    if isinstance(proj, complex):
+        return proj
+    if mass <= 0:
+        raise ValueError("cannot normalize a zero-norm state")
+    return proj.scaled(-0.5 * math.log(mass))
 
 
 def _fock_masses(fill, nmax):
@@ -445,10 +484,10 @@ class _RejectionPlan:
         return np.exp(self.log_target(W))
 
     def draw(self, rng):
-        """One accepted proposal point y, its target density and the points
-        tried. Raises RuntimeError when a target is NaN or exceeds the
-        envelope, since the sample would then be biased, or when MAX_TRIES
-        points bring no acceptance."""
+        """The outcome alpha = conj(y_0 + i y_1) of an accepted proposal point y,
+        its target density and the points tried. Raises RuntimeError when a
+        target is NaN or exceeds the envelope, since the sample would then be
+        biased, or when MAX_TRIES points bring no acceptance."""
         tries = 0
         while tries < MAX_TRIES:
             batch = 32
@@ -469,8 +508,12 @@ class _RejectionPlan:
             tries += batch
             if ok.size:
                 i = int(ok[0])
-                return Y[i], float(t[i]), tries - batch + i + 1
+                return np.conj(complex(Y[i, 0], Y[i, 1])), float(t[i]), tries - batch + i + 1
         raise RuntimeError("rejection sampler failed to accept; envelope too loose")
+
+    def project(self, alpha, mass):
+        """The normalized rest-mode state after outcome ``alpha``, or its amplitude."""
+        return _normalized_by(project_coherent(self.state, [self.mode], [alpha]), mass)
 
 
 def _y_to_w(Y):

@@ -8,6 +8,7 @@ import pytest
 from hqcsim import circuits as circ
 from hqcsim import io as hio
 from hqcsim import multimode as mm
+from hqcsim import sampling as sp
 from hqcsim import states as st
 from hqcsim.sampling import SamplerConfig
 
@@ -103,6 +104,23 @@ class TestParse:
         )
         with pytest.raises(circ.CircuitError, match="precede"):
             circ.parse_circuit(json.dumps(doc))
+
+    @pytest.mark.parametrize("entries, match", [
+        ([{"measure": "discrete", "modes": [0], "name": "a"},
+          {"type": "squeeze", "mode": 0, "xi": [0.1, 0]},
+          {"measure": "discrete", "modes": [1], "name": "b"}],
+         r"circuit entry 1: squeeze gate on mode\(s\) \[0\], all measured"),
+        ([{"measure": "discrete", "modes": [0, 1], "name": "a"},
+          {"type": "beamsplitter", "modes": [0, 1]}],
+         r"circuit entry 1: passive gate on mode\(s\) \[0, 1\], all measured"),
+        ([{"measure": "continuous", "modes": [1], "name": "a"},
+          {"measure": "discrete", "modes": [0], "name": "b"},
+          {"type": "phase", "mode": 1, "phi": 0.5}],
+         r"circuit entry 2: phase gate on mode\(s\) \[1\], all measured"),
+    ])
+    def test_gate_on_measured_modes_rejected(self, entries, match):
+        with pytest.raises(circ.CircuitError, match=match):
+            circ.parse_circuit(make_doc(2, {"kind": "vacuum"}, entries))
 
     def test_double_measurement_rejected(self):
         doc = make_doc(
@@ -270,8 +288,8 @@ class TestRun:
         for shot in range(shots):
             engine.run_shot(shot)
         return {
-            (key[1], mode, values): np.array(masses) / total
-            for (key, mode, values), (_, masses, _, total) in engine.discrete_cache.items()
+            (history, mode, values): np.array(law.masses) / law.total
+            for (_, history, mode, values), law in engine.laws.items()
         }
 
     def test_passive_after_measurement_on_active_modes(self):
@@ -319,13 +337,13 @@ class TestRun:
         cfg = SamplerConfig(seed=2, shots=6)
         reference = circ.run_circuit(spec, cfg)
         counted = []
-        project = circ.project_coherent
+        project = sp.project_coherent
 
         def counting(*args):
             counted.append(args)
             return project(*args)
 
-        monkeypatch.setattr(circ, "project_coherent", counting)
+        monkeypatch.setattr(sp, "project_coherent", counting)
         res = circ.run_circuit(spec, cfg, final_summary=final_summary)
         assert len(counted) == calls * cfg.shots
         assert res.rows == reference.rows
@@ -396,6 +414,31 @@ class TestRun:
         assert len(compiled) == 1
         assert len(passive_seen) == passive_calls * cfg.shots
         assert sorted(kernel_seen) == sorted(kernel_modes * cfg.shots)  # one call per mode
+
+    def test_constant_stretch_compiled_when_built(self, monkeypatch):
+        # gate_deep's shape: a beamsplitter, then layers of S P R D on each of
+        # 2 modes and a beamsplitter; the engine compiles it before any shot
+        entries = [{"type": "beamsplitter", "modes": [0, 1]}]
+        for layer in range(3):
+            for mode in (0, 1):
+                entries += [
+                    {"type": "squeeze", "mode": mode, "xi": [0.05, 0.01 * layer]},
+                    {"type": "shear", "mode": mode, "s": 0.03},
+                    {"type": "phase", "mode": mode, "phi": 0.7 * layer + mode},
+                    {"type": "displace", "mode": mode, "amount": [0.1, -0.01 * layer]},
+                ]
+            entries.append({"type": "beamsplitter", "modes": [0, 1]})
+        entries.append({"measure": "discrete", "modes": [0, 1], "name": "n"})
+        spec = circ.parse_circuit(make_doc(2, {"kind": "fock_pattern", "pattern": [2, 1]},
+                                           entries))
+        compact, compiled = circ._compact, []
+        monkeypatch.setattr(circ, "_compact", lambda *a: compiled.append(a) or compact(*a))
+        engine = circ._ShotEngine(spec, SamplerConfig(seed=1, shots=3, cutoff=24),
+                                  circ.prepare_input(spec.prep, spec.modes))
+        assert len(compiled) == 1 and len(compiled[0][0]) == len(spec.gates)
+        for shot in range(3):
+            engine.run_shot(shot)
+        assert len(compiled) == 1
 
     def test_adaptive_gate_instantiated_every_shot(self, monkeypatch):
         doc = make_doc(

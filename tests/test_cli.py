@@ -118,6 +118,40 @@ class TestRun:
         r = run_cli(*argv)
         assert r.returncode == 0 and r.stdout.startswith("usage: hqcsim")
 
+    @pytest.mark.parametrize("command, doc, field", [
+        ("run", {**HOM, "circuit": [{"type": "squeeze", "xi": [0.1, 0]}]}, "field 'mode'"),
+        ("run", {**HOM, "circuit": [{"measure": "discrete"}]}, "field 'modes'"),
+        ("run", [HOM], "JSON object, not a list"),
+        ("run", {**HOM, "circuit": 5}, "circuit document: malformed field"),
+        ("run", {**HOM, "circuit": [{"measure": "discrete", "modes": [0], "name": ["a"]}]},
+         "a measurement name is a string"),
+        ("run", {**HOM, "prep": {"kind": "gaussian",
+                                 "gates": [{"type": "squeeze", "mode": 0, "r": 0.1}]}},
+         "field 'xi'"),
+        ("cm-trace", {"q0": [[1, 0], [-1, 0]], "g": [1, 0]}, "field 'p0'"),
+    ])
+    def test_malformed_input_is_a_validation_error(self, tmp_path, capsys, command, doc,
+                                                   field):
+        from hqcsim import cli
+
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main([command, str(path)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
+    def test_coupling_passive_fails_before_any_shot(self, tmp_path, capsys):
+        # the engine instantiates every constant gate when it is built
+        from hqcsim import cli
+
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**HOM, "circuit": [
+            {"measure": "discrete", "modes": [0], "name": "a"},
+            {"type": "beamsplitter", "modes": [0, 1]},
+            {"measure": "discrete", "modes": [1], "name": "b"}]}))
+        assert cli.main(["run", str(path), "--shots", "0"]) == cli.EXIT_VALIDATION
+        assert "couples the active modes [1]" in capsys.readouterr().err
+
     def test_zero_shots_is_an_empty_run(self, hom_path, capsys):
         from hqcsim import cli
 
@@ -344,6 +378,29 @@ class TestStateCommands:
         assert doc["poly"][0]["index"] == [2]
         kinds = [g["type"] for g in doc["gaussian_program"]]
         assert kinds[0] == "displace" and kinds[-1] == "passive"
+
+    def test_decompose_program_replays(self, tmp_path, capsys, rng):
+        # the printed program is hqc-circuit/1 gate entries: as a gaussian
+        # prep it rebuilds the state's Gaussian exponents
+        from hqcsim import circuits as circ
+        from hqcsim import cli
+        from hqcsim import multimode as mm
+        from hqcsim.gates import Displace, Passive, Squeeze
+        from conftest import random_unitary
+
+        s = st.from_fock_superposition({(1, 1): 1.0, (2, 0): 0.5j}, 2)
+        for gate in [Squeeze(0, 0.3 + 0.1j), Squeeze(1, -0.2j),
+                     Passive.make(random_unitary(rng, 2)), Displace.make([0.2 - 0.1j, 0.4j])]:
+            s = mm.apply_gate(s, gate)
+        assert st.stellar_rank(s) == 2
+        path = tmp_path / "s.json"
+        hio.save_state(st.normalized(s), path)
+        assert cli.main(["decompose", str(path)]) == cli.EXIT_OK
+        program = json.loads(capsys.readouterr().out)["gaussian_program"]
+        assert [g["mode"] for g in program if g["type"] == "displace"] == [0, 1]
+        prepared = circ.prepare_input({"kind": "gaussian", "gates": program}, 2)
+        np.testing.assert_allclose(prepared.gauss.A, s.gauss.A, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(prepared.gauss.B, s.gauss.B, rtol=0, atol=1e-12)
 
     def test_decompose_rejects_unknown_gate(self, tmp_path, monkeypatch, capsys):
         from hqcsim import cli

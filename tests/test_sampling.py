@@ -372,14 +372,14 @@ class TestFockSweep:
                              Passive.make(random_unitary(rng, 3)))
         cfg = sp.SamplerConfig(seed=6, shots=150, cutoff=9)
         # the full sweep from the dict recurrence, and its masses
-        monkeypatch.setattr(circ, "_fock_projections", _project_fock_references)
-        monkeypatch.setattr(circ, "_fock_masses", _fock_masses_reference)
+        monkeypatch.setattr(sp, "_fock_projections", _project_fock_references)
+        monkeypatch.setattr(sp, "_fock_masses", _fock_masses_reference)
         reference = sp.sample_discrete(s, [0, 1, 2], cfg)
         monkeypatch.undo()
         # A = B = 0 throughout: every mass is the Fock-basis closed form, so no
         # fill builds a Wick table or takes a norm of its own
-        fills, sweep = [], circ._fock_projections
-        monkeypatch.setattr(circ, "_fock_projections",
+        fills, sweep = [], sp._fock_projections
+        monkeypatch.setattr(sp, "_fock_projections",
                             lambda *args: fills.append(sweep(*args)) or fills[-1])
         monkeypatch.setattr(sp, "_wick_table", lambda *args: pytest.fail("Wick table built"))
         monkeypatch.setattr(st, "inner_product", lambda *args: pytest.fail("norm taken"))
@@ -427,8 +427,8 @@ class TestFockSweep:
             got = circ.run_circuit(spec, cfg).rows
             assert len({row[1][0][3] for row in got}) > 3  # many histories
             with monkeypatch.context() as patch:
-                patch.setattr(circ, "_fock_projections", _project_fock_references)
-                patch.setattr(circ, "_fock_masses", _fock_masses_reference)
+                patch.setattr(sp, "_fock_projections", _project_fock_references)
+                patch.setattr(sp, "_fock_masses", _fock_masses_reference)
                 assert circ.run_circuit(spec, cfg).rows == got
 
     def test_uncoupled_modes_keep_their_monomials(self):
