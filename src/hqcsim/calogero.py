@@ -100,25 +100,24 @@ def _require_distinct(q, message):
         raise CollisionError(message)
 
 
+def _cauchy(q, scale=1.0, diagonal=0j):
+    """The pair terms scale / (q_j - q_k) of distinct positions q, ``diagonal``
+    on the diagonal: the Lax matrix L with scale i g and diagonal p."""
+    d = np.subtract.outer(q, q)
+    out = np.divide(scale, d, out=np.zeros(d.shape, dtype=complex), where=d != 0)
+    np.fill_diagonal(out, diagonal)
+    return out
+
+
 def lax_matrices(q, p, g):
-    """Lax pair (L, M) at a phase-space point; distinct positions required."""
+    """Lax pair (L, M) at a phase-space point; distinct positions required.
+    M = g / (q_j - q_k)^2 summed on the diagonal, and its negative off it."""
     q = np.asarray(q, dtype=complex).reshape(-1)
     p = np.asarray(p, dtype=complex).reshape(-1)
     _require_distinct(q, "coincident positions in lax_matrices")
-    n = q.size
-    L = np.diag(p.astype(complex))
-    M = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        acc = 0j
-        for k in range(n):
-            if k == j:
-                continue
-            d = q[j] - q[k]
-            L[j, k] = 1j * g / d
-            M[j, k] = -g / d**2
-            acc += g / d**2
-        M[j, j] = acc
-    return LaxPair(L, M)
+    M = -g * _cauchy(q) ** 2
+    np.fill_diagonal(M, -M.sum(axis=1))
+    return LaxPair(_cauchy(q, 1j * g, p), M)
 
 
 def conserved_spectrum(q, p, g, omega=0.0):
@@ -155,7 +154,7 @@ def cm_solve(system, t):
     continuously labeled trajectories.
     """
     fc, fs = _propagator(system.omega**2, t)
-    L0 = lax_matrices(system.q0, system.p0, system.g).L
+    L0 = _cauchy(system.q0, 1j * system.g, system.p0)
     lam = np.diag(system.q0) * fc + L0 * fs
     return np.linalg.eigvals(lam)
 
@@ -183,12 +182,11 @@ def cm_solve_path(system, times):
     does not start at t = 0 is reached by a uniform walk from 0 to times[0],
     at the grid's first spacing or finer, labelled the same way. A one-point
     grid has no spacing to walk at: its one column is the minimal-cost match to
-    q0, so its rows are a set of positions, which is all ``dynamics.evolve``
-    reads.
+    q0, so its rows are a set of positions.
     """
     times = np.asarray(times, dtype=float)
     n = system.n
-    L0 = lax_matrices(system.q0, system.p0, system.g).L
+    L0 = _cauchy(system.q0, 1j * system.g, system.p0)
     Q0 = np.diag(system.q0)
     w2 = system.omega**2
     # the labelled positions of the previous step are last[perm]
@@ -220,18 +218,16 @@ def _label_block(Q0, L0, fc, fs, last, perm):
     ok &= np.isfinite(cost).all(axis=(1, 2))
     perms = []
     for i, (row, simple) in enumerate(zip(nearest.tolist(), ok.tolist())):
-        perm = [row[k] for k in perm] if simple else _match_order(refs[i, perm], vals[i]).tolist()
+        perm = [row[k] for k in perm] if simple else _match_order(cost[i, perm]).tolist()
         perms.append(perm)
     return np.take_along_axis(vals, np.array(perms), axis=1), vals[-1], perm
 
 
-def _match_order(reference, values):
-    """Indices into ``values`` of their minimal-cost assignment to ``reference``."""
+def _match_order(cost):
+    """Column of each row in the minimal-cost assignment of a square cost matrix."""
     # imported on use: scipy.optimize adds about 43 MB ru_maxrss to an hqcsim process
     from scipy.optimize import linear_sum_assignment
-    cost = np.abs(reference[:, None] - values[None, :]) ** 2
-    _, cols = linear_sum_assignment(cost)
-    return cols
+    return linear_sum_assignment(cost)[1]
 
 
 def _pair_forces(q, g2):
@@ -354,12 +350,10 @@ def scattering_permutation(system, T, max_doublings=12):
             f"asymptotic fit residual {residual:.3e} above tolerance {tol:.3e}; "
             "increase T"
         )
-    from scipy.optimize import linear_sum_assignment
-    cost = (
+    cols = _match_order(
         np.abs(p_out[:, None] - p_in[None, :]) ** 2
         + np.abs(q_out[:, None] - q_in[None, :]) ** 2 / max(T, 1.0) ** 2
     )
-    _, cols = linear_sum_assignment(cost)
     mismatch = float(np.max(np.abs(p_out - p_in[cols])))
     if mismatch > tol:
         raise RuntimeError(

@@ -170,58 +170,65 @@ class RunResult:
         return doc
 
 
-def _parse_param(node, what):
-    if isinstance(node, (int, float)):
-        return Affine(complex(node))
-    if isinstance(node, list) and len(node) == 2:
-        return Affine(complex(node[0], node[1]))
+def _parse_param(node):
+    """An affine gate parameter: a number, [re, im], or {base, terms} over outcomes."""
     if isinstance(node, dict):
-        base = node.get("base", 0)
-        base = complex(base) if isinstance(base, (int, float)) else complex(*base)
-        terms = []
-        for term in node.get("terms", []):
-            coeff = term.get("coeff", 1)
-            coeff = complex(coeff) if isinstance(coeff, (int, float)) else complex(*coeff)
-            terms.append((str(term["ref"]), int(term.get("index", 0)), coeff))
-        return Affine(base, tuple(terms))
-    raise CircuitError(f"malformed parameter for {what}: {node!r}")
+        return Affine(_complex(node.get("base", 0)), tuple(
+            (str(term["ref"]), int(term.get("index", 0)), _complex(term.get("coeff", 1)))
+            for term in node.get("terms", [])))
+    return Affine(_complex(node))
 
 
 def _parse_gate(node, modes):
     """The declaration of a gate entry; a missing or malformed field raises
-    CircuitError naming the entry and the field."""
-    try:
-        kind = node.get("type")
-        if kind == "passive":
-            U = np.array(
-                [[complex(re, im) for re, im in row] for row in node["matrix"]],
-                dtype=complex,
-            )
-            if U.shape != (modes, modes):
-                raise CircuitError("passive matrix shape must match the mode count")
-            return GateDecl("passive", tuple(range(modes)), (), U)
-        if kind == "beamsplitter":
-            i, j = (int(k) for k in node["modes"])
-            _check_mode(i, modes)
-            _check_mode(j, modes)
-            if i == j:
-                raise CircuitError("beamsplitter needs two distinct modes")
-            return _beamsplitter(modes, i, j)
-        if kind in ("displace", "squeeze", "shear", "phase"):
-            mode = int(node["mode"])
-            _check_mode(mode, modes)
-            key = {"displace": "amount", "squeeze": "xi", "shear": "s", "phase": "phi"}[kind]
-            param = _parse_param(node[key], kind)
-            return GateDecl(kind, (mode,), (param,))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise _malformed(f"entry {node!r}", exc) from exc
+    CircuitError naming the entry and the field (``_field``)."""
+    kind = _field(node, "type", default=None)
+    if kind == "passive":
+        U = _field(node, "matrix", lambda rows: np.array(
+            [[complex(re, im) for re, im in row] for row in rows], dtype=complex))
+        if U.shape != (modes, modes):
+            raise CircuitError("passive matrix shape must match the mode count")
+        return GateDecl("passive", tuple(range(modes)), (), U)
+    if kind == "beamsplitter":
+        pair = _field(node, "modes", _ints)
+        for k in pair:
+            _check_mode(k, modes)
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise CircuitError("beamsplitter needs two distinct modes")
+        return _beamsplitter(modes, *pair)
+    if kind in ("displace", "squeeze", "shear", "phase"):
+        mode = _field(node, "mode", int)
+        _check_mode(mode, modes)
+        key = {"displace": "amount", "squeeze": "xi", "shear": "s", "phase": "phi"}[kind]
+        return GateDecl(kind, (mode,), (_field(node, key, _parse_param),))
     raise CircuitError(f"unknown gate type {kind!r}")
 
 
-def _malformed(what, exc):
-    """CircuitError for the KeyError, TypeError or AttributeError met reading ``what``."""
-    field = f"missing field {exc}" if isinstance(exc, KeyError) else f"malformed field: {exc}"
-    return CircuitError(f"{what}: {field}")
+def _complex(value):
+    """A complex number from a real number or a [re, im] pair."""
+    re, im = (value, 0) if isinstance(value, (int, float)) else value
+    return complex(re, im)
+
+
+def _ints(values):
+    return tuple(int(v) for v in values)
+
+
+def _field(node, key, convert=lambda value: value, default=..., where=None):
+    """``convert`` of field ``key`` of the document object ``node``, or of
+    ``default`` where the field is absent (``...``: the field is required). A
+    node that is not an object, or a missing or malformed field, raises
+    CircuitError naming the key and ``where``, by default the entry ``node``."""
+    if not isinstance(node, dict):
+        reason = f"a JSON object, not a {type(node).__name__}"
+    elif default is ... and key not in node:
+        reason = f"missing field {key!r}"
+    else:
+        try:
+            return convert(node.get(key, default))
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            reason = f"malformed field {key!r}: {f'missing {e}' if isinstance(e, KeyError) else e}"
+    raise CircuitError(f"{where or f'entry {node!r}'}: {reason}")  # no repr unless it fails
 
 
 @functools.lru_cache(maxsize=64)
@@ -246,16 +253,12 @@ def _check_mode(k, modes):
 def parse_circuit(text):
     """Validated CircuitSpec from a JSON document (round-trips via to_json)."""
     doc = json.loads(text) if isinstance(text, str) else text
-    if not isinstance(doc, dict):
-        raise CircuitError(f"a circuit document is a JSON object, not a {type(doc).__name__}")
-    if doc.get("schema") != SCHEMA:
+    where = "circuit document"
+    if _field(doc, "schema", default=None, where=where) != SCHEMA:
         raise CircuitError(f"unsupported schema {doc.get('schema')!r}; expected {SCHEMA}")
-    try:
-        modes = int(doc["modes"])
-        prep = doc.get("prep", {"kind": "vacuum"})
-        entries = list(doc["circuit"])
-    except (KeyError, TypeError) as exc:
-        raise _malformed("circuit document", exc) from exc
+    modes = _field(doc, "modes", int, where=where)
+    prep = _field(doc, "prep", default={"kind": "vacuum"}, where=where)
+    entries = _field(doc, "circuit", list, where=where)
     if modes < 1:
         raise CircuitError("modes must be positive")
     program, bound, measured, auto = [], {}, set(), 0
@@ -264,10 +267,7 @@ def parse_circuit(text):
             kind = node["measure"]
             if kind not in ("continuous", "discrete"):
                 raise CircuitError(f"unknown measurement kind {kind!r}")
-            try:
-                mlist = tuple(int(k) for k in node["modes"])
-            except (KeyError, TypeError) as exc:
-                raise _malformed(f"entry {node!r}", exc) from exc
+            mlist = _field(node, "modes", _ints)
             for k in mlist:
                 _check_mode(k, modes)
                 if k in measured:
@@ -323,37 +323,38 @@ def prepare_input(builder, modes, normalize=True):
     """Normalized input state from a preparation builder document; with
     ``normalize`` False, a state to be rescaled later (a photon-added base)."""
     finish = normalized if normalize else (lambda state: state)
-    kind = builder.get("kind", "vacuum")
+    kind = _field(builder, "kind", default="vacuum", where="prep")
     if kind == "vacuum":
         return StellarState.vacuum(modes)
     if kind == "fock_pattern":
-        pattern = tuple(int(v) for v in builder["pattern"])
+        pattern = _field(builder, "pattern", _ints, where="prep")
         if len(pattern) != modes:
             raise CircuitError("pattern length must equal the mode count")
         return from_fock_superposition({pattern: 1.0}, modes)
     if kind == "fock":
-        amps = {
-            tuple(int(v) for v in entry["index"]): complex(entry["re"], entry["im"])
-            for entry in builder["amplitudes"]
-        }
+        amps = _field(builder, "amplitudes", lambda entries: {
+            _ints(entry["index"]): complex(entry["re"], entry["im"]) for entry in entries
+        }, where="prep")
         return finish(from_fock_superposition(amps, modes))
     if kind == "gaussian":
-        spec = GaussianUnitarySpec.make(modes, [_constant_gate(n, modes) for n in builder["gates"]])
+        gates = [_constant_gate(n, modes) for n in _field(builder, "gates", list, where="prep")]
+        spec = GaussianUnitarySpec.make(modes, gates)
         return finish(apply_gaussian(StellarState.vacuum(modes), spec))
     if kind == "photon_added":
-        state = prepare_input(builder.get("base", {"kind": "vacuum"}), modes, normalize=False)
-        for op in builder["ops"]:
-            if "create" in op:
-                k = int(op["create"])
+        base = _field(builder, "base", default={"kind": "vacuum"}, where="prep")
+        state = prepare_input(base, modes, normalize=False)
+        for op in _field(builder, "ops", list, where="prep"):
+            if isinstance(op, dict) and "create" in op:
+                k = _field(op, "create", int, where="prep")
                 _check_mode(k, modes)
                 state = apply_gate(state, Create(k))
             else:
-                state = apply_gate(state, _constant_gate(op["gate"], modes))
+                state = apply_gate(state, _constant_gate(_field(op, "gate", where="prep"), modes))
         return finish(state)
     if kind == "state":
-        return finish(hio.state_from_dict(builder["state"]))
+        return finish(hio.state_from_dict(_field(builder, "state", where="prep")))
     if kind == "state_file":
-        return finish(hio.load_state(builder["path"]))
+        return finish(hio.load_state(_field(builder, "path", str, where="prep")))
     raise CircuitError(f"unknown preparation kind {kind!r}")
 
 

@@ -4,13 +4,13 @@ Subcommands: run, sample, prob, rank, schmidt, decompose, cm-trace, evolve,
 table3. table3 runs each non-adaptive quadrant as one circuit document, by a
 library call and by the truncated Fock oracle; ``hqcsim table3 --help`` names
 each quadrant's input, measurement and routes. Output is deterministic for a
-fixed seed (the HQC_SEED environment variable supplies the default); numeric
-values are printed with 17 significant digits. ``--shots``, ``--cutoff`` (photons
-per measured mode) and ``--format`` are read by run and sample only; the other
-subcommands reject them. Exit codes: 0 success (``--help`` included), 1
-validation error (``error: ...`` on stderr), usage errors included, 2
-numeric-tolerance failure (table3). schmidt's ``coefficients`` are the
-singular values of P's monomial coefficients over the partition, not the
+fixed seed (HQC_SEED supplies the default): CSV prints 17 significant digits,
+JSON floats are their shortest round-trip repr. ``--shots``, ``--cutoff``
+(photons per measured mode) and ``--format`` are read by run and sample only;
+the other subcommands reject them. Exit codes: 0 success (``--help``
+included), 1 validation error (``error: ...`` on stderr), usage errors
+included, 2 numeric-tolerance failure (table3). schmidt's ``coefficients`` are
+the singular values of P's monomial coefficients over the partition, not the
 state's Schmidt coefficients, which also weigh each monomial by its norm
 (sqrt(n!) with no Gaussian part); its rank and ``separable`` verdict are right.
 """
@@ -177,12 +177,11 @@ def cmd_decompose(args):
 def cmd_cm_trace(args):
     with open(args.system) as fh:
         doc = json.load(fh)
-    try:
-        q0, p0 = ([complex(re, im) for re, im in doc[key]] for key in ("q0", "p0"))
-        g, omega = (complex(*v) if isinstance(v, list) else complex(v)
-                    for v in (doc["g"], doc.get("omega", 0)))
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise circ._malformed(f"system file {args.system}", exc) from exc
+    where = f"system file {args.system}"
+    q0, p0 = (circ._field(doc, key, lambda v: [complex(re, im) for re, im in v], where=where)
+              for key in ("q0", "p0"))
+    g = circ._field(doc, "g", circ._complex, where=where)
+    omega = circ._field(doc, "omega", circ._complex, 0, where)
     system = cm.CMSystem.make(q0, p0, g, omega)
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
@@ -203,8 +202,6 @@ _EVOLVE_HAMILTONIANS = {
 
 def cmd_evolve(args):
     state = hio.load_state(args.state)
-    if state.modes != 1:
-        raise circ.CircuitError("evolve acts on single-mode states")
     ham = _EVOLVE_HAMILTONIANS[args.gate](complex(args.re, args.im))
     if args.trajectory:
         if args.steps < 2:

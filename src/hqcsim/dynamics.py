@@ -1,17 +1,14 @@
 """Single-mode Gaussian dynamics of finite-rank stellar states.
 
-Every single-mode Gaussian Hamiltonian (alpha, xi, phi) has one closed form
-(``closed_form_trajectory``, ``evolve``): (a, b, c) follow the 2x2 propagator
-exp(tK) = fc I + fs K, K = [[i phi, -xi], [-conj(xi), -i phi]], through a
-Moebius map (``multimode._mode_exponents``) plus the displacement integrals,
-and the zeros move as Calogero-Moser particles under a constant force
-(``calogero.cm_solve_path``). Two independent routes check it:
-
-* the section engine ``multimode.apply_gate`` on mode 0, which transports the
-  polynomial through the gate; ``evolve`` falls back to it when squeezing
-  meets a repeated zero, whose Calogero-Moser labels are undefined,
-* fixed-step RK4 integration of the coupled dynamical system
-  (``ode_evolve``), the cross-check oracle.
+The flow of a single-mode Gaussian Hamiltonian (alpha, xi, phi) is one
+``multimode.ModeRun`` (``gaussian_flow``): the 2x2 propagator exp(tK) = fc I +
+fs K, K = [[i phi, -xi], [-conj(xi), -i phi]], then the drive's displacement
+D(beta) and phase. ``evolve`` runs it through the gate kernel
+``multimode._section_gate`` for every state, repeated zeros included: there is
+no fallback. ``closed_form_trajectory`` samples the same flow on a grid of
+times for (a, b, c) and moves the zeros as Calogero-Moser particles under a
+constant force (``calogero.cm_solve_path``). Fixed-step RK4 integration of the
+coupled dynamical system (``ode_evolve``) is the independent oracle.
 
 Gate/drive convention: evolving for time t under the drive alpha, xi or phi
 alone gives the gate D(alpha t), S(xi t) or R(phi t). Both routes drop the
@@ -23,7 +20,6 @@ exp(-i s t/2) P(s t).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,23 +36,33 @@ class GaussianHamiltonian1M:
     The generator is alpha a^dag - conj(alpha) a + (xi a^dag^2 - conj(xi) a^2)/2
     + i phi a^dag a: alpha is the displacement drive, xi the squeezing drive,
     phi the phase-shift drive. The zeros of the stellar function move as
-    Calogero-Moser particles with coupling g = -i conj(xi) (g^2 = -conj(xi)^2),
-    frequency omega^2 = phi^2 - |xi|^2 and the constant force
-    conj(xi) alpha - i phi conj(alpha); without squeezing they do not interact.
-    The classification is the sign of omega^2: elliptic (positive),
-    hyperbolic (negative), parabolic (zero).
+    Calogero-Moser particles with the properties ``coupling`` g = -i conj(xi)
+    (g^2 = -conj(xi)^2), ``omega2`` = phi^2 - |xi|^2 and ``force``, the constant
+    force conj(xi) alpha - i phi conj(alpha) on every zero; without squeezing
+    they do not interact. The classification is the sign of omega^2: elliptic
+    (positive), hyperbolic (negative), parabolic (zero).
     """
 
     alpha: complex = 0j
     xi: complex = 0j
     phi: float = 0.0
 
+    @property
+    def omega2(self):  # exactly 0 on the parabolic line |phi| = |xi|
+        return mm._omega2(complex(self.xi), float(self.phi))
+
+    @property
+    def coupling(self):
+        return -1j * complex(self.xi).conjugate()
+
+    @property
+    def force(self):
+        al = complex(self.alpha)
+        return complex(self.xi).conjugate() * al - 1j * float(self.phi) * al.conjugate()
+
     def classification(self):
-        if abs(self.phi) > abs(self.xi):
-            return "elliptic"
-        if abs(self.phi) < abs(self.xi):
-            return "hyperbolic"
-        return "parabolic"
+        w2 = self.omega2
+        return "elliptic" if w2 > 0 else "hyperbolic" if w2 < 0 else "parabolic"
 
     @staticmethod
     def displacement(alpha):
@@ -94,22 +100,15 @@ class ZeroTrajectory:
         return from_zeros(self.zeros[:, i], a, b, c)
 
 
-def _factor_poly(state):
-    """Leading coefficient and zeros of the polynomial part (single mode)."""
+def _monic_form(state):
+    """Zeros, a, b and c + log(leading coefficient of P) of a single-mode state."""
     if state.modes != 1:
         raise ValueError("single-mode states only")
     coeffs = poly_coeffs_1m(state)
     lead = coeffs[-1]
     if lead == 0:
         raise ValueError("polynomial part has vanishing leading coefficient")
-    if coeffs.size == 1:
-        return lead, np.zeros(0, dtype=complex)
-    return lead, np.roots(coeffs[::-1] / lead)
-
-
-def _monic_form(state):
-    """Zeros, a, b and c_eff = c + log(lead) of a single-mode state."""
-    lead, zeros = _factor_poly(state)
+    zeros = np.roots(coeffs[::-1] / lead) if coeffs.size > 1 else np.zeros(0, dtype=complex)
     g = state.gauss
     return zeros, complex(g.A[0, 0]), complex(g.B[0]), complex(g.C) + np.log(lead)
 
@@ -117,13 +116,12 @@ def _monic_form(state):
 def initial_velocities(zeros, a, b, hamiltonian):
     """d(lambda_k)/dt at t=0 for the coupled dynamical system."""
     zeros = np.asarray(zeros, dtype=complex)
-    al, xi, phi = hamiltonian.alpha, hamiltonian.xi, hamiltonian.phi
-    xis = np.conj(xi)
-    out = -(xis * a + 1j * phi) * zeros + xis * b + np.conj(al)
-    if xi:  # the pair interaction scales with conj(xi)
+    xis = complex(hamiltonian.xi).conjugate()
+    out = -(xis * a + 1j * hamiltonian.phi) * zeros + xis * b + np.conj(hamiltonian.alpha)
+    if xis:  # the pair interaction scales with conj(xi)
         cm._require_distinct(zeros, "initial velocities require simple zeros")
-        for k in range(zeros.size):
-            out[k] += xis * sum(1.0 / (zeros[k] - zeros[j]) for j in range(zeros.size) if j != k)
+        # sum_{j != k} 1/(lambda_k - lambda_j), in loop order; scalar products keep its bits
+        out += [-xis * s for s in cm._cauchy(zeros).sum(axis=0).tolist()]
     return out
 
 
@@ -140,82 +138,84 @@ _SERIES = np.array(
 )
 
 
-def _drift_integrals(w2, times, fc, fs):
-    """fk = int_0^t fs = (1 - fc)/omega^2 and fi = int_0^t fs^2 = (t - fs fc)/(2 omega^2)."""
-    x = w2 * times * times
+def _drift(hamiltonian, t):
+    """(beta, phase, shift) that the displacement drive alpha adds to the flow
+    of (xi, phi) over the time(s) t, from fk = int_0^t fs = (1 - fc)/omega^2
+    and fi = int_0^t fs^2 = (t - fs fc)/(2 omega^2).
+
+    Each increment alpha ds, carried through the rest of the flow, becomes
+    D(mu alpha ds - conj(nu) conj(alpha) ds) (``multimode.ModeRun``), so
+    beta = alpha fs + (i phi alpha + xi conj(alpha)) fk; merging the increments
+    gives the phase -i int_0^t Im(conj(alpha) beta) = -i (phi |alpha|^2 +
+    Im(xi conj(alpha)^2)) (2 fi - fs fk). Every zero moves by shift = force fk.
+    """
+    al = complex(hamiltonian.alpha)
+    if not al:
+        return 0j, 0j, 0j
+    xi, phi, w2 = complex(hamiltonian.xi), float(hamiltonian.phi), hamiltonian.omega2
+    fc, fs = cm._propagator(w2, t)
+    x = w2 * t * t
     near = np.abs(x) < 1.0
-    powers = np.where(near, -x, 0.0)[:, None] ** np.arange(12)
-    fk, fi = np.einsum("tk,kj->jt", powers, _SERIES) * (times**2, times**3)
+    powers = np.where(near, -x, 0.0)[..., None] ** np.arange(12)
+    fk, fi = np.einsum("...k,kj->j...", powers, _SERIES) * (t**2, t**3)
     if not near.all():
         fk = np.where(near, fk, (1.0 - fc) / w2)
-        fi = np.where(near, fi, (times - fs * fc) / (2.0 * w2))
-    return fk, fi
+        fi = np.where(near, fi, (t - fs * fc) / (2.0 * w2))
+    beta = al * fs + (1j * phi * al + xi * al.conjugate()) * fk
+    phase = -1j * (phi * abs(al) ** 2 + (xi * al.conjugate() ** 2).imag) * (2.0 * fi - fs * fk)
+    return beta, phase, hamiltonian.force * fk
+
+
+def gaussian_flow(hamiltonian, t):
+    """The evolution for time t under ``hamiltonian``, whatever the state, as one
+    ``multimode.ModeRun`` on mode 0: (mu, nu) the first column of exp(tK), c the
+    continued -log(y)/2 - i phi t/2 at a = 0 (``multimode._mode_exponents``)
+    plus the drive's phase, and beta its displacement (``_drift``). An array t
+    gives a run of arrays over t."""
+    _, _, _, c, mu, nu = mm._mode_exponents(0j, complex(hamiltonian.xi), hamiltonian.phi, t)
+    beta, phase, _ = _drift(hamiltonian, t)
+    return mm.ModeRun(0, mu, nu, beta, c + phase)
 
 
 def closed_form_trajectory(state, hamiltonian, times):
     """Zero/Gaussian paths of a single-mode state under ``hamiltonian`` on a
     grid of times, in closed form (the identity-free convention of ``ode_evolve``).
 
-    (a, b, c) follow the 2x2 propagator exp(tK) of ``multimode._mode_exponents``;
-    the displacement drive alpha adds to b the integral of y (alpha + conj(alpha) a)
-    and to c the matching quadratures. The zeros are Calogero-Moser particles
-    (coupling -i conj(xi), frequency omega) translated by f fk for the constant
-    force f = conj(xi) alpha - i phi conj(alpha), and keep their labels, so the
-    grid must resolve close encounters (see ``calogero.cm_solve_path``). Without
-    squeezing they do not interact; with it a repeated zero has no labels and
-    raises calogero.CollisionError.
+    (a, b, c) follow the flow of ``gaussian_flow`` as ``multimode._section_gate``
+    moves a Gaussian: the Moebius map at the state's a, then D(beta); the monic
+    polynomial's leading coefficient scales by b_scale^n. The zeros are
+    Calogero-Moser particles translated by the drive's shift (``_drift``) that
+    keep their labels, so the grid must resolve close encounters
+    (``calogero.cm_solve_path``); under squeezing a repeated zero has no labels
+    and raises calogero.CollisionError.
     """
     times = np.asarray(times, dtype=float)
     zeros, a, b, c = _monic_form(state)
-    al, xi, phi = complex(hamiltonian.alpha), complex(hamiltonian.xi), float(hamiltonian.phi)
-    n, w2 = zeros.size, mm._omega2(xi, phi)
-    fc, fs = cm._propagator(w2, times)
-    fk, fi = _drift_integrals(w2, times, fc, fs)
+    xi, phi, n, w2 = complex(hamiltonian.xi), float(hamiltonian.phi), zeros.size, hamiltonian.omega2
     a_t, b_scale, kappa, c_const, _, _ = mm._mode_exponents(a, xi, phi, times)
-    alc, k = np.conj(al), np.conj(xi) * a + 1j * phi
-    f = np.conj(xi) * al - 1j * phi * alc
-    v1, v2 = al + alc * a, -al * k + alc * (1j * phi * a - xi)
-    beta = b + v1 * fs + v2 * fk  # y b(t); d(beta)/dt = v1 fc + v2 fs
-    g = f * fk - alc * fs
-    # int_0^t g d(beta), from int fk fc = fs fk - fi, int fk fs = fk^2/2, int fs fc = fs^2/2
-    rest = (f * v1 * (fs * fk - fi) + 0.5 * f * v2 * fk**2 - 0.5 * alc * v1 * fs**2
-            - alc * v2 * fi)
-    gauss = np.column_stack((
-        a_t,
-        b_scale * beta,
-        c + (2 * n + 1) * c_const + 1j * n * phi * times + kappa * beta**2 + g * beta - rest,
-    ))
-    v0 = initial_velocities(zeros, a, b, hamiltonian)
+    beta, phase, shift = _drift(hamiltonian, times)
+    b0 = np.full(times.shape, b)  # array products throughout: numpy's scalar ones may round apart
+    b1, bc = b_scale * b0, np.conj(beta)
+    # b_scale^n = exp(n (2 c_const + i phi t)), with the continued log of c_const
+    gauss = np.column_stack((a_t, b1 + beta + a_t * bc, c + (2 * n + 1) * c_const
+                             + 1j * n * phi * times + kappa * b0**2 + phase - b1 * bc
+                             - 0.5 * a_t * bc**2 - 0.5 * abs(beta) ** 2))
+    v0 = initial_velocities(zeros, a, b, hamiltonian)  # which checks the zeros apart
     if n and xi:
-        system = cm.CMSystem.make(zeros, v0, -1j * np.conj(xi), np.sqrt(complex(w2)))
+        system = cm.CMSystem(zeros, v0, hamiltonian.coupling, complex(np.sqrt(complex(w2))))
         zeros_path = cm.cm_solve_path(system, times)
     else:
+        fc, fs = cm._propagator(w2, times)
         zeros_path = zeros[:, None] * fc + v0[:, None] * fs
-    return ZeroTrajectory(times, zeros_path + f * fk, gauss)
+    return ZeroTrajectory(times, zeros_path + shift, gauss)
 
 
 def evolve(state, hamiltonian, t):
-    """State after evolving for time t under the single-mode Hamiltonian.
-
-    A repeated zero under squeezing has no Calogero-Moser labels; without a
-    displacement drive the polynomial is then transported by the section
-    engine ``multimode._section_gate`` instead (with a warning), and with one
-    calogero.CollisionError is raised.
-    """
-    if t == 0:
-        return state
-    try:
-        return closed_form_trajectory(state, hamiltonian, [t]).state_at(0)
-    except cm.CollisionError:
-        if hamiltonian.alpha:
-            raise
-        warnings.warn("zero collision in closed-form evolution; using the section engine",
-                      stacklevel=2)
-    a = complex(state.gauss.A[0, 0])
-    a_new, b_scale, kappa, c_const, _, nu = mm._mode_exponents(
-        a, complex(hamiltonian.xi), float(hamiltonian.phi), t
-    )
-    return mm._section_gate(state, 0, a_new, b_scale, kappa, c_const, nu)
+    """State after evolving for time t under the single-mode Hamiltonian: its
+    flow (``gaussian_flow``) applied by the gate kernel, whatever the zeros."""
+    if state.modes != 1:
+        raise ValueError("single-mode states only")
+    return mm._apply_run(state, gaussian_flow(hamiltonian, float(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +227,8 @@ def _system_derivative(n, hamiltonian):
     of these values (Python complex scalars, see ``calogero._rk4_path``)."""
     al, xi, phi = complex(hamiltonian.alpha), complex(hamiltonian.xi), float(hamiltonian.phi)
     xis, alc = xi.conjugate(), al.conjugate()
-    hxis, iphi, i2phi, w2 = 0.5 * xis, 1j * phi, 2j * phi, abs(xi) ** 2 - phi**2
-    force, g2, free = xis * al - iphi * alc, -(xis**2), [0j] * n
+    hxis, iphi, i2phi, w2 = 0.5 * xis, 1j * phi, 2j * phi, hamiltonian.omega2
+    force, g2, free = hamiltonian.force, hamiltonian.coupling**2, [0j] * n
     pair_forces = cm._pair_forces if n > 1 and xi else lambda lam, g2: free
 
     def deriv(y):
@@ -236,7 +236,7 @@ def _system_derivative(n, hamiltonian):
         xa, lam = xis * a, y[3 : 3 + n]
         return [xa * a + i2phi * a - xi, (iphi + xa) * b + al + alc * a,
                 hxis * a - hxis * b * b - alc * b + n * (xa + iphi), *y[3 + n :],
-                *[w2 * x + force + f for x, f in zip(lam, pair_forces(lam, g2))]]
+                *[force + f - w2 * x for x, f in zip(lam, pair_forces(lam, g2))]]
 
     return deriv
 

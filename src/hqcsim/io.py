@@ -1,7 +1,7 @@
 """File formats: stellar-state JSON, trajectory CSV, outcome CSV.
 
-All numeric output is printed with 17 significant digits so runs are
-byte-reproducible.
+CSV prints 17 significant digits (``fmt``), JSON the shortest round-trip repr
+of each float: both give the exact double, so runs are byte-reproducible.
 """
 
 from __future__ import annotations

@@ -250,12 +250,16 @@ def from_fock_superposition(amps, modes):
     return StellarState.make(modes, PolyPart.make(coeffs), GaussPart.vacuum(modes))
 
 
-def evaluate(state, z):
-    """Pointwise value F(z): ``evaluate_grid`` at one point."""
+def _point(state, z):
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.size != state.modes:
         raise ValueError(f"point has {z.size} components, state has {state.modes} modes")
-    return complex(evaluate_grid(state, list(z)))
+    return list(z)
+
+
+def evaluate(state, z):
+    """Pointwise value F(z): ``evaluate_grid`` at one point."""
+    return complex(evaluate_grid(state, _point(state, z)))
 
 
 def evaluate_grid(state, zgrids):
@@ -266,13 +270,16 @@ def husimi_density(state, alpha):
     """Husimi density Q(alpha) = exp(-|alpha|^2) |F(alpha*)|^2 / pi^m.
 
     Requires a normalized state; unnormalized input is reported, not rescaled.
+    The log density, -|alpha|^2 + 2 Re E(alpha*) + 2 log|P(alpha*)| - m log pi
+    for F = P exp(E), is exponentiated once, so no factor overflows.
     """
     ns = norm_squared(state)
     if abs(ns - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized: norm^2 = {ns!r}")
-    alpha = np.asarray(alpha, dtype=complex).reshape(-1)
-    val = evaluate(state, np.conj(alpha))
-    return float(np.exp(-np.sum(np.abs(alpha) ** 2)) * abs(val) ** 2 / np.pi ** state.modes)
+    z = _point(state, np.conj(alpha))
+    p = abs(complex(state.poly.evaluate_grid(z)))
+    log_q = 2.0 * complex(state.gauss.exponent_grid(z)).real - float(np.sum(np.abs(z) ** 2))
+    return math.exp(log_q + 2.0 * math.log(p) - state.modes * math.log(math.pi)) if p else 0.0
 
 
 def _shell_indices(modes, degree):

@@ -87,9 +87,9 @@ def fallbacks(monkeypatch):
     calls = []
     match = cm._match_order
 
-    def counted(reference, values):
-        calls.append(len(values))
-        return match(reference, values)
+    def counted(cost):
+        calls.append(len(cost))
+        return match(cost)
 
     monkeypatch.setattr(cm, "_match_order", counted)
     return calls

@@ -217,14 +217,12 @@ class TestShearing:
         u, v = fock_vector(lhs, 45), fock_vector(rhs, 45)
         assert np.max(np.abs(u - v)) < 1e-8
 
-    def test_collision_fallback(self):
-        # double zero: the eigenvalue route is refused, the section engine used
+    def test_repeated_zero_matches_gate_and_oracle(self):
+        # a double zero has no Calogero-Moser labels; evolve never needs them
         s = st.from_fock_superposition({(2,): 1.0}, 1)
-        with pytest.warns(UserWarning, match="collision"):
-            out = dy.evolve(s, H.shearing(0.5), 1.0)
+        out = dy.evolve(s, H.shearing(0.5), 1.0)
         ref = mm.apply_gate(s, Shear(0, 0.5))
         assert vectors_overlap(fock_vector(out, 35), fock_vector(ref, 35)) > 1 - 1e-12
-        # the fallback is itself checked against the truncated-Fock oracle
         from hqcsim.fockspace import FockBasis, fock_oracle_apply
 
         arr = st.to_fock_array(s, 35, warn_tail=False)
@@ -232,14 +230,29 @@ class TestShearing:
         assert vectors_overlap(fock_vector(out, 35), FockBasis(1, 35).vector(oracle)) > 1 - 1e-8
 
 
+def fock_expm(state, ham, t, cutoff):
+    """exp(tX) on the truncated Fock vector of ``state``, X the generator of ``ham``."""
+    from scipy.sparse.linalg import expm_multiply
+
+    from hqcsim.fockspace import FockBasis
+
+    basis = FockBasis(1, cutoff)
+    ad, an = basis.creation(0), basis.annihilation(0)
+    al, xi = ham.alpha, ham.xi
+    gen = (al * ad - np.conj(al) * an + 0.5 * (xi * (ad @ ad) - np.conj(xi) * (an @ an))
+           + 1j * ham.phi * (ad @ an))
+    return expm_multiply(t * gen, fock_vector(state, cutoff))
+
 
 class TestClosedFormTrajectory:
-    def test_repeated_zero_with_displacement_raises(self):
-        # squeezing with a displacement drive: no Calogero-Moser labels and no
-        # section-engine fallback
+    def test_repeated_zero_with_displacement_matches_fock_expm(self):
+        # squeezing, phase and displacement drives on a double zero: one route
         s = st.from_fock_superposition({(2,): 1.0}, 1)
-        with pytest.raises(cm.CollisionError):
-            dy.evolve(s, H(alpha=0.3, xi=0.5j), 1.0)
+        ham = H(alpha=0.3, xi=0.5j, phi=0.2)
+        out = dy.evolve(s, ham, 1.0)
+        assert st.norm_squared(out) == pytest.approx(1.0, abs=1e-12)
+        expect = fock_expm(s, ham, 1.0, 70)
+        assert np.max(np.abs(fock_vector(out, 70) - expect)) < 1e-8
 
     @pytest.mark.parametrize("kind, drive", [("S", 0.5j), ("P", 0.5)])
     def test_repeated_zero_raises(self, kind, drive):
@@ -444,20 +457,38 @@ class TestCombinedClosedForm:
         (H(alpha=0.4 + 0.1j), 0.9),                      # displacement alone
     ])
     def test_matches_fock_expm(self, ham, t):
-        from scipy.sparse.linalg import expm_multiply
-
-        from hqcsim.fockspace import FockBasis
-
-        cutoff = 70
-        basis = FockBasis(1, cutoff)
-        ad, an = basis.creation(0), basis.annihilation(0)
-        al, xi = ham.alpha, ham.xi
-        gen = (al * ad - np.conj(al) * an + 0.5 * (xi * (ad @ ad) - np.conj(xi) * (an @ an))
-               + 1j * ham.phi * (ad @ an))
         s = st.normalized(st.from_zeros([0.5 + 0.2j, -0.3 + 0.4j], 0.15j, 0.1, 0.0))
-        expect = expm_multiply(t * gen, fock_vector(s, cutoff))
-        got = fock_vector(dy.evolve(s, ham, t), cutoff)
-        assert np.max(np.abs(got - expect)) < 1e-9
+        got = fock_vector(dy.evolve(s, ham, t), 70)
+        assert np.max(np.abs(got - fock_expm(s, ham, t, 70))) < 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        # separated zeros: a unit ring of up to 4 points, each moved by at most 0.3
+        moves=hst.lists(
+            hst.complex_numbers(max_magnitude=0.3, allow_nan=False, allow_infinity=False),
+            max_size=4,
+        ),
+        a=hst.complex_numbers(max_magnitude=0.4, allow_nan=False, allow_infinity=False),
+        b=hst.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False),
+        alpha=hst.one_of(hst.just(0j), hst.complex_numbers(
+            min_magnitude=0.1, max_magnitude=0.5, allow_nan=False, allow_infinity=False)),
+        xi=hst.one_of(hst.just(0j), hst.complex_numbers(
+            min_magnitude=0.1, max_magnitude=0.6, allow_nan=False, allow_infinity=False)),
+        phi=hst.one_of(hst.just(0.0), hst.floats(-0.8, 0.8)),
+        t=hst.floats(-1.0, 1.0).filter(lambda t: abs(t) > 1e-3),
+    )
+    def test_three_routes_agree_in_fock_amplitudes(self, moves, a, b, alpha, xi, phi, t):
+        n = len(moves)
+        zeros = np.exp(2j * np.pi * np.arange(n) / n) + np.array(moves, dtype=complex)
+        ham = H(alpha=alpha, xi=xi, phi=phi)
+        s = st.normalized(st.from_zeros(zeros, a, b, 0.0))
+        traj = dy.closed_form_trajectory(s, ham, np.linspace(0.0, t, 201))
+        # RK4 reaches 1e-10 while the zeros stay apart
+        assume(min(map(cm._min_separation, traj.zeros.T)) >= 0.4)
+        u = fock_vector(dy.evolve(s, ham, t), 40)
+        ode = dy.ode_evolve(s, ham, t, steps=2000).state_at(-1)
+        assert np.max(np.abs(u - fock_vector(traj.state_at(-1), 40))) < 1e-10
+        assert np.max(np.abs(u - fock_vector(ode, 40))) < 1e-10
 
     @pytest.mark.parametrize("t", [4.0, -4.0])
     def test_log_winding(self, t):

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 from hqcsim import fockspace as fs
 from hqcsim import multimode as mm
 from hqcsim import states as st
-from hqcsim.gates import Passive
+from hqcsim.gates import Passive, Squeeze
 from conftest import (
     coherent_state,
     partly_coupled_gauss,
@@ -100,6 +100,17 @@ class TestHusimi:
         s = st.StellarState.vacuum(1).scaled(0.3)
         with pytest.raises(ValueError, match="not normalized"):
             st.husimi_density(s, [0.0])
+
+    @pytest.mark.parametrize("alpha", [5.0, 20.0, 30.0, 40.0, 40j])
+    def test_squeezed_vacuum_far_out(self, alpha):
+        # S(1.5) = exp((1.5 a^dag^2 - 1.5 a^2)/2) stretches x: var x = e^3/2, var p = e^-3/2.
+        # The Husimi Q is the normal density of covariance V + I/2 in (x, p) =
+        # sqrt(2) (Re alpha, Im alpha), times 2 as d^2 alpha = dx dp / 2.
+        s = mm.apply_gate(st.StellarState.vacuum(1), Squeeze(0, 1.5))
+        var = 0.5 * (np.exp([3.0, -3.0]) + 1.0)
+        xp = math.sqrt(2.0) * np.array([alpha.real, alpha.imag])
+        expect = np.exp(-0.5 * np.sum(xp**2 / var)) / (np.pi * np.sqrt(np.prod(var)))
+        assert st.husimi_density(s, [alpha]) == pytest.approx(expect, rel=1e-10, abs=0.0)
 
     def test_definitional_identity(self, rng):
         s = st.normalized(random_state(rng, 2, 2))
