@@ -317,10 +317,12 @@ def _mode_exponents(a, xi, phi, t=1.0):
     log_y = np.log(fc - 1j * phi * fs)
     w2 = _omega2(xi, phi)
     if w2 > 0:
-        # fc and fs are real, so y(0) meets the negative axis only at fs = 0,
-        # y = -1 (omega |t| = pi, 3 pi, ...), crossing it in the sense of -phi t
-        turns = (math.sqrt(w2) * abs(t) / math.pi + 1.0) // 2.0
-        log_y = log_y - 2j * math.pi * np.sign(phi * t) * turns
+        # y = cos(omega t) - i (phi / omega) sin(omega t) turns in the sense of -phi t,
+        # and |phi| >= omega keeps its continued angle within pi/2 of
+        # -sign(phi t) omega |t|: log y takes the branch nearest that angle
+        ref = -np.sign(phi * t) * math.sqrt(w2) * abs(t)
+        turns = ((log_y.imag - ref) / (2.0 * math.pi) + 0.5) // 1.0
+        log_y = log_y - 2j * math.pi * turns
     return a_new, b_scale, kappa, -0.5 * log_y - 0.5j * phi * t + dc, mu, nu
 
 

@@ -15,9 +15,10 @@ outcome, its mass (density) and the proposal points tried, and
 (or the amplitude when no mode is left). A heterodyne draw is by rejection
 from an inflated Gaussian fitted to the Gaussian part of the state. The
 target density of a measured mode, with other modes left or none, is the
-Bargmann norm of the coherent projection, evaluated in closed form for a
-whole batch of outcomes at once; every target is computed in the log domain
-and exponentiated once. The envelope is proven, not estimated
+Bargmann norm of the coherent projection, in closed form: each plan fills one
+mean-zero Wick table, and each outcome Taylor-shifts its polynomial by the
+outcome's mean and contracts it with that table; every target is computed in
+the log domain and exponentiated once. The envelope is proven, not estimated
 (``_RejectionPlan``), so the draws are exact; acceptance falls with the
 stellar rank, and below MIN_ACCEPT_RATE the sampler raises. A target that is
 NaN or exceeds the envelope raises RuntimeError instead of biasing the sample.
@@ -54,6 +55,7 @@ from .states import (
     _kept,
     _section,
     _section_poly,
+    _taylor_shifted,
     _wick_moments,
     _wick_table,
     norm_squared,
@@ -397,8 +399,9 @@ class _RejectionPlan:
     The proposal is N(mean, PROPOSAL_INFLATION Sigma_0), the mode's block of the
     Gaussian-part Husimi (``_husimi_gaussian_moments``). The target is
     Gamma(w) s(w): the Gaussian core Gamma (the target with P = 1) is a constant
-    times N(mean, Sigma_0), and s(w) = sum_ab conj(p_a) p_b T_ab(mu(w)) >= 0 is a
-    polynomial of degree D <= 2 deg P in (Re w, Im w). In whitened coordinates
+    times N(mean, Sigma_0), and s(w) = Re c(w)^H T0 c(w) >= 0 (``log_target``,
+    T0 the plan's one mean-zero Wick table) is a polynomial of degree
+    D <= 2 deg P in (Re w, Im w). In whitened coordinates
     u of Sigma_0, target/proposal = f(u) exp(-beta |u|^2) with f of degree D and
     beta = (1 - 1/PROPOSAL_INFLATION) / 2. With f = sum_ij f_ij u_1^i u_2^j,
     fitted exactly on (D + 1)^2 nodes,
@@ -425,6 +428,8 @@ class _RejectionPlan:
         Q, layout = _section(state, k, max(n[k] for n in terms), R,
                              max(sum(n) - n[k] for n in terms))
         self.index, self.Q, self.powers = layout.index, Q[:, :-1], np.arange(len(Q))
+        # the Wick table at mean zero: each target shifts its polynomial to its mean
+        self.T0 = _wick_moments(np.zeros(2 * len(R)), self.K, self.index, self.index)
         mean, cov0 = _husimi_gaussian_moments(g)
         sel = [k, m + k]
         self.mean = mean[sel]
@@ -462,9 +467,14 @@ class _RejectionPlan:
         s1 = s2 = the projection; K and the eigenvalue roots do not depend on w),
 
             log t = 2 Re const + Re(L mu) / 2 - sum_i log sqrt(1 - lambda_i)
-                    + log sum_{a,b} conj(p_a) p_b T[a, b](mu).
+                    + log s(w),  s(w) = sum_{a,b} conj(p_a) p_b E[u^a w^b],
 
-        With R empty, p(w) = P(w) and T = 1.
+        the moments taken at mean mu and covariance K. Shifted to mean zero,
+        E[u^a w^b] = E0[(x + mu_u)^a (y + mu_w)^b], so s(w) = Re c^H T0 c with
+        T0 the moments at mean zero, filled once per plan, and c = p(w) shifted
+        by mu_w (``states._taylor_shifted``): the pairing of the projection with
+        itself makes mu_u = conj(mu_w), so conj(p) shifted by mu_u is conj(c).
+        With R empty, c = p(w) = P(w) and T0 = 1.
         """
         w = np.atleast_2d(W)[:, 0]
         BR = self.B_R - w[:, None] * self.A_RI
@@ -472,8 +482,8 @@ class _RejectionPlan:
         L = np.concatenate([np.conj(BR), BR], axis=1)
         mu = L @ self.K  # K is symmetric
         p = (w[:, None] ** self.powers) @ self.Q
-        T = _wick_moments(mu, self.K, self.index, self.index)
-        s = np.einsum("na,nab,nb->n", np.conj(p), T, p).real
+        c = _taylor_shifted(p, mu[:, len(self.B_R):], self.index)  # shifted by mu_w
+        s = np.sum((np.conj(c) @ self.T0) * c, axis=1).real
         # -inf where rounding leaves s <= 0 at a zero; NaN stays NaN
         log_s = np.log(s, out=np.full_like(s, -np.inf), where=~(s <= 0))
         return (2.0 * const.real - np.abs(w) ** 2 + 0.5 * np.einsum("ni,ni->n", L, mu).real

@@ -14,7 +14,10 @@ M = [[conj(A1), I], [I, A2]], K = M^-1 and L = (conj(B1), B2):
 
 with lambda_i the eigenvalues of conj(A1) A2, p1, p2 the polynomial coefficients
 and T[a, b] = E[u^a w^b] the Wick moments of mean K L and covariance K. The
-square root is taken per eigenvalue (see ``inner_product``).
+square root is taken per eigenvalue (see ``inner_product``). One routine,
+``_wick_moments``, fills every Wick table: at the mean K L for an inner product
+or a Fock mass, and at mean zero for a heterodyne plan, against which each
+outcome's polynomial is Taylor-shifted by its mean (``_taylor_shifted``).
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ EPS_ADMISSIBLE = 1e-6
 PRUNE_REL = 1e-14
 # Tolerance on |norm^2 - 1| for operations that require normalized input.
 NORM_TOL = 1e-8
-# Wick tables (entries times batch) up to this size fill in steps (``_wick_moments``).
-WICK_STEPPED = 4096
 
 
 class AdmissibilityError(ValueError):
@@ -500,64 +501,41 @@ def _add_linear(out, Q, coefs, layout):
 
 
 def _wick_moments(mu, K, rows, cols):
-    """T[n, a, b] = E[u^a w^b], a in ``rows``, b in ``cols``, for the formal
-    Gaussians over v = (u, w) of means ``mu[n]`` and common covariance ``K``.
+    """T[a, b] = E[u^a w^b], a in ``rows``, b in ``cols``, for the formal Gaussian
+    over v = (u, w) of mean ``mu`` and covariance ``K``: the one Wick fill.
 
-    ``mu`` has a leading batch axis. Filled from E[v_r f] = mu_r E[f] + sum_l K_rl
-    E[df/dv_l]: the row a = 0 shell by shell in b, then the rows shell by shell in a.
-    Up to WICK_STEPPED entries times batch, where numpy's per-call cost dominates, a shell
-    is one gather and one contraction (``_wick_steps``); larger tables stream whole rows."""
-    if len(mu) * rows.size * cols.size > WICK_STEPPED:
-        return _wick_shells(mu, K, rows, cols)
-    T = np.zeros(((rows.size + 1) * (cols.size + 1), len(mu)), dtype=complex)  # batch last
-    T[0] = 1.0
-    if rows.shells or cols.shells:
-        steps, var, fac = _wick_steps(rows, cols)
-        W = np.empty((len(fac), fac.shape[1] + 1, len(mu)), dtype=complex)
-        W[:, 0], W[:, 1:] = mu[:, var].T, (K[var] * fac)[..., None]
-        for lo, hi, tgt, src in steps:
-            T[tgt] = np.einsum("sjn,sjn->sn", T.take(src, axis=0), W[lo:hi])
-    return T.T.reshape(len(mu), rows.size + 1, cols.size + 1)[:, :-1, :-1]
-
-
-def _wick_shells(mu, K, rows, cols):
-    """``_wick_moments`` shell by shell, vectorised over the batch and b."""
-    m, nc = mu.shape[1] // 2, cols.size
-    # last row/column: zero pads
-    T = np.zeros((mu.shape[0], rows.size + 1, nc + 1), dtype=complex)
-    first = T[:, 0]
-    first[:, 0] = 1.0
+    Filled from E[v_r f] = mu_r E[f] + sum_l K_rl E[df/dv_l]: the row a = 0 shell
+    by shell in b, then the rows shell by shell in a, each a whole row at once."""
+    m, nc = mu.size // 2, cols.size
+    T = np.zeros((rows.size + 1, nc + 1), dtype=complex)  # last row/column: zero pads
+    first = T[0]
+    first[0] = 1.0
     for S, k, p, n_p, down_p in cols.shells:
-        first[:, S] = mu[:, m + k] * first[:, p] + np.sum(K[m + k, m:] * n_p * first[:, down_p], 2)
+        first[S] = mu[m + k] * first[p] + (K[m + k, m:] * n_p * first[down_p]).sum(1)
     b = cols.n.T
     for S, k, p, n_p, down_p in rows.shells:
-        prev = T[:, p]
-        # (s, 1, j) @ (n, s, j, c) contracts j for each index of the shell
-        T[:, S, :nc] = (mu[:, k, None] * prev[:, :, :nc]
-                        + ((K[k, :m] * n_p)[:, None, :] @ T[:, down_p, :nc])[:, :, 0]
-                        + (K[k, m:][:, None, :] @ (b * prev[:, :, cols.down]))[:, :, 0])
-    return T[:, :-1, :-1]
+        prev, Kk = T[p], K[k, None]
+        # (s, 1, j) @ (s, j, c) contracts j for each index of the shell
+        T[S, :nc] = (mu[k, None] * prev[:, :nc]
+                     + ((Kk[..., :m] * n_p[:, None]) @ T[down_p, :nc])[:, 0]
+                     + (Kk[..., m:] @ (b * prev[:, cols.down]))[:, 0])
+    return T[:-1, :-1]
 
 
-@functools.lru_cache(maxsize=32)
-def _wick_steps(rows, cols):
-    """(steps, var, fac) on the flattened table (a zero pad after the last row and column):
-    step (lo, hi, tgt, src) sets each tgt[t] = E[v_r f], r = var[lo + t], to the entries
-    src[t] = (E[f], E[f / u_l], E[f / w_l]) weighted by mu_r and K[r] times fac."""
-    m, width = rows.n.shape[1], cols.size + 1
-    pad, c, parts = rows.size * width + cols.size, np.arange(cols.size), []
-    for S, k, p, n_p, down_p in cols.shells:
-        parts.append((np.arange(S.start, S.stop), m + k, np.hstack(
-            [p[:, None], np.full((len(k), m), pad), down_p]), np.hstack([0 * n_p, n_p])))
-    for S, k, p, n_p, down_p in rows.shells:
-        src = [(p[:, None] * width + c)[..., None], down_p[:, None] * width + c[:, None],
-               p[:, None, None] * width + cols.down.T]
-        parts.append(((np.arange(S.start, S.stop)[:, None] * width + c).ravel(),
-                      np.repeat(k, c.size), np.concatenate(src, axis=2).reshape(-1, 1 + 2 * m),
-                      np.hstack([np.repeat(n_p, c.size, axis=0), np.tile(cols.n, (len(k), 1))])))
-    tgt, var, src, fac = zip(*parts)
-    bounds = np.cumsum([0, *map(len, tgt)]).tolist()
-    return list(zip(bounds, bounds[1:], tgt, src)), np.concatenate(var), np.concatenate(fac)
+def _taylor_shifted(p, shift, index):
+    """Coefficients of p(x + shift) on ``index``, which holds them as it is
+    down-closed, for one polynomial p and one shift per row: for each variable j
+    in turn, sum_k shift_j^k / k! d^k p / dx_j^k, each derivative one scatter
+    through ``index.down``."""
+    out = p.T  # one index entry per row, so a scatter moves whole rows
+    for j, n_j in enumerate(index.n.T):
+        term = out
+        for k in range(1, int(n_j.max()) + 1):
+            d = np.zeros((index.size + 1, len(p)), dtype=complex)  # last row: zero pad
+            d[index.down[j]] = term * (n_j / k)[:, None]
+            term = d[:-1] * shift[:, j]
+            out = out + term
+    return out.T
 
 
 def _bargmann_kernel(A1, A2):
@@ -578,7 +556,7 @@ def _wick_table(g1, g2, rows, cols):
     L = np.concatenate([np.conj(g1.B), g2.B])
     mu = K @ L
     core = np.exp(np.conj(g1.C) + g2.C + 0.5 * L @ mu) / np.prod(roots)
-    return core, _wick_moments(mu[None], K, rows, cols)[0]
+    return core, _wick_moments(mu, K, rows, cols)
 
 
 def inner_product(s1, s2):

@@ -80,6 +80,16 @@ def vectors_overlap(u, v):
     return float(abs(np.vdot(u, v)) ** 2 / (nu * nv))
 
 
+def vectors_agreement(u, v):
+    """Re<u|v> / (|u| |v|): 1 only when the vectors agree in their global phase
+    too, unlike ``vectors_overlap``."""
+    nu = np.vdot(u, u).real
+    nv = np.vdot(v, v).real
+    if nu == 0 or nv == 0:
+        return 0.0
+    return float(np.vdot(u, v).real / np.sqrt(nu * nv))
+
+
 def states_overlap_via_fock(s1, s2, cutoff):
     return vectors_overlap(fock_vector(s1, cutoff), fock_vector(s2, cutoff))
 

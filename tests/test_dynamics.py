@@ -490,6 +490,28 @@ class TestCombinedClosedForm:
         assert np.max(np.abs(u - fock_vector(traj.state_at(-1), 40))) < 1e-10
         assert np.max(np.abs(u - fock_vector(ode, 40))) < 1e-10
 
+    @pytest.mark.parametrize("turns", [1, 3])
+    @pytest.mark.parametrize("xi, phi", [(0j, 1.0), (0.3, 1.0), (0.6j, 1.0)])
+    def test_odd_half_turns_match_fock_expm(self, xi, phi, turns):
+        # omega t = pi, 3 pi: y = -1, and sin(omega t) rounds to about 1e-16 on
+        # either side of the branch cut; the global phase counts (the oracle
+        # needs cutoff 100 under squeezing: 4e-7 of truncation error at 70)
+        ham = H(xi=xi, phi=phi)
+        t = turns * np.pi / np.sqrt(ham.omega2)
+        s = st.normalized(st.from_zeros([0.5 + 0.2j, -0.3 + 0.4j], 0.15j, 0.1, 0.0))
+        got = fock_vector(dy.evolve(s, ham, t), 100)
+        assert np.max(np.abs(got - fock_expm(s, ham, t, 100))) < 1e-8
+
+    def test_trajectory_through_a_half_turn_is_continuous(self):
+        ham = H.phase_shift(1.0)
+        times = np.pi * (np.arange(81) / 40)  # holds pi and 2 pi exactly
+        assert times[40] == np.pi
+        s = st.normalized(st.from_zeros([0.5 + 0.2j, -0.3 + 0.4j], 0.15j, 0.1, 0.0))
+        traj = dy.closed_form_trajectory(s, ham, times)
+        assert np.max(np.abs(np.diff(traj.gauss_path[:, 2]))) < 1.0  # c moves ~0.2 a step
+        got = fock_vector(traj.state_at(40), 70)
+        assert np.max(np.abs(got - fock_expm(s, ham, np.pi, 70))) < 1e-9
+
     @pytest.mark.parametrize("t", [4.0, -4.0])
     def test_log_winding(self, t):
         # omega |t| = 7.7 > 2 pi: y = fc - k fs crosses the negative real axis

@@ -22,6 +22,7 @@ from conftest import (
     random_state,
     random_unitary,
     states_overlap_via_fock,
+    vectors_agreement,
     vectors_overlap,
 )
 
@@ -34,9 +35,10 @@ def oracle_apply(state, gate, cutoff):
     return fs.FockBasis(state.modes, cutoff).vector(out)
 
 
-def gate_overlap_vs_oracle(state, gate, cutoff=32):
+def gate_agreement_vs_oracle(state, gate, cutoff=32):
+    """Re<oracle|mine> / norms: the global phase counts."""
     mine = mm.apply_gate(state, gate)
-    return vectors_overlap(oracle_apply(state, gate, cutoff), fock_vector(mine, cutoff))
+    return vectors_agreement(oracle_apply(state, gate, cutoff), fock_vector(mine, cutoff))
 
 
 class TestPassive:
@@ -59,7 +61,7 @@ class TestPassive:
         U = random_unitary(rng, 2)
         out = mm.apply_passive(s, Passive.make(U))
         np.testing.assert_allclose(out.gauss.A, U.T @ A @ U, atol=1e-12)
-        assert gate_overlap_vs_oracle(st.normalized(s), Passive.make(U), 25) > 1 - 1e-10
+        assert gate_agreement_vs_oracle(st.normalized(s), Passive.make(U), 25) > 1 - 1e-10
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -100,7 +102,7 @@ class TestDisplace:
         s = st.from_fock_superposition({(1, 1): 1.0}, 2)
         beta = 0.6 - 0.2j
         out = mm.apply_displace(s, [beta, 0.0])
-        assert gate_overlap_vs_oracle(s, Displace.make([beta, 0.0]), 30) > 1 - ORACLE_TOL
+        assert gate_agreement_vs_oracle(s, Displace.make([beta, 0.0]), 30) > 1 - ORACLE_TOL
         # z1 section zero moved to conj(beta)
         section = [
             (idx[0], c) for idx, c in out.poly.coeffs.items() if idx[1] == 1
@@ -128,7 +130,7 @@ class TestSqueezeMode:
             st.from_fock_superposition({(1, 1): 1.0}, 2)
         )
         xi = 0.5 * np.exp(1j * 2.1)
-        assert gate_overlap_vs_oracle(s, Squeeze(1, xi), 40) > 1 - ORACLE_TOL
+        assert gate_agreement_vs_oracle(s, Squeeze(1, xi), 40) > 1 - ORACLE_TOL
         out = mm.apply_gate(s, Squeeze(1, xi))
         assert st.stellar_rank(out) == 2
 
@@ -137,7 +139,7 @@ class TestSqueezeMode:
             s = st.normalized(random_state(rng, 2, 2, amax=0.35))
             xi = 0.4 * np.exp(1j * rng.uniform(0, 2 * np.pi))
             mode = int(rng.integers(2))
-            assert gate_overlap_vs_oracle(s, Squeeze(mode, xi), 46) > 1 - ORACLE_TOL
+            assert gate_agreement_vs_oracle(s, Squeeze(mode, xi), 46) > 1 - ORACLE_TOL
 
 
 def _log_continued_along(values):
@@ -238,11 +240,21 @@ class TestGatesPinned:
 class TestShearPhaseMode:
     def test_shear_vs_oracle(self, rng):
         s = st.normalized(random_state(rng, 2, 2, amax=0.3))
-        assert gate_overlap_vs_oracle(s, Shear(0, 0.5), 36) > 1 - ORACLE_TOL
+        assert gate_agreement_vs_oracle(s, Shear(0, 0.5), 36) > 1 - ORACLE_TOL
 
     def test_phase_vs_oracle(self, rng):
         s = st.normalized(random_state(rng, 2, 2))
-        assert gate_overlap_vs_oracle(s, Phase(1, 1.2), 30) > 1 - ORACLE_TOL
+        assert gate_agreement_vs_oracle(s, Phase(1, 1.2), 30) > 1 - ORACLE_TOL
+
+    @pytest.mark.parametrize("phi", [np.pi, 3 * np.pi, -np.pi])
+    def test_phase_at_odd_pi_keeps_the_sign(self, phi):
+        # sin(phi) rounds to about +-1e-16 here, on either side of the branch cut
+        s = st.from_fock_superposition({(1,): 0.6, (2,): 0.8}, 1)
+        out = mm.apply_gate(s, Phase(0, phi))
+        assert st.inner_product(s, out) == pytest.approx(0.36 * np.exp(1j * phi)
+                                                         + 0.64 * np.exp(2j * phi), abs=1e-12)
+        np.testing.assert_allclose(fock_vector(out, 8), oracle_apply(s, Phase(0, phi), 8),
+                                   rtol=0, atol=1e-12)
 
     def test_phase_rotates_section(self):
         s = st.from_fock_superposition({(2, 0): 1.0}, 2)
@@ -375,7 +387,7 @@ class TestSectionKernel:
     def test_matches_fock_oracle(self, rng, modes, rank, cutoff):
         s = st.normalized(random_state(rng, modes, rank, amax=0.25))
         for gate in _section_gates(rng, modes, strength=0.5):
-            assert gate_overlap_vs_oracle(s, gate, cutoff) > 1 - ORACLE_TOL
+            assert gate_agreement_vs_oracle(s, gate, cutoff) > 1 - ORACLE_TOL
 
 
 def _group_gate(rng, kind, modes):
@@ -433,7 +445,7 @@ class TestModeRuns:
         for gate in gates:
             arr = fs.fock_oracle_apply(arr, gate, loss_tol=1.0)
         oracle = fs.FockBasis(modes, window).vector(arr)
-        assert vectors_overlap(oracle, fock_vector(got, window)) > 1 - ORACLE_TOL
+        assert vectors_agreement(oracle, fock_vector(got, window)) > 1 - ORACLE_TOL
 
     @settings(max_examples=30)
     @given(hst.integers(1, 3), hst.integers(0, 4),

@@ -597,11 +597,11 @@ class TestFockMasses:
             np.testing.assert_allclose(masses, np.eye(31)[21], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("modes", [2, 3])
-    def test_coupled_fills_keep_absolute_accuracy(self, modes, monkeypatch):
+    def test_coupled_fills_keep_absolute_accuracy(self, modes):
         # at the default cutoff a coupled fill has masses down to 1e-27 of the
         # largest, where relative precision is not promised (``_fock_masses``);
         # every mass matches, to 1e-15 of the largest, the masses of the fill's
-        # projections from their dict polynomials with the shell fill's tables
+        # projections from their dict polynomials
         faintest = 1.0
         for seed in range(4):
             rng = np.random.default_rng(seed)
@@ -610,9 +610,7 @@ class TestFockMasses:
                 for mode in range(modes):
                     fill = sp._fock_projections(s, mode, 30)
                     masses = sp._fock_masses(fill, 30)
-                    with monkeypatch.context() as m:
-                        m.setattr(st, "_wick_moments", st._wick_shells)
-                        ref = _fock_masses_reference([fill[n] for n in range(31)], 30)
+                    ref = _fock_masses_reference([fill[n] for n in range(31)], 30)
                     assert np.abs(masses - ref).max() <= 1e-15 * ref.max()
                     faintest = min(faintest, masses.min() / masses.max())
         assert faintest < 1e-25
@@ -637,6 +635,40 @@ def _projected_mass(state, modes, alphas):
     return st.norm_squared(proj)
 
 
+def _wick_moments_batched(mu, K, rows, cols):
+    """T[n, a, b] = E[u^a w^b] for the formal Gaussians over v = (u, w) of means
+    ``mu[n]`` and covariance ``K``, a table per mean, shell by shell: the
+    reference for a plan's one mean-zero table and shifted polynomials."""
+    m, nc = mu.shape[1] // 2, cols.size
+    T = np.zeros((mu.shape[0], rows.size + 1, nc + 1), dtype=complex)  # last row/column: pads
+    first = T[:, 0]
+    first[:, 0] = 1.0
+    for S, k, p, n_p, down_p in cols.shells:
+        first[:, S] = mu[:, m + k] * first[:, p] + np.sum(K[m + k, m:] * n_p * first[:, down_p], 2)
+    b = cols.n.T
+    for S, k, p, n_p, down_p in rows.shells:
+        prev = T[:, p]
+        T[:, S, :nc] = (mu[:, k, None] * prev[:, :, :nc]
+                        + ((K[k, :m] * n_p)[:, None, :] @ T[:, down_p, :nc])[:, :, 0]
+                        + (K[k, m:][:, None, :] @ (b * prev[:, :, cols.down]))[:, :, 0])
+    return T[:, :-1, :-1]
+
+
+def _log_target_reference(plan, W):
+    """``_RejectionPlan.log_target`` with a Wick table filled at each point's
+    mean mu(w) and contracted with the unshifted p(w)."""
+    w = W[:, 0]
+    BR = plan.B_R - w[:, None] * plan.A_RI
+    const = plan.C + plan.B_I * w - 0.5 * plan.A_II * w**2
+    L = np.concatenate([np.conj(BR), BR], axis=1)
+    mu = L @ plan.K
+    p = (w[:, None] ** plan.powers) @ plan.Q
+    T = _wick_moments_batched(mu, plan.K, plan.index, plan.index)
+    s = np.einsum("na,nab,nb->n", np.conj(p), T, p).real
+    return (2.0 * const.real - np.abs(w) ** 2 + 0.5 * np.einsum("ni,ni->n", L, mu).real
+            - plan.log_root + np.log(s))
+
+
 class TestRejectionPlan:
     @settings(max_examples=30)
     @given(hst.integers(1, 4), hst.integers(0, 3), hst.data(), hst.integers(0, 2**32 - 1))
@@ -651,6 +683,36 @@ class TestRejectionPlan:
         W = Y[:, :1] + 1j * Y[:, 1:]
         expect = np.array([_projected_mass(s, [mode], np.conj(w)) for w in W])
         np.testing.assert_allclose(plan.target(W), expect, rtol=1e-10, atol=0)
+
+    @settings(max_examples=40)
+    @given(hst.integers(1, 4), hst.integers(0, 4), hst.integers(0, 2**32 - 1))
+    def test_shifted_target_matches_per_point_tables(self, modes, rank, seed):
+        # every mode, points out to +-4 sigma of the Gaussian-part Husimi
+        rng = np.random.default_rng(seed)
+        s = st.normalized(random_state(rng, modes, rank))
+        for mode in range(modes):
+            plan = sp._RejectionPlan(s, mode)
+            white = plan.chol / math.sqrt(sp.PROPOSAL_INFLATION)
+            Y = plan.mean + rng.uniform(-4.0, 4.0, (16, 2)) @ white.T
+            W = Y[:, :1] + 1j * Y[:, 1:]
+            np.testing.assert_allclose(plan.log_target(W), _log_target_reference(plan, W),
+                                       rtol=0, atol=1e-12)
+
+    def test_one_wick_fill_per_plan(self, rng, monkeypatch):
+        s = st.normalized(random_state(rng, 3, 4))
+        fills, fill = [], st._wick_moments
+
+        def counting(*args):
+            fills.append(1)
+            return fill(*args)
+
+        monkeypatch.setattr(sp, "_wick_moments", counting)
+        monkeypatch.setattr(st, "_wick_moments", counting)  # fills through _wick_table
+        plan = sp._RejectionPlan(s, 1)
+        assert len(fills) == 1  # the envelope fit's targets fill none
+        W = plan.mean @ [1.0, 1j] + rng.normal(size=(10**4, 1)) + 1j * rng.normal(size=(10**4, 1))
+        assert np.isfinite(plan.target(W)).all()
+        assert len(fills) == 1
 
     @pytest.mark.parametrize("modes", [[0], [1]])
     def test_envelope_violation_raises(self, rng, modes):
@@ -669,11 +731,9 @@ class TestRejectionPlan:
 
 def _log_density_ratios(plan, Y):
     """log(target / proposal) at proposal-space points Y, with the proposal
-    N(mean, chol chol^T) from scipy, in chunks that bound the Wick tables."""
+    N(mean, chol chol^T) from scipy."""
     proposal = sps.multivariate_normal(plan.mean, plan.chol @ plan.chol.T)
-    chunks = np.array_split(Y, len(Y) // 4096 + 1)
-    log_t = np.concatenate([plan.log_target(c[:, :1] + 1j * c[:, 1:]) for c in chunks])
-    return log_t - proposal.logpdf(Y)
+    return plan.log_target(Y[:, :1] + 1j * Y[:, 1:]) - proposal.logpdf(Y)
 
 
 class TestEnvelopeBound:

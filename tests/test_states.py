@@ -32,7 +32,7 @@ def _inner_product_graded(s1, s2):
     rows = st._moment_index(s1.modes, s1.poly.degree())
     cols = st._moment_index(s1.modes, s2.poly.degree())
     c1, c2 = s1.poly.coeffs, s2.poly.coeffs
-    T = st._wick_moments(mu[None], K, rows, cols)[0]
+    T = st._wick_moments(mu, K, rows, cols)
     T = T[np.ix_([rows.pos[n] for n in c1], [cols.pos[n] for n in c2])]
     p1, p2 = np.conj(list(c1.values())), np.array(list(c2.values()))
     return complex(core * np.sum(p1[:, None] * T * p2))
@@ -228,33 +228,24 @@ class TestInnerProduct:
         graded = st._moment_index(3, 4)
         assert list(graded.pos) == st.all_indices_upto(3, 4)
 
-    def test_wick_moments_batched(self, rng):
-        g = random_admissible_gauss(rng, 2)
-        M = np.block([[np.conj(g.A), np.eye(2)], [np.eye(2), g.A]])
-        K = np.linalg.inv(M)
-        rows, cols = st._moment_index(2, 3), st._moment_index(2, 2)
-        mu = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-        batched = st._wick_moments(mu, K, rows, cols)
-        single = np.stack([st._wick_moments(mu[n:n + 1], K, rows, cols)[0] for n in range(5)])
-        np.testing.assert_allclose(batched, single, rtol=1e-14, atol=1e-14)
+    @settings(max_examples=30)
+    @given(hst.integers(1, 4), hst.integers(0, 4), hst.integers(0, 2**32 - 1))
+    def test_taylor_shift_matches_evaluation(self, modes, degree, seed):
+        # c = p shifted by s on a graded index: c(x) = p(x + s) at random x,
+        # for three polynomials and shifts at once
+        rng = np.random.default_rng(seed)
+        index = st._moment_index(modes, degree)
+        p = rng.normal(size=(3, index.size)) + 1j * rng.normal(size=(3, index.size))
+        shift = rng.normal(size=(3, modes)) + 1j * rng.normal(size=(3, modes))
+        x = rng.normal(size=(3, modes)) + 1j * rng.normal(size=(3, modes))
+        c = st._taylor_shifted(p, shift, index)
 
-    @pytest.mark.parametrize("modes, rank1, rank2, batch", [
-        (1, 14, 14, 1), (1, 0, 0, 4), (2, 3, 2, 5), (2, 0, 3, 3), (2, 3, 0, 1), (3, 2, 3, 2)])
-    def test_wick_moments_match_shell_reference(self, rng, modes, rank1, rank2, batch):
-        # the stepped fill of small tables against the shell fill that larger
-        # tables take, on graded indices and on down-closures of sparse polynomials
-        g1, g2 = random_admissible_gauss(rng, modes), random_admissible_gauss(rng, modes)
-        K, _ = st._bargmann_kernel(g1.A, g2.A)
-        mu = rng.normal(size=(batch, 2 * modes)) + 1j * rng.normal(size=(batch, 2 * modes))
-        sparse = [st._MomentIndex(modes, list(random_poly(rng, modes, rank).coeffs))
-                  for rank in (rank1, rank2)]
-        for rows, cols in ((st._moment_index(modes, rank1), st._moment_index(modes, rank2)),
-                           sparse):
-            assert batch * rows.size * cols.size <= st.WICK_STEPPED
-            got = st._wick_moments(mu, K, rows, cols)
-            ref = st._wick_shells(mu, K, rows, cols)
-            assert got.shape == ref.shape
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        def value(coeffs, z):
+            return sum(coeffs[i] * np.prod(z ** np.array(n)) for n, i in index.pos.items())
+
+        for row in range(3):
+            expect = value(p[row], x[row] + shift[row])
+            assert abs(value(c[row], x[row]) - expect) <= 1e-12 * max(1.0, abs(expect))
 
     def test_eigenvalue_square_roots_across_branch_cut(self):
         # three squeezed modes with |a|^2 = 0.95 against phases 0.3 apart: the
