@@ -1,7 +1,8 @@
 """File formats: stellar-state JSON, trajectory CSV, outcome CSV.
 
 CSV prints 17 significant digits (``fmt``), JSON the shortest round-trip repr
-of each float: both give the exact double, so runs are byte-reproducible.
+of each float: both give the exact double. The bytes hold for one numpy build
+on one CPU only: numpy's array and scalar complex products round differently.
 """
 
 from __future__ import annotations

@@ -12,16 +12,17 @@ state conditioned on the outcomes before it, ``_FockLaw`` for a photon count
 and ``_RejectionPlan`` for a heterodyne outcome. Both offer ``draw(rng)``, the
 outcome, its mass (density) and the proposal points tried, and
 ``project(value, mass)``, the normalized rest-mode state after that outcome
-(or the amplitude when no mode is left). A heterodyne draw is by rejection
-from an inflated Gaussian fitted to the Gaussian part of the state. The
-target density of a measured mode, with other modes left or none, is the
-Bargmann norm of the coherent projection, in closed form: each plan fills one
-mean-zero Wick table, and each outcome Taylor-shifts its polynomial by the
-outcome's mean and contracts it with that table; every target is computed in
-the log domain and exponentiated once. The envelope is proven, not estimated
-(``_RejectionPlan``), so the draws are exact; acceptance falls with the
-stellar rank, and below MIN_ACCEPT_RATE the sampler raises. A target that is
-NaN or exceeds the envelope raises RuntimeError instead of biasing the sample.
+(or the amplitude when no mode is left). For either measurement a projection
+is a section row (``_row_state``) of P in the measured variable
+(``states._section``): a row of a Fock sweep, or the rows contracted with the
+powers of w = alpha*, the p(w) whose Bargmann norm is also the heterodyne
+target (``_coherent_terms``). A heterodyne draw is by rejection from an
+inflated Gaussian fitted to the Gaussian part of the state; each plan fills
+one mean-zero Wick table, and each target Taylor-shifts p(w) by its mean and
+contracts it with that table, in the log domain. The envelope is proven, not
+estimated (``_RejectionPlan``), so the draws are exact; acceptance falls with
+the stellar rank, and below MIN_ACCEPT_RATE the sampler raises. A target that
+is NaN or exceeds the envelope raises RuntimeError instead of biasing the sample.
 
 A photon count is drawn by inverting the CDF of the masses (norms^2) of the
 mode's Fock projections. Where the Gaussian part is zero (A = 0, B = 0), as
@@ -47,7 +48,6 @@ from .multimode import apply_gate
 from .states import (
     NORM_TOL,
     GaussPart,
-    PolyPart,
     StellarState,
     _add_linear,
     _bargmann_kernel,
@@ -109,7 +109,8 @@ def project_coherent(state, modes, alphas):
 
     Returns the unnormalized remaining-mode state with stellar function
     exp(-|alpha|^2/2) F(alpha*, z_rest); projecting every mode returns the
-    complex amplitude instead. The stellar rank never increases.
+    complex amplitude instead. The stellar rank never increases. Mode by mode,
+    highest first, each from its section over the rest monomials that P has.
     """
     modes = [int(k) for k in modes]
     alphas = np.asarray(alphas, dtype=complex).reshape(-1)
@@ -119,34 +120,38 @@ def project_coherent(state, modes, alphas):
         raise ValueError("duplicate mode in projection")
     if any(not 0 <= k < state.modes for k in modes):
         raise ValueError("mode index out of range")
-    w = np.conj(alphas)
-    rest = [k for k in range(state.modes) if k not in modes]
-    g = state.gauss
-    I = modes
-    prefpart = -0.5 * float(np.sum(np.abs(alphas) ** 2))
-    const = g.C + g.B[I] @ w - 0.5 * w @ g.A[np.ix_(I, I)] @ w + prefpart
-    # polynomial with measured slots evaluated at w
-    new_coeffs = {}
-    for idx, c in state.poly.coeffs.items():
-        factor = c
-        for pos, k in enumerate(I):
-            if idx[k]:
-                factor = factor * w[pos] ** idx[k]
-        new_idx = tuple(idx[k] for k in rest)
-        new_coeffs[new_idx] = new_coeffs.get(new_idx, 0) + factor
-    if not rest:
-        total = sum(new_coeffs.values())
-        return complex(total * np.exp(const))
-    B_rest = g.B[rest] - g.A[np.ix_(rest, I)] @ w
-    poly = PolyPart.make(new_coeffs, modes=len(rest)).pruned()
-    return StellarState.make(len(rest), poly, _rest_gauss(g, rest, B_rest, const))
+    for k, w in sorted(zip(modes, np.conj(alphas).tolist()), reverse=True):
+        Q, layout = _section(state, k, max((n[k] for n in state.poly.coeffs), default=0), (), 0)
+        state = _coherent_projection(state.gauss, k, Q, layout, w)
+    return state
+
+
+def _coherent_terms(g, k, Q, w):
+    """p(w) = sum_p w^p Q_p (Q a section of P in z_k), B_R(w) = B_R - A_Rk w and const(w) =
+    C + B_k w - A_kk w^2 / 2 - |w|^2 / 2 at conjugated outcomes w, one per entry: projecting
+    mode k onto |conj(w)> leaves p(w) exp(-z_R^T A_RR z_R / 2 + B_R(w)^T z_R + const(w))."""
+    R, w = np.arange(g.modes) != k, w[:, None]
+    return ((w ** np.arange(len(Q))) @ Q, g.B[R] - w * g.A[R, k],
+            g.C + g.B[k] * w[:, 0] - 0.5 * g.A[k, k] * w[:, 0] ** 2 - 0.5 * np.abs(w[:, 0]) ** 2)
+
+
+def _coherent_projection(g, k, Q, layout, w):
+    """``_coherent_terms`` at one w as a ``_row_state``, or the amplitude if k is the last mode."""
+    p, B_R, const = _coherent_terms(g, k, Q, np.array([w]))
+    if g.modes == 1:
+        return complex(p[0, 0] * np.exp(const[0]))
+    return _row_state(p[0], layout, _rest_gauss(g, np.arange(g.modes) != k, B_R[0], const[0]))
+
+
+def _row_state(row, layout, gauss):
+    """The state of a section row: its ``_kept`` monomials (``_section_poly``) times ``gauss``."""
+    return StellarState(gauss.modes, _section_poly(row, layout), gauss)
 
 
 def _rest_gauss(g, rest, B_rest, C):
     """GaussPart of the modes ``rest``: a submatrix of the symmetric A, so it
     is built directly, with no re-symmetrisation."""
     A_rest = g.A[np.ix_(rest, rest)]
-    B_rest = np.asarray(B_rest, dtype=complex)
     for arr in (A_rest, B_rest):
         arr.setflags(write=False)
     return GaussPart(A_rest, B_rest, complex(C))
@@ -225,7 +230,7 @@ def _fock_projections(state, mode, nmax):
 
 
 class _FockRows:
-    """A fill with modes left: projection n's section row ``rows[n]`` and state ``fill[n]``."""
+    """A fill with modes left: projection n's row ``rows[n]`` and ``_row_state`` ``fill[n]``."""
 
     def __init__(self, rows, layout, gauss):
         self.rows, self.layout, self.gauss, self._states = rows, layout, gauss, {}
@@ -233,8 +238,7 @@ class _FockRows:
     def __getitem__(self, n):
         n = min(n, len(self.rows) - 1)  # past the row where the sweep stopped: zero
         if n not in self._states:
-            poly = _section_poly(self.rows[n], self.layout)
-            self._states[n] = StellarState(self.gauss.modes, poly, self.gauss)
+            self._states[n] = _row_state(self.rows[n], self.layout, self.gauss)
         return self._states[n]
 
 
@@ -418,16 +422,14 @@ class _RejectionPlan:
         self.state, self.mode = state, int(mode)
         g, m, k = state.gauss, state.modes, self.mode
         R = [j for j in range(m) if j != k]
-        self.A_RI, self.A_II = g.A[R, k], g.A[k, k]
-        self.B_R, self.B_I, self.C = g.B[R], g.B[k], g.C
         self.K, roots = _bargmann_kernel(g.A[R][:, R], g.A[R][:, R])
         self.log_root = float(np.sum(np.log(roots)).real)
         # P(w, z_R) = sum_p w^p Q_p(z_R): the section in the measured variable,
         # Q_p over the moment index of the rest modes (pad column dropped)
         terms = state.poly.coeffs
-        Q, layout = _section(state, k, max(n[k] for n in terms), R,
-                             max(sum(n) - n[k] for n in terms))
-        self.index, self.Q, self.powers = layout.index, Q[:, :-1], np.arange(len(Q))
+        Q, self.layout = _section(state, k, max(n[k] for n in terms), R,
+                                  max(sum(n) - n[k] for n in terms))
+        self.index, self.Q = self.layout.index, Q[:, :-1]
         # the Wick table at mean zero: each target shifts its polynomial to its mean
         self.T0 = _wick_moments(np.zeros(2 * len(R)), self.K, self.index, self.index)
         mean, cov0 = _husimi_gaussian_moments(g)
@@ -460,9 +462,7 @@ class _RejectionPlan:
         batched: W holds one point per row.
 
         The density is the Bargmann norm^2 of the coherent projection, in
-        closed form. With modes R left after measuring mode I (R may be empty),
-        B_R(w) = B_R - A_RI w, const(w) = C + B_I w - A_II w^2 / 2 - |w|^2 / 2,
-        p(w) the coefficients of P(w, .) over the rest monomials,
+        closed form. With p(w), B_R(w) and const(w) of ``_coherent_terms``,
         L = (conj B_R(w), B_R(w)) and mu = K L (``states.inner_product`` with
         s1 = s2 = the projection; K and the eigenvalue roots do not depend on w),
 
@@ -476,17 +476,14 @@ class _RejectionPlan:
         itself makes mu_u = conj(mu_w), so conj(p) shifted by mu_u is conj(c).
         With R empty, c = p(w) = P(w) and T0 = 1.
         """
-        w = np.atleast_2d(W)[:, 0]
-        BR = self.B_R - w[:, None] * self.A_RI
-        const = self.C + self.B_I * w - 0.5 * self.A_II * w**2
+        p, BR, const = _coherent_terms(self.state.gauss, self.mode, self.Q, np.atleast_2d(W)[:, 0])
         L = np.concatenate([np.conj(BR), BR], axis=1)
         mu = L @ self.K  # K is symmetric
-        p = (w[:, None] ** self.powers) @ self.Q
-        c = _taylor_shifted(p, mu[:, len(self.B_R):], self.index)  # shifted by mu_w
+        c = _taylor_shifted(p, mu[:, BR.shape[1]:], self.index)  # shifted by mu_w
         s = np.sum((np.conj(c) @ self.T0) * c, axis=1).real
         # -inf where rounding leaves s <= 0 at a zero; NaN stays NaN
         log_s = np.log(s, out=np.full_like(s, -np.inf), where=~(s <= 0))
-        return (2.0 * const.real - np.abs(w) ** 2 + 0.5 * np.einsum("ni,ni->n", L, mu).real
+        return (2.0 * const.real + 0.5 * np.einsum("ni,ni->n", L, mu).real
                 - self.log_root + log_s)
 
     def target(self, W):
@@ -522,8 +519,10 @@ class _RejectionPlan:
         raise RuntimeError("rejection sampler failed to accept; envelope too loose")
 
     def project(self, alpha, mass):
-        """The normalized rest-mode state after outcome ``alpha``, or its amplitude."""
-        return _normalized_by(project_coherent(self.state, [self.mode], [alpha]), mass)
+        """The normalized rest-mode state after outcome ``alpha``, or its amplitude,
+        from the plan's section and the p(w) of ``log_target`` (``_coherent_projection``)."""
+        return _normalized_by(_coherent_projection(
+            self.state.gauss, self.mode, self.Q, self.layout, np.conj(alpha)), mass)
 
 
 def _y_to_w(Y):

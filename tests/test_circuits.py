@@ -337,13 +337,13 @@ class TestRun:
         cfg = SamplerConfig(seed=2, shots=6)
         reference = circ.run_circuit(spec, cfg)
         counted = []
-        project = sp.project_coherent
+        project = sp._RejectionPlan.project
 
         def counting(*args):
             counted.append(args)
             return project(*args)
 
-        monkeypatch.setattr(sp, "project_coherent", counting)
+        monkeypatch.setattr(sp._RejectionPlan, "project", counting)
         res = circ.run_circuit(spec, cfg, final_summary=final_summary)
         assert len(counted) == calls * cfg.shots
         assert res.rows == reference.rows

@@ -173,6 +173,44 @@ class TestFockAmplitude:
             sp.fock_amplitude(s, (1, -1))
 
 
+def _project_coherent_reference(state, modes, alphas):
+    """The coherent projection monomial by monomial: each coefficient times the
+    powers of w = conj(alpha) in the measured modes, summed into its rest
+    monomial in a dict; the reference for ``sp.project_coherent``'s sections."""
+    modes = [int(k) for k in modes]
+    alphas = np.asarray(alphas, dtype=complex).reshape(-1)
+    w = np.conj(alphas)
+    rest = [k for k in range(state.modes) if k not in modes]
+    g = state.gauss
+    I = modes
+    prefpart = -0.5 * float(np.sum(np.abs(alphas) ** 2))
+    const = g.C + g.B[I] @ w - 0.5 * w @ g.A[np.ix_(I, I)] @ w + prefpart
+    new_coeffs = {}
+    for idx, c in state.poly.coeffs.items():
+        factor = c
+        for pos, k in enumerate(I):
+            if idx[k]:
+                factor = factor * w[pos] ** idx[k]
+        new_idx = tuple(idx[k] for k in rest)
+        new_coeffs[new_idx] = new_coeffs.get(new_idx, 0) + factor
+    if not rest:
+        total = sum(new_coeffs.values())
+        return complex(total * np.exp(const))
+    B_rest = g.B[rest] - g.A[np.ix_(rest, I)] @ w
+    poly = st.PolyPart.make(new_coeffs, modes=len(rest)).pruned()
+    return st.StellarState.make(len(rest), poly, sp._rest_gauss(g, rest, B_rest, const))
+
+
+def _assert_projections_close(got, ref, rel=1e-12):
+    """Amplitudes within ``rel``; states as ``assert_states_close``, with A exact."""
+    if isinstance(ref, complex):
+        assert isinstance(got, complex)
+        assert abs(got - ref) <= rel * abs(ref)
+        return
+    assert_states_close(got, ref, rel=rel)
+    np.testing.assert_array_equal(got.gauss.A, ref.gauss.A)
+
+
 class TestProjections:
     def test_project_coherent_all_modes_scalar(self):
         s = st.normalized(st.from_fock_superposition({(1, 1): 1.0}, 2))
@@ -220,6 +258,38 @@ class TestProjections:
         for idx in sorted(mine.amplitudes):
             if sum(idx) <= 12:
                 assert mine.amplitude(idx) == pytest.approx(amps.get(idx, 0j), abs=1e-9)
+
+    @settings(max_examples=60)
+    @given(hst.integers(1, 4), hst.integers(0, 4), hst.data(), hst.integers(0, 2**32 - 1))
+    def test_sections_match_dict_reference(self, modes, rank, data, seed):
+        # any non-empty subset of the modes, in any order (all of them: the
+        # amplitude), |alpha| <= 4; a plan projects one mode and normalizes
+        rng = np.random.default_rng(seed)
+        s = st.normalized(random_state(rng, modes, rank))
+        order = data.draw(hst.permutations(range(modes)))
+        measured = order[:data.draw(hst.integers(1, modes))]
+        count = len(measured)
+        alphas = rng.uniform(0.0, 4.0, count) * np.exp(2j * np.pi * rng.random(count))
+        _assert_projections_close(sp.project_coherent(s, measured, alphas),
+                                  _project_coherent_reference(s, measured, alphas))
+        k, alpha = measured[0], complex(alphas[0])
+        plan = sp._RejectionPlan(s, k)
+        mass = float(plan.target(np.array([[np.conj(alpha)]]))[0])
+        ref = sp._normalized_by(_project_coherent_reference(s, [k], [alpha]), mass)
+        _assert_projections_close(plan.project(alpha, mass), ref)
+
+    def test_plan_projects_through_its_section(self, rng, monkeypatch):
+        s = st.normalized(random_state(rng, 3, 3))
+        plan = sp._RejectionPlan(s, 1)
+        alpha, mass, _ = plan.draw(sp.shot_rng(0, 0))
+        calls, project, make = [], sp.project_coherent, st.PolyPart.make
+        monkeypatch.setattr(sp, "project_coherent",
+                            lambda *a: calls.append("project_coherent") or project(*a))
+        monkeypatch.setattr(st.PolyPart, "make",
+                            staticmethod(lambda *a, **k: calls.append("make") or make(*a, **k)))
+        out = plan.project(alpha, mass)
+        assert calls == []
+        assert st.norm_squared(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_project_fock_extracts_coefficient(self):
         s = st.from_fock_superposition({(1, 1): 1.0}, 2)
@@ -657,12 +727,13 @@ def _wick_moments_batched(mu, K, rows, cols):
 def _log_target_reference(plan, W):
     """``_RejectionPlan.log_target`` with a Wick table filled at each point's
     mean mu(w) and contracted with the unshifted p(w)."""
-    w = W[:, 0]
-    BR = plan.B_R - w[:, None] * plan.A_RI
-    const = plan.C + plan.B_I * w - 0.5 * plan.A_II * w**2
+    w, g, k = W[:, 0], plan.state.gauss, plan.mode
+    R = [j for j in range(g.modes) if j != k]
+    BR = g.B[R] - w[:, None] * g.A[R, k]
+    const = g.C + g.B[k] * w - 0.5 * g.A[k, k] * w**2
     L = np.concatenate([np.conj(BR), BR], axis=1)
     mu = L @ plan.K
-    p = (w[:, None] ** plan.powers) @ plan.Q
+    p = (w[:, None] ** np.arange(len(plan.Q))) @ plan.Q
     T = _wick_moments_batched(mu, plan.K, plan.index, plan.index)
     s = np.einsum("na,nab,nb->n", np.conj(p), T, p).real
     return (2.0 * const.real - np.abs(w) ** 2 + 0.5 * np.einsum("ni,ni->n", L, mu).real
